@@ -9,7 +9,9 @@
      dune exec bench/main.exe                    # experiments + micro-benchmarks
      dune exec bench/main.exe -- quick           # experiments only
      dune exec bench/main.exe -- --json FILE     # timed scenarios -> wfc.obs.v1
-     dune exec bench/main.exe -- --only serve    # just one scenario family *)
+     dune exec bench/main.exe -- --only serve    # just one scenario family
+
+   Any other argument is a usage error (exit 2) before anything runs. *)
 
 open Wfc_topology
 open Wfc_model
@@ -636,13 +638,11 @@ let scenarios : (string * (unit -> int option * string option)) list =
   let plain thunk = fun () -> thunk (); (None, None) in
   (* The level-1 refutation is ~60 nodes, far below timer resolution, so it
      is repeated; the first call warms the subdivision memo, the remaining
-     reps time the search engine alone. Every domain setting performs the
-     exact same node count (stats are equal by construction, see test_par),
-     so the wall-clock ratio across solve_domains_* is a clean speedup. *)
-  let solve_rep ?mode ?model ?symmetry ?collapse ~domains ~reps task level = fun () ->
-    let opts = Solvability.options ?mode ?model ?symmetry ?collapse () in
-    let v = ref (Solvability.solve_at ~opts ~domains task level) in
-    for _ = 2 to reps do v := Solvability.solve_at ~opts ~domains task level done;
+     reps time the search engine alone. *)
+  let solve_rep ?model ?symmetry ?collapse ~reps task level = fun () ->
+    let opts = Solvability.options ?model ?symmetry ?collapse () in
+    let v = ref (Solvability.solve_at ~opts task level) in
+    for _ = 2 to reps do v := Solvability.solve_at ~opts task level done;
     solved !v
   in
   (* SDS^4(s^2) rebuilt cold: subdivision fans the facets of each level
@@ -928,27 +928,14 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ("emulation_trace_off", plain (fun () -> emulation_sweep ~sink:Runtime.Off ()));
     ("emulation_trace_ring", plain (fun () -> emulation_sweep ~sink:(Runtime.Ring 4096) ()));
     ("emulation_trace_full", plain (fun () -> emulation_sweep ~sink:Runtime.Full ()));
-    (* parallel speedup curve: identical workloads on 1/2/4 domains *)
-    ("solve_domains_1", solve_rep ~domains:1 ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1);
-    ("solve_domains_2", solve_rep ~domains:2 ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1);
-    ("solve_domains_4", solve_rep ~domains:4 ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1);
-    (* portfolio race on the same workload: whole-search racers instead of
-       one split search; same verdict, cost = the winning racer's *)
-    ( "solve_portfolio_1",
-      solve_rep ~mode:`Portfolio ~domains:1 ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    ( "solve_portfolio_2",
-      solve_rep ~mode:`Portfolio ~domains:2 ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    ( "solve_portfolio_4",
-      solve_rep ~mode:`Portfolio ~domains:4 ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1 );
+    (* the sequential search baseline (the name predates the single engine) *)
+    ("solve_domains_1", solve_rep ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1);
     (* model-restricted solving: the k-set affine task of the same workload.
        The restriction filters facets before the instance is built, so this
        tracks both the predicate cost and the smaller search space. *)
     ( "solve_kset_affine",
-      solve_rep
-        ~model:(Wfc_tasks.Model.k_set_affine ~k:2)
-        ~domains:1 ~reps:200
-        (Instances.set_consensus ~procs:3 ~k:2)
-        1 );
+      solve_rep ~model:(Wfc_tasks.Model.k_set_affine ~k:2) ~reps:200
+        (Instances.set_consensus ~procs:3 ~k:2) 1 );
     (* search reducers (DESIGN §14) on the same level-1 refutation: the
        seed engine with both reducers off is the before picture, then each
        reducer alone, then the composition (the default engine everywhere
@@ -956,16 +943,16 @@ let scenarios : (string * (unit -> int option * string option)) list =
        shrink while the verdict JSON stays byte-identical (ci.sh cmp's
        them); wall-clock on a ~60-node search is repeated noise-floor. *)
     ( "solve_no_reducers",
-      solve_rep ~symmetry:false ~collapse:false ~domains:1 ~reps:200
+      solve_rep ~symmetry:false ~collapse:false ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
     ( "solve_symmetry",
-      solve_rep ~symmetry:true ~collapse:false ~domains:1 ~reps:200
+      solve_rep ~symmetry:true ~collapse:false ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
     ( "solve_collapse",
-      solve_rep ~symmetry:false ~collapse:true ~domains:1 ~reps:200
+      solve_rep ~symmetry:false ~collapse:true ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
     ( "solve_both",
-      solve_rep ~symmetry:true ~collapse:true ~domains:1 ~reps:200
+      solve_rep ~symmetry:true ~collapse:true ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
     ("sds_iterate_domains_1", sds_par 1);
     ("sds_iterate_domains_2", sds_par 2);
@@ -1029,36 +1016,41 @@ let write_json file results =
        results);
   Printf.printf "\nwrote %s\n" file
 
+let usage = "usage: main.exe [quick | --quick] [--experiments] [--json FILE] [--only SUBS]"
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "quick" args || List.mem "--quick" args in
-  quick_scenarios := quick;
-  let json_file =
-    let rec find = function
-      | [ "--json" ] ->
-        prerr_endline "bench: --json requires a FILE argument";
-        exit 2
-      | "--json" :: file :: _ -> Some file
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let fail msg =
+    prerr_endline ("bench: " ^ msg);
+    prerr_endline usage;
+    exit 2
   in
   (* --only SUBS (comma-separated substrings) restricts the timed scenarios
      to names containing any of them, and skips the experiments — for
      iterating on one scenario family without paying for the whole suite *)
-  let only =
-    let rec find = function
-      | [ "--only" ] ->
-        prerr_endline "bench: --only requires a SUBSTRING argument";
-        exit 2
-      | "--only" :: sub :: _ -> Some sub
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let quick = ref false and force_experiments = ref false in
+  let json_file = ref None and only = ref None in
+  let rec parse = function
+    | [] -> ()
+    | ("quick" | "--quick") :: rest ->
+      quick := true;
+      parse rest
+    | "--experiments" :: rest ->
+      force_experiments := true;
+      parse rest
+    | "--json" :: file :: rest ->
+      json_file := Some file;
+      parse rest
+    | "--only" :: sub :: rest ->
+      only := Some sub;
+      parse rest
+    | [ "--json" ] -> fail "--json requires a FILE argument"
+    | [ "--only" ] -> fail "--only requires a SUBSTRING argument"
+    | arg :: _ -> fail ("unknown argument: " ^ arg)
   in
-  let experiments = (json_file = None && only = None) || List.mem "--experiments" args in
+  parse (List.tl (Array.to_list Sys.argv));
+  let quick = !quick and json_file = !json_file and only = !only in
+  quick_scenarios := quick;
+  let experiments = (json_file = None && only = None) || !force_experiments in
   if experiments then begin
     e1 ();
     e2 ();

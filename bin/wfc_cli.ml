@@ -42,8 +42,9 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Run the search / subdivision on $(docv) domains (default: the WFC_DOMAINS \
-           environment variable, else 1 = sequential). Results are independent of $(docv).")
+          "Run subdivision on $(docv) domains (default: the WFC_DOMAINS environment \
+           variable, else 1 = sequential); the search itself is sequential. Results are \
+           independent of $(docv).")
 
 let apply_domains = function Some d -> Wfc_par.set_domains d | None -> ()
 
@@ -501,8 +502,16 @@ let replay_cmd =
 
 (* ---------- solve ---------- *)
 
+(* an unknown name or an impossible parameter is a usage error, not a crash *)
 let task_of name procs param =
-  try Instances.by_name ~name ~procs ~param with Invalid_argument m -> failwith m
+  if not (List.mem name Instances.known) then
+    Error
+      (Printf.sprintf "unknown task %S; expected one of: %s" name
+         (String.concat ", " Instances.known))
+  else
+    match Instances.by_name ~name ~procs ~param with
+    | t -> Ok t
+    | exception (Invalid_argument m | Failure m) -> Error (Printf.sprintf "task %s: %s" name m)
 
 (* shared by solve / query / serve / store *)
 
@@ -618,16 +627,14 @@ let fresh_record ~t ~task ~procs ~param ~max_level ~model outcome =
     ~model ~max_level ~budget:Solvability.default_budget outcome
 
 let solve_cmd =
-  let run task procs param max_level domains portfolio model no_symmetry no_collapse validate
+  let run (task, procs, param, t) max_level domains model no_symmetry no_collapse validate
       search_trace store_dir codec verdict_out perfetto stats json =
     apply_domains domains;
     let opts =
-      Solvability.options ~trace:search_trace
-        ?mode:(if portfolio then Some `Portfolio else None)
-        ~model ~symmetry:(not no_symmetry) ~collapse:(not no_collapse) ()
+      Solvability.options ~trace:search_trace ~model ~symmetry:(not no_symmetry)
+        ~collapse:(not no_collapse) ()
     in
     let model_name = Model.to_string model in
-    let t = task_of task procs param in
     Format.printf "%a@." Task.pp_stats t;
     if not (Model.equal model Model.wait_free) then
       Format.printf "model: %s@." model_name;
@@ -743,17 +750,6 @@ let solve_cmd =
   let max_level =
     Arg.(value & opt int 2 & info [ "max-level" ] ~docv:"B" ~doc:"Largest round count to try.")
   in
-  let portfolio =
-    Arg.(
-      value & flag
-      & info [ "portfolio" ]
-          ~doc:
-            "With --domains D > 1, race D deterministic variable orders per level and take \
-             the first verdict instead of splitting one search (default comes from the \
-             WFC_PORTFOLIO environment variable). Verdicts and decision maps are unchanged; \
-             node tallies describe the winning racer. Watch it under --stats via the \
-             par.portfolio_* counters.")
-  in
   let validate =
     Arg.(value & flag & info [ "validate" ] ~doc:"Run the found map as a distributed protocol.")
   in
@@ -782,7 +778,12 @@ let solve_cmd =
           unsolvable), 3 if the node budget ran out. With $(b,--store), verdicts persist \
           across invocations and known questions are answered from disk.")
     Term.(
-      const run $ task $ procs_arg $ param $ max_level $ domains_arg $ portfolio $ model_arg
+      const run
+      $ term_result' ~usage:true
+          (const (fun task procs param ->
+               Result.map (fun t -> (task, procs, param, t)) (task_of task procs param))
+          $ task $ procs_arg $ param)
+      $ max_level $ domains_arg $ model_arg
       $ no_symmetry_arg $ no_collapse_arg $ validate $ search_trace $ store_opt_arg
       $ codec_arg $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
 

@@ -9,9 +9,12 @@
 # wfc.trace.v1 trace, replay it, validate both through check-json, and
 # require the replayed canonical trace to be byte-identical to the
 # recording. The whole suite runs twice — sequential and on 4 domains —
-# and a parallel solve is diffed against the sequential run: the domain
-# pool must never change a result, only the wall-clock; portfolio mode
-# (whole-search racing) must agree on every verdict line. Last, the
+# and a solve whose subdivisions are built on 4 domains is diffed against
+# the sequential run: the domain pool (parallel subdivision, the shared
+# simplex arena) must never change a result or a search tally, only the
+# wall-clock. Bad arguments must end in a usage error, never a crash or a
+# silently started run: an unknown `wfc solve --task` and an unknown
+# bench flag are both checked. Last, the
 # serving smoke: a daemon's cold and warm answers must be byte-identical
 # to an inline solve's canonical verdict, a SIGKILLed daemon must leave a
 # store that verifies clean and a stale socket the next daemon replaces,
@@ -38,7 +41,7 @@ dune exec bin/wfc_cli.exe -- check-json SOLVE_ci.json \
   --expect-verdict unsolvable --min-nodes 1
 rm -f SOLVE_ci.json
 
-# determinism smoke: parallel and sequential engines must print the same
+# determinism smoke: subdivision on 1 and on 4 domains must print the same
 # verdict, stats line and counters (timings and the pool's own par.*
 # book-keeping counters are stripped)
 dune exec bin/wfc_cli.exe -- solve --task set-consensus --procs 3 --param 2 \
@@ -48,22 +51,20 @@ dune exec bin/wfc_cli.exe -- solve --task set-consensus --procs 3 --param 2 \
 diff SOLVE_seq.txt SOLVE_par.txt
 rm -f SOLVE_seq.txt SOLVE_par.txt
 
-# portfolio smoke: racing whole searches under distinct variable orders
-# must not change any verdict. Only the verdict lines are compared — node
-# tallies describe whichever racer won, so unlike the batch engine they
-# are not deterministic.
-for TASK_ARGS in "--task set-consensus --procs 3 --param 2 --max-level 1" \
-                 "--task renaming --procs 2 --param 3 --max-level 1" \
-                 "--task consensus --procs 2 --max-level 2"; do
-  # shellcheck disable=SC2086
-  dune exec bin/wfc_cli.exe -- solve $TASK_ARGS --domains 1 \
-    | grep -E 'SOLVABLE|UNSOLVABLE|UNDECIDED' > VERDICT_seq.txt
-  # shellcheck disable=SC2086
-  dune exec bin/wfc_cli.exe -- solve $TASK_ARGS --domains 4 --portfolio \
-    | grep -E 'SOLVABLE|UNSOLVABLE|UNDECIDED' > VERDICT_port.txt
-  diff VERDICT_seq.txt VERDICT_port.txt
-done
-rm -f VERDICT_seq.txt VERDICT_port.txt
+# usage errors: an unknown task is a cmdliner usage error (non-zero, not
+# the 125 of an uncaught exception, no "internal error"), and an unknown
+# bench flag exits 2 before any experiment starts
+RC=0
+./_build/default/bin/wfc_cli.exe solve --task bogus --procs 2 > USAGE_ci.txt 2>&1 || RC=$?
+test "$RC" -ne 0
+test "$RC" -ne 125
+if grep -q 'internal error' USAGE_ci.txt; then exit 1; fi
+grep -q 'consensus' USAGE_ci.txt
+RC=0
+./_build/default/bench/main.exe --bogus-flag > USAGE_ci.txt 2>&1 || RC=$?
+test "$RC" -eq 2
+grep -q '^usage:' USAGE_ci.txt
+rm -f USAGE_ci.txt
 
 # search-reducer smoke (DESIGN §14): the pruned engine must answer the
 # exact same canonical bytes as the seed engine. Solve one refutation-heavy

@@ -1,7 +1,6 @@
 module Chan = Chan
 module Deque = Deque
 module Pool = Pool
-module Token = Token
 
 let env_domains () =
   match Sys.getenv_opt "WFC_DOMAINS" with
@@ -56,33 +55,3 @@ let run_jobs ?domains:d thunks =
     Pool.run ~participants:d p thunks
 
 let map_array ?domains f a = run_jobs ?domains (Array.map (fun x () -> f x) a)
-
-let c_races = Wfc_obs.Metrics.counter "par.races"
-
-let c_race_cancelled = Wfc_obs.Metrics.counter "par.race_cancelled"
-
-let race ?domains thunks =
-  let n = Array.length thunks in
-  if n = 0 then None
-  else begin
-    Wfc_obs.Metrics.incr c_races;
-    let token = Token.create () in
-    let winner = Atomic.make (-1) in
-    let results = Array.make n None in
-    let job i () =
-      match thunks.(i) token with
-      | None -> ()
-      | Some v ->
-        (* publish the value before claiming the index: a reader that sees
-           the CAS also sees the write (release/acquire through the atomic) *)
-        results.(i) <- Some v;
-        if Atomic.compare_and_set winner (-1) i then Token.cancel token
-        else Wfc_obs.Metrics.incr c_race_cancelled
-    in
-    ignore (run_jobs ?domains (Array.init n job));
-    match Atomic.get winner with
-    | -1 -> None
-    | i -> (
-      match results.(i) with Some v -> Some (i, v) | None -> assert false)
-  end
-

@@ -1,8 +1,9 @@
-(** Domain-level parallelism for the wfc engines.
+(** Domain-level parallelism for subdivision.
 
     A process-global worker pool ({!Pool}) plus the configuration knob that
-    decides whether the parallel code paths in [Solvability.solve_at] and
-    [Sds.subdivide] are taken at all. Parallelism is strictly opt-in:
+    decides whether the parallel code path in [Sds.subdivide] is taken at
+    all. The solvability search itself is always sequential. Parallelism is
+    strictly opt-in:
 
     - the default degree is read from the [WFC_DOMAINS] environment
       variable (absent, empty, unparsable, or [<= 1] all mean 1 — fully
@@ -19,7 +20,6 @@
 module Chan = Chan
 module Deque = Deque
 module Pool = Pool
-module Token = Token
 
 val domains : unit -> int
 (** Current configured parallelism degree, [>= 1]. *)
@@ -37,21 +37,6 @@ val run_jobs : ?domains:int -> (unit -> 'a) array -> 'a array
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f a] is [run_jobs] over [fun () -> f a.(i)]: an
     order-preserving parallel map. *)
-
-val race : ?domains:int -> (Token.t -> 'a option) array -> (int * 'a) option
-(** Run every thunk (on up to [domains] domains, like {!run_jobs}) and
-    return [(i, v)] where [i] is the thunk that {e first} claimed the
-    race by returning [Some v]; the shared {!Token} is cancelled the
-    instant a winner is claimed, so cooperative losers wind down early.
-    Thunks must poll their token and may return [None] to withdraw
-    without claiming. Returns [None] only if every thunk withdraws.
-
-    Which thunk wins is timing-dependent by design — callers needing a
-    deterministic answer must make every publishable value equivalent
-    (the portfolio solver races orders that can only publish
-    order-independent verdicts). All thunks are run to completion or
-    cooperative exit before [race] returns; counted in [par.races] /
-    [par.race_cancelled]. *)
 
 val shutdown : unit -> unit
 (** Tear down the global pool (joins the workers). Also registered with

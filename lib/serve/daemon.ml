@@ -236,10 +236,10 @@ let compute st (job : job) ~queue_wait_s =
     match !committed with Some r -> Ok (r, stages) | None -> Ok (fresh outcome, stages))
 
 (* Each of the [cfg.solvers] worker threads loops here, so distinct cold
-   questions are solved concurrently (within one computation the search
-   still fans out across the Wfc_par domain pool). On shutdown a worker
-   keeps draining until no pending job is left — every admitted question
-   gets its answer — and only then exits. *)
+   questions are solved concurrently (within one computation the search is
+   sequential; only subdivision can use the Wfc_par domain pool). On
+   shutdown a worker keeps draining until no pending job is left — every
+   admitted question gets its answer — and only then exits. *)
 let worker_loop (st, idx) =
   let info = st.workers_info.(idx) in
   let rec next () =

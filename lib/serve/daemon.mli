@@ -11,7 +11,8 @@
       search;
     - {b miss} ([serve.misses]): the question joins a bounded queue and is
       picked up by one of the [solvers] scheduler workers, which solves it
-      (dispatching search work onto the {!Wfc_par} domain pool) and files
+      (subdivision may use the {!Wfc_par} domain pool; the search is
+      sequential) and files
       the verdict in the store before anyone is answered;
     - {b shed} ([serve.shed]): if the pending queue is full the daemon
       answers [shed] immediately — explicit backpressure; clients fall

@@ -30,10 +30,10 @@ let make ~task ~spec ?(model = "wait-free") ~max_level ~budget outcome =
 (* [verdict_json] is the deterministic core — every byte a function of the
    question, never of the search that answered it. The cost tallies
    (nodes/backtracks/prunes) live in the record envelope with the timing
-   fields: a portfolio win or a search reducer changes how much work a
-   verdict took, not what the verdict is, so cost is provenance — recorded,
-   but outside the canonical object that solve/query/store hits must
-   reproduce byte-for-byte. Key order is irrelevant — the canonical emitter
+   fields: a search reducer changes how much work a verdict took, not what
+   the verdict is, so cost is provenance — recorded, but outside the
+   canonical object that solve/query/store hits must reproduce
+   byte-for-byte. Key order is irrelevant — the canonical emitter
    sorts — but both views share one core builder so they can never
    disagree. *)
 let json_fields r =

@@ -46,8 +46,8 @@ val verdict_json : record -> Wfc_obs.Json.t
 (** {!record_to_json} minus the provenance fields: every byte is a
     deterministic function of the question — verdict, level and decide
     table, never search cost. A stored record, a fresh daemon computation,
-    an inline [wfc solve], a portfolio win and a reducer-pruned search all
-    render the identical object — the invariant the CI smoke diffs. *)
+    an inline [wfc solve] and a reducer-pruned search all render the
+    identical object — the invariant the CI smoke diffs. *)
 
 val record_of_json : Wfc_obs.Json.t -> (record, string) result
 (** Accepts both schemas: a v1 object parses with [model = "wait-free"]. *)

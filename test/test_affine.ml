@@ -60,8 +60,8 @@ let test_model_guards () =
 (* Restricted solving                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let solve_m ?(domains = 1) ?mode model task level =
-  Solvability.solve_at ~opts:(Solvability.options ?mode ~model ()) ~domains task level
+let solve_m model task level =
+  Solvability.solve_at ~opts:(Solvability.options ~model ()) task level
 
 (* Full decision table over the whole subdivision — valid only for models
    that admit every facet (wait-free and its equivalents). *)
@@ -115,7 +115,7 @@ let test_t_resilient_consensus () =
     Alcotest.failf "consensus-3 under t-resilient:0 must be solvable, got %s"
       (Solvability.verdict_name v));
   (* ...while t >= procs - 1 admits every run and is wait-free again. *)
-  let wf = Solvability.solve_at ~domains:1 (Instances.binary_consensus ~procs:2) 1 in
+  let wf = Solvability.solve_at (Instances.binary_consensus ~procs:2) 1 in
   let tr = solve_m (Model.t_resilient ~t:1) (Instances.binary_consensus ~procs:2) 1 in
   checks "t-resilient:(procs-1) = wait-free verdict" (Solvability.verdict_name wf)
     (Solvability.verdict_name tr);
@@ -130,7 +130,7 @@ let test_kset1_byte_identity () =
     (fun (name, mk) ->
       List.iter
         (fun level ->
-          let seed = Solvability.solve_at ~domains:1 (mk ()) level in
+          let seed = Solvability.solve_at (mk ()) level in
           let k1 = solve_m (Model.k_set_affine ~k:1) (mk ()) level in
           checks
             (Printf.sprintf "%s level %d: verdict" name level)
@@ -148,32 +148,25 @@ let test_kset1_byte_identity () =
     tasks_under_test
 
 (* The headline guarantee of the API redesign: passing the wait-free model
-   explicitly — on any engine — answers exactly like the historical
-   default-everything call. *)
+   explicitly answers exactly like the historical default-everything call. *)
 let qcheck_wait_free_is_seed =
-  QCheck.Test.make ~count:40 ~name:"solve_at ~model:wait_free = seed engine (all engines)"
-    QCheck.(
-      quad
-        (int_bound (List.length tasks_under_test - 1))
-        (int_bound 1) (int_range 1 4) bool)
-    (fun (ti, level, domains, portfolio) ->
+  QCheck.Test.make ~count:40 ~name:"solve_at ~model:wait_free = seed engine"
+    QCheck.(pair (int_bound (List.length tasks_under_test - 1)) (int_bound 1))
+    (fun (ti, level) ->
       let _, mk = List.nth tasks_under_test ti in
-      let seed = Solvability.solve_at ~domains:1 (mk ()) level in
-      let mode = if portfolio then `Portfolio else `Batch in
-      let wf = solve_m ~domains ~mode Model.wait_free (mk ()) level in
+      let seed = Solvability.solve_at (mk ()) level in
+      let wf = solve_m Model.wait_free (mk ()) level in
       Solvability.verdict_name seed = Solvability.verdict_name wf
       && decide_table seed = decide_table wf)
 
 let qcheck_wait_free_solve_sweep =
   QCheck.Test.make ~count:20 ~name:"solve ~model:wait_free = seed sweep (decide tables)"
-    QCheck.(pair (int_bound (List.length tasks_under_test - 1)) (int_range 1 4))
-    (fun (ti, domains) ->
+    QCheck.(int_bound (List.length tasks_under_test - 1))
+    (fun ti ->
       let _, mk = List.nth tasks_under_test ti in
-      let seed = Solvability.solve ~domains:1 ~max_level:1 (mk ()) in
+      let seed = Solvability.solve ~max_level:1 (mk ()) in
       let wf =
-        Solvability.solve
-          ~opts:(Solvability.options ~model:Model.wait_free ())
-          ~domains ~max_level:1 (mk ())
+        Solvability.solve ~opts:(Solvability.options ~model:Model.wait_free ()) ~max_level:1 (mk ())
       in
       Solvability.verdict_name seed = Solvability.verdict_name wf
       && decide_table seed = decide_table wf)
@@ -186,30 +179,21 @@ let test_per_model_counter () =
   checki "model counter bumped" (before + 1) after
 
 (* ------------------------------------------------------------------ *)
-(* Options record and deprecated shims                                  *)
+(* Options record                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_options () =
-  let saved = Solvability.defaults () in
-  Fun.protect ~finally:(fun () -> Solvability.set_defaults saved) @@ fun () ->
-  let d = Solvability.defaults () in
+  let d = Solvability.defaults in
   checkb "default model is wait-free" true (Model.equal d.Solvability.model Model.wait_free);
   checki "default budget" Solvability.default_budget d.Solvability.budget;
   checkb "default trace off" false d.Solvability.trace;
+  checkb "default symmetry on" true d.Solvability.symmetry;
+  checkb "default collapse on" true d.Solvability.collapse;
   (* the builder fills omitted fields from the defaults *)
   let o = Solvability.options ~budget:7 () in
   checki "builder overrides budget" 7 o.Solvability.budget;
-  checkb "builder inherits model" true (Model.equal o.Solvability.model d.Solvability.model);
-  checkb "builder inherits trace" true (o.Solvability.trace = d.Solvability.trace);
-  (* the shims are views of the default record *)
-  Solvability.set_search_trace true;
-  checkb "set_search_trace reaches defaults" true (Solvability.defaults ()).Solvability.trace;
-  Solvability.set_search_trace false;
-  Solvability.set_portfolio true;
-  checkb "set_portfolio reaches defaults" true (Solvability.portfolio ());
-  checkb "portfolio mode set" true ((Solvability.defaults ()).Solvability.mode = `Portfolio);
-  Solvability.set_portfolio false;
-  checkb "portfolio off again" false (Solvability.portfolio ())
+  checkb "builder inherits the rest" true (o = { d with Solvability.budget = 7 });
+  checkb "empty builder is the defaults" true (Solvability.options () = d)
 
 (* ------------------------------------------------------------------ *)
 (* Store: (task, model) keyed records, v1 fallback, migration           *)
@@ -217,7 +201,7 @@ let test_options () =
 
 let outcome_for ?(model = Model.wait_free) task =
   Solvability.outcome_of_verdict
-    (Solvability.solve ~opts:(Solvability.options ~model ()) ~domains:1 ~max_level:1 task)
+    (Solvability.solve ~opts:(Solvability.options ~model ()) ~max_level:1 task)
 
 let test_store_model_key () =
   let st = Store.open_store (temp_dir "wfc-affine-store") in
@@ -450,7 +434,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_wait_free_solve_sweep;
           Alcotest.test_case "per-model counter" `Quick test_per_model_counter;
         ] );
-      ("options", [ Alcotest.test_case "record, builder, shims" `Quick test_options ]);
+      ("options", [ Alcotest.test_case "record, defaults, builder" `Quick test_options ]);
       ( "store",
         [
           Alcotest.test_case "records are keyed by model" `Quick test_store_model_key;

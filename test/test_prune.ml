@@ -1,8 +1,8 @@
 (* Tier-1 tests for the Prop 3.1 search reducers: free-face collapse of the
    protocol complex, task automorphisms and their SDS lifts, the structural
-   Sds.iterate memo key, the wire codec of the reducer flags, and the
-   headline guarantee — the pruned engine answers byte-identically to the
-   seed engine on every mode, domain count and builtin model. *)
+   Sds.iterate memo key, the wire codec of the reducer flags, the pinned
+   search tallies, and the headline guarantee — the pruned engine answers
+   byte-identically to the seed engine under every builtin model. *)
 
 open Wfc_topology
 open Wfc_tasks
@@ -172,26 +172,20 @@ let verdict_bytes task model max_level v =
 
 let qcheck_reducers_preserve_verdicts =
   QCheck.Test.make ~count:60
-    ~name:"reducers preserve verdict bytes (all modes, domains 1-4, builtin models)"
+    ~name:"reducers preserve verdict bytes (all builtin models)"
     QCheck.(
-      quad
+      pair
         (int_bound (List.length tasks_under_test - 1))
-        (int_bound (List.length models_under_test - 1))
-        (int_range 1 4) bool)
-    (fun (ti, mi, domains, portfolio) ->
+        (int_bound (List.length models_under_test - 1)))
+    (fun (ti, mi) ->
       let _, mk = List.nth tasks_under_test ti in
       let model = List.nth models_under_test mi in
-      let mode = if portfolio then `Portfolio else `Batch in
       let t_on = mk () and t_off = mk () in
-      let on =
-        Solvability.solve
-          ~opts:(Solvability.options ~mode ~model ())
-          ~domains ~max_level:1 t_on
-      in
+      let on = Solvability.solve ~opts:(Solvability.options ~model ()) ~max_level:1 t_on in
       let off =
         Solvability.solve
           ~opts:(Solvability.options ~model ~symmetry:false ~collapse:false ())
-          ~domains:1 ~max_level:1 t_off
+          ~max_level:1 t_off
       in
       verdict_bytes t_on model 1 on = verdict_bytes t_off model 1 off)
 
@@ -202,7 +196,7 @@ let test_single_reducer_verdicts () =
       let off =
         Solvability.solve
           ~opts:(Solvability.options ~symmetry:false ~collapse:false ())
-          ~domains:1 ~max_level:1 (mk ())
+          ~max_level:1 (mk ())
       in
       let expect = verdict_bytes (mk ()) Model.wait_free 1 off in
       List.iter
@@ -210,7 +204,7 @@ let test_single_reducer_verdicts () =
           let v =
             Solvability.solve
               ~opts:(Solvability.options ~symmetry ~collapse ())
-              ~domains:1 ~max_level:1 (mk ())
+              ~max_level:1 (mk ())
           in
           checks (Printf.sprintf "%s under %s" name label) expect
             (verdict_bytes (mk ()) Model.wait_free 1 v))
@@ -222,7 +216,6 @@ let test_sat_canonical_map () =
   match
     Solvability.solve_at
       ~opts:(Solvability.options ~model:(Model.k_set_affine ~k:2) ())
-      ~domains:1
       (Instances.binary_consensus ~procs:2)
       1
   with
@@ -232,16 +225,30 @@ let test_sat_canonical_map () =
     | Error e -> Alcotest.failf "canonicalized map fails verify: %s" e)
   | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v)
 
-(* Batch stats exactness survives the reducers: the lex check is a pure
-   function of the resumed assignment, so parallel jobs replicate the
-   sequential candidate scan tally for tally. *)
-let test_batch_exact_stats () =
-  let t () = Instances.set_consensus ~procs:3 ~k:2 in
-  let s1 = Solvability.stats_of_verdict (Solvability.solve_at ~domains:1 (t ()) 1) in
-  let s4 = Solvability.stats_of_verdict (Solvability.solve_at ~domains:4 (t ()) 1) in
-  checki "nodes" s1.Solvability.nodes s4.Solvability.nodes;
-  checki "backtracks" s1.Solvability.backtracks s4.Solvability.backtracks;
-  checki "prunes" s1.Solvability.prunes s4.Solvability.prunes
+(* Pinned sequential tallies: the search is deterministic, so nodes,
+   backtracks and prunes are exact functions of (task, level, reducers).
+   Any drift here means the search itself changed, not just its speed. *)
+let test_pinned_tallies () =
+  let pin label task level ~symmetry ~collapse (nodes, backtracks, prunes) =
+    let s =
+      Solvability.stats_of_verdict
+        (Solvability.solve_at ~opts:(Solvability.options ~symmetry ~collapse ()) task level)
+    in
+    checki (label ^ ": nodes") nodes s.Solvability.nodes;
+    checki (label ^ ": backtracks") backtracks s.Solvability.backtracks;
+    checki (label ^ ": prunes") prunes s.Solvability.prunes
+  in
+  let sc () = Instances.set_consensus ~procs:3 ~k:2 in
+  pin "set-consensus-3-2 L1, both" (sc ()) 1 ~symmetry:true ~collapse:true (8, 7, 11);
+  pin "set-consensus-3-2 L1, symmetry" (sc ()) 1 ~symmetry:true ~collapse:false (45, 52, 79);
+  pin "set-consensus-3-2 L1, collapse" (sc ()) 1 ~symmetry:false ~collapse:true (16, 20, 28);
+  pin "set-consensus-3-2 L1, neither" (sc ()) 1 ~symmetry:false ~collapse:false (54, 74, 103);
+  pin "renaming-3-6 L3"
+    (Instances.adaptive_renaming ~procs:3 ~names:6)
+    3 ~symmetry:true ~collapse:true (2283, 2, 4346);
+  pin "consensus-2 L4"
+    (Instances.binary_consensus ~procs:2)
+    4 ~symmetry:true ~collapse:true (1, 0, 0)
 
 (* The refutation-heavy target actually gets pruned, and says so in the
    wfc.obs.v1 counters. *)
@@ -255,9 +262,9 @@ let test_reducer_counters () =
   let off =
     Solvability.solve_at
       ~opts:(Solvability.options ~symmetry:false ~collapse:false ())
-      ~domains:1 t 1
+      t 1
   in
-  let on = Solvability.solve_at ~domains:1 t 1 in
+  let on = Solvability.solve_at t 1 in
   (match (off, on) with
   | Solvability.Unsolvable_at _, Solvability.Unsolvable_at _ -> ()
   | _ -> Alcotest.fail "set-consensus-3-2 must be unsolvable at level 1");
@@ -300,8 +307,7 @@ let () =
           Alcotest.test_case "each reducer alone preserves verdicts" `Quick
             test_single_reducer_verdicts;
           Alcotest.test_case "canonicalized maps verify" `Quick test_sat_canonical_map;
-          Alcotest.test_case "batch stats stay exact under reducers" `Quick
-            test_batch_exact_stats;
+          Alcotest.test_case "pinned sequential tallies" `Quick test_pinned_tallies;
           Alcotest.test_case "counters and node reduction" `Quick test_reducer_counters;
         ] );
     ]
