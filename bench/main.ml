@@ -765,11 +765,11 @@ let scenarios : (string * (unit -> int option * string option)) list =
   in
   (* Storage engine at scale: a store seeded with 10k records (500 under
      --quick), then per-op latency distributions for the three tiers of a
-     lookup (fresh put / cold disk read / LRU hit) and the manifest-backed
-     ls. The scenario's [seconds] is the whole timed loop; p50/p95 of the
-     individual ops ride in the extra fields. The seeded store is built
-     once and shared by the four scenarios (it is read-only for the gets
-     and ls; puts use fresh digests). *)
+     lookup (fresh put / cold disk read / LRU hit), a miss, and the
+     manifest-backed ls. The scenario's [seconds] is the whole timed loop;
+     p50/p95 of the individual ops ride in the extra fields. The seeded
+     store is built once and shared by the five scenarios (it is read-only
+     for the gets and ls; puts use fresh digests). *)
   let store_count () = if !quick_scenarios then 500 else 10_000 in
   let store_ops () = if !quick_scenarios then 100 else 1_000 in
   let seeded_store : Wfc_serve.Store.t option ref = ref None in
@@ -840,19 +840,25 @@ let scenarios : (string * (unit -> int option * string option)) list =
             created_at = float_of_int i;
           }) ()
   in
-  let store_get ~warm = fun () ->
+  let store_get tier = fun () ->
     let st = store_env () in
     (* a cold get must hit the disk: a fresh handle has an empty LRU, and
        every op asks a distinct digest so no op warms the next. A cached
        get asks the same digests through a handle that just read them all
-       (cap 4096 >= ops), so every op is an LRU hit. *)
+       (cap 4096 >= ops), so every op is an LRU hit. A miss asks digests
+       nothing was filed under, through a fresh handle: the full cost of
+       learning that a question is not in the store. *)
     let eng = Wfc_storage.Engine.open_store (Wfc_serve.Store.dir st) in
+    let digest i =
+      if tier = `Miss then Digest.to_hex (Digest.string (Printf.sprintf "bench-miss-%d" i))
+      else seed_digest i
+    in
     let ask i =
       ignore
-        (Wfc_storage.Engine.find eng ~digest:(seed_digest i) ~model:"wait-free"
+        (Wfc_storage.Engine.find eng ~digest:(digest i) ~model:"wait-free"
            ~max_level:(i mod 3) ~budget:5_000_000)
     in
-    if warm then
+    if tier = `Cached then
       for i = 0 to store_ops () - 1 do
         ask i
       done;
@@ -964,11 +970,12 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ("serve_warm", serve `Warm);
     ("serve_warm_logged", serve ~log:true `Warm);
     ("serve_coalesced", serve `Coalesced);
-    (* storage engine at 10k records: the three lookup tiers and the
-       manifest-backed ls, per-op p50/p95 in the extra fields *)
+    (* storage engine at 10k records: the three lookup tiers, the miss
+       and the manifest-backed ls, per-op p50/p95 in the extra fields *)
     ("store_put", store_put);
-    ("store_get_cold", store_get ~warm:false);
-    ("store_get_cached", store_get ~warm:true);
+    ("store_get_cold", store_get `Cold);
+    ("store_get_cached", store_get `Cached);
+    ("store_get_miss", store_get `Miss);
     ("store_ls_10k", store_ls);
     ("sds_skeleton_reuse", sds_skeleton_reuse);
   ]
@@ -995,7 +1002,8 @@ let run_scenarios ?only () =
       Sds.clear_cache ();
       (* heap state inherited from earlier scenarios otherwise dominates the
          small ones: a major slice landing inside a 3 ms scenario reads as a
-         2x swing. Compact so every scenario starts from the same GC phase. *)
+         2x swing. [Gc.compact] first, so every scenario starts from the
+         same GC phase. *)
       Gc.compact ();
       self_timed := None;
       self_extra := [];

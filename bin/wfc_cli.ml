@@ -534,28 +534,11 @@ let store_req_arg =
     value & opt string ".wfc-store"
     & info [ "store" ] ~docv:"DIR" ~doc:"The wfc.store.v2 verdict store directory.")
 
-(* --codec parses eagerly, like --model *)
-let codec_conv : Wfc_storage.Codec.t Arg.conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Wfc_storage.Codec.of_string s) in
-  Arg.conv ~docv:"CODEC"
-    (parse, fun ppf c -> Format.pp_print_string ppf (Wfc_storage.Codec.to_string c))
-
-let codec_arg =
-  Arg.(
-    value
-    & opt codec_conv Wfc_storage.Codec.Json
-    & info [ "codec" ] ~docv:"CODEC"
-        ~doc:
-          "Record encoding for new store writes: $(b,json) (canonical JSON, default) or \
-           $(b,compact) (varint/byte-packed binary, .wfcb). Negotiated per record and \
-           recorded in the manifest — a store mixes codecs freely and reads both; the \
-           canonical verdict bytes a query answers with are codec-independent.")
-
 (* Opening a store for solving also points Sds.iterate at its skeleton
    keyspace, so cold solves against already-seen subdivisions replay
    persisted SDS steps instead of re-enumerating. *)
-let open_solving_store ?codec dir =
-  let st = Wfc_serve.Store.open_store ?codec dir in
+let open_solving_store dir =
+  let st = Wfc_serve.Store.open_store dir in
   Wfc_serve.Store.attach_skeletons st;
   st
 
@@ -628,7 +611,7 @@ let fresh_record ~t ~task ~procs ~param ~max_level ~model outcome =
 
 let solve_cmd =
   let run (task, procs, param, t) max_level domains model no_symmetry no_collapse validate
-      search_trace store_dir codec verdict_out perfetto stats json =
+      search_trace store_dir verdict_out perfetto stats json =
     apply_domains domains;
     let opts =
       Solvability.options ~trace:search_trace ~model ~symmetry:(not no_symmetry)
@@ -638,7 +621,7 @@ let solve_cmd =
     Format.printf "%a@." Task.pp_stats t;
     if not (Model.equal model Model.wait_free) then
       Format.printf "model: %s@." model_name;
-    let store = Option.map (open_solving_store ~codec) store_dir in
+    let store = Option.map open_solving_store store_dir in
     let emit_verdict record =
       match verdict_out with
       | Some path -> write_json_to path (Wfc_serve.Store.verdict_json record)
@@ -785,7 +768,7 @@ let solve_cmd =
           $ task $ procs_arg $ param)
       $ max_level $ domains_arg $ model_arg
       $ no_symmetry_arg $ no_collapse_arg $ validate $ search_trace $ store_opt_arg
-      $ codec_arg $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
+      $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
 
 (* ---------- serve / query / store ---------- *)
 
@@ -904,7 +887,7 @@ let serve_cmd =
       $ log $ log_level $ slow_ms $ stop)
 
 let query_cmd =
-  let run task procs param max_level model no_symmetry no_collapse socket store_dir codec
+  let run task procs param max_level model no_symmetry no_collapse socket store_dir
       domains no_daemon ping verdict_out stats json =
     apply_domains domains;
     let model_name = Model.to_string model in
@@ -982,7 +965,7 @@ let query_cmd =
           Format.eprintf "%s@." m;
           1
         | t -> (
-          let store = Option.map (open_solving_store ~codec) store_dir in
+          let store = Option.map open_solving_store store_dir in
           let digest = Task.digest t in
           let committed = ref None in
           let hook =
@@ -1075,7 +1058,7 @@ let query_cmd =
           coalesced wait, inline).")
     Term.(
       const run $ task_arg $ procs_arg $ param_arg $ max_level_arg $ model_arg
-      $ no_symmetry_arg $ no_collapse_arg $ socket_arg $ store_opt_arg $ codec_arg
+      $ no_symmetry_arg $ no_collapse_arg $ socket_arg $ store_opt_arg
       $ domains_arg $ no_daemon $ ping $ verdict_out_arg $ Output.stats_arg $ Output.json_arg)
 
 let stats_cmd =
@@ -1278,10 +1261,9 @@ let store_cmd =
       else begin
         List.iter
           (fun e ->
-            Format.printf "%-60s %-11s level=%d %-14s codec=%s@."
+            Format.printf "%-60s %-11s level=%d %s@."
               e.Wfc_storage.Manifest.rel e.Wfc_storage.Manifest.verdict
-              e.Wfc_storage.Manifest.level e.Wfc_storage.Manifest.model
-              e.Wfc_storage.Manifest.codec)
+              e.Wfc_storage.Manifest.level e.Wfc_storage.Manifest.model)
           verdicts;
         Format.printf "%d record(s), %d skeleton(s) in %s@." (List.length verdicts)
           (List.length skeletons) store_dir
@@ -1293,8 +1275,9 @@ let store_cmd =
          ~doc:
            "List the live records of a verdict store from its manifest (sorted, \
             deterministic; no directory walk). $(b,--json) prints a wfc.store.ls.v1 \
-            object for machine consumption. Flat pre-migration records are not indexed — \
-            run $(b,wfc store migrate) first, or $(b,wfc store verify) to see them.")
+            object for machine consumption. Flat pre-migration records are neither \
+            listed nor served until $(b,wfc store migrate) moves them into the sharded \
+            layout; $(b,wfc store verify) counts them as unindexed.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let verify =
@@ -1355,7 +1338,8 @@ let store_cmd =
             in-place record is corrupt or misfiled; quarantined, stray-temp, unindexed \
             and missing files are reported but do not fail (contained or index-only \
             damage — clean with $(b,wfc store gc) / re-index with $(b,wfc store \
-            migrate)).")
+            migrate)). Flat pre-migration records count as unindexed: they are not \
+            served until migrated.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let gc =
@@ -1374,8 +1358,8 @@ let store_cmd =
       Term.(const run $ store_req_arg)
   in
   let migrate =
-    let run store_dir codec =
-      let st = Wfc_serve.Store.open_store ~codec store_dir in
+    let run store_dir =
+      let st = Wfc_serve.Store.open_store store_dir in
       let r = Wfc_serve.Store.migrate st in
       Format.printf "migrated: %d@." r.Wfc_serve.Store.migrated;
       Format.printf "already sharded: %d@." r.Wfc_serve.Store.untouched;
@@ -1390,9 +1374,12 @@ let store_cmd =
          ~doc:
            "Rewrite flat records — v1 (pre-model, implicitly wait-free) and v2 (flat \
             pre-sharding) — under the sharded ab/cd layout with manifest entries, and \
-            re-index any canonical file the manifest has lost. Idempotent; corrupt or \
-            misfiled records are reported and left for $(b,wfc store verify) / $(b,gc).")
-      Term.(const run $ store_req_arg $ codec_arg)
+            re-index any canonical file the manifest has lost. Flat records are not \
+            served until migrated. A sharded record that already answers a question is \
+            kept; the flat file for it is removed, never copied over it. Idempotent; \
+            corrupt or misfiled records are reported and left for $(b,wfc store verify) \
+            / $(b,gc).")
+      Term.(const run $ store_req_arg)
   in
   let seed =
     let count =
@@ -1400,8 +1387,8 @@ let store_cmd =
         value & opt int 1000
         & info [ "count" ] ~docv:"N" ~doc:"Number of synthetic records to write.")
     in
-    let run store_dir codec count =
-      let st = Wfc_serve.Store.open_store ~codec store_dir in
+    let run store_dir count =
+      let st = Wfc_serve.Store.open_store store_dir in
       Wfc_storage.Engine.seed (Wfc_serve.Store.engine st) ~count;
       Format.printf "seeded %d synthetic record(s) into %s@." count store_dir;
       0
@@ -1411,7 +1398,7 @@ let store_cmd =
          ~doc:
            "Populate a store with deterministic synthetic records (benchmark / CI scale \
             runs — not real verdicts).")
-      Term.(const run $ store_req_arg $ codec_arg $ count)
+      Term.(const run $ store_req_arg $ count)
   in
   let rebuild =
     let run store_dir =
@@ -1432,7 +1419,7 @@ let store_cmd =
     (Cmd.info "store"
        ~doc:
          "Inspect and maintain verdict stores: sharded wfc.store.v2 records under a \
-          MANIFEST.jsonl index, with per-record codecs and a skeletons keyspace.")
+          MANIFEST.jsonl index, with a skeletons keyspace.")
     [ ls; verify; gc; migrate; seed; rebuild ]
 
 (* ---------- models ---------- *)

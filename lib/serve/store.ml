@@ -2,7 +2,7 @@
    — the sharded, manifest-indexed, cache-tiered engine. This module keeps
    the (digest, model, level, budget)-keyed API and record type the rest of
    the serving layer was written against; everything behind it (layout,
-   codecs, manifest, LRU) lives in [lib/storage]. *)
+   manifest, LRU) lives in [lib/storage]. *)
 
 module Record = Wfc_storage.Record
 module Engine = Wfc_storage.Engine
@@ -34,7 +34,7 @@ let validate_json = Record.validate_json
 
 type t = Engine.t
 
-let open_store ?cache_cap ?codec root = Engine.open_store ?cache_cap ?codec root
+let open_store = Engine.open_store
 
 let engine t = t
 

@@ -5,19 +5,18 @@
     search is deterministic, so once computed it can be reused by every
     later process. Records file under two-level digest-prefix shards
 
-    {v <dir>/ab/cd/<task digest>.<model slug>.L<max_level>.<ext> v}
+    {v <dir>/ab/cd/<task digest>.<model slug>.L<max_level>.json v}
 
     where the digest is {!Wfc_tasks.Task.digest} — content addressing, so
     two differently-named constructions of the same [(I, O, Δ)] share a
-    record — and [<ext>] is the per-record codec ([.json] canonical JSON /
-    [.wfcb] compact binary). The budget rides inside the record and is
-    checked on read: a record computed under a different budget is a miss,
-    never a wrong answer.
+    record — and every record is canonical JSON. The budget rides inside
+    the record and is checked on read: a record computed under a different
+    budget is a miss, never a wrong answer.
 
-    {b Read-compat.} Flat stores written before sharding ([wfc.store.v2]
-    files in the root, and pre-model [wfc.store.v1] [<digest>.L<n>.json]
-    wait-free records) are still found by {!find} without migration;
-    [wfc store migrate] rewrites them under the sharded layout.
+    {b Flat stores.} Records written before sharding ([wfc.store.v2] files
+    in the root, and pre-model [wfc.store.v1] [<digest>.L<n>.json]
+    wait-free records) are not served by {!find}: [wfc store migrate]
+    rewrites them under the sharded layout, after which they are.
 
     Durability and hygiene are the engine's: atomic fsync'd writes through
     unique [.wtmp] temps, quarantine-on-read for corrupt or misfiled
@@ -77,10 +76,9 @@ val validate_json : Wfc_obs.Json.t -> (unit, string) result
 type t = Wfc_storage.Engine.t
 
 val open_store :
-  ?cache_cap:int -> ?codec:Wfc_storage.Codec.t -> string -> t
+  ?cache_cap:int -> string -> t
 (** Opens (creating directories as needed) the store rooted at the path.
-    [codec] selects the write encoding (default JSON); [cache_cap] bounds
-    the decoded-record LRU. *)
+    [cache_cap] bounds the decoded-record LRU. *)
 
 val engine : t -> Wfc_storage.Engine.t
 (** The underlying engine (identity — for callers needing engine-only
@@ -95,22 +93,20 @@ val attach_skeletons : t -> unit
 val dir : t -> string
 
 val path_of : t -> digest:string -> model:string -> max_level:int -> string
-(** The sharded record file a question maps to under the store's codec. *)
+(** The sharded record file a question maps to. *)
 
 val find :
   t -> digest:string -> model:string -> max_level:int -> budget:int -> record option
 (** The stored verdict for a question, or [None] on: no record, a record
     computed under a different budget, or a corrupt record (which is
-    quarantined on the way out). Served from the LRU when warm. A wait-free
-    question falls back to the flat v1 path when no sharded or flat v2
-    record exists. A record whose body disagrees with the requested digest
-    {e or model} is quarantined, never served. Never raises on store
-    corruption. *)
+    quarantined on the way out). Served from the LRU when warm, else from
+    one [open] of the sharded path. A record whose body disagrees with the
+    requested digest {e or model} is quarantined, never served. Never
+    raises on store corruption. *)
 
 val put : t -> record -> unit
 (** Atomically files the record under its sharded path (unique temp +
-    fsync + rename), retiring any superseded flat or other-codec copy, and
-    appends to the manifest. *)
+    fsync + rename) and appends to the manifest. *)
 
 val entries : t -> (string * (record, string) result) list
 (** Live manifest verdict entries (store-relative path, parse result),
@@ -127,7 +123,7 @@ type verify_report = Wfc_storage.Engine.verify_report = {
   quarantined : int;  (** files already sitting in quarantine/ *)
   stray_tmp : int;  (** interrupted writes ([*.wtmp]) *)
   unindexed : int;  (** files with no live manifest line (e.g. flat
-                        pre-migration records) *)
+                        pre-migration records, not served until migrated) *)
   missing : int;  (** live manifest lines whose file is gone *)
   bad_manifest_lines : int;  (** unparseable (torn) manifest lines *)
 }
@@ -135,7 +131,7 @@ type verify_report = Wfc_storage.Engine.verify_report = {
 val verify : t -> verify_report
 
 type migrate_report = Wfc_storage.Engine.migrate_report = {
-  migrated : int;  (** flat-named records rewritten under sharded paths *)
+  migrated : int;  (** flat-named records retired into the sharded layout *)
   untouched : int;  (** records already filed canonically and indexed *)
   adopted : int;  (** canonical files re-indexed into the manifest *)
   skipped : (string * string) list;  (** (name, reason): corrupt or misfiled *)
@@ -144,9 +140,11 @@ type migrate_report = Wfc_storage.Engine.migrate_report = {
 val migrate : t -> migrate_report
 (** [wfc store migrate]: rewrites every well-formed flat-named (v1 or v2)
     record under its sharded v3 path (same outcome and [created_at]),
-    removing the flat file, and adopts unindexed canonical files into the
-    manifest. Corrupt or misfiled records are left in place and reported —
-    {!verify} is the tool for those. Idempotent. *)
+    removing the flat file — or, when a sharded record for the question
+    already exists, keeps that record and only removes the flat file — and
+    adopts unindexed canonical files into the manifest. Corrupt or
+    misfiled records are left in place and reported — {!verify} is the
+    tool for those. Idempotent. *)
 
 val gc : t -> removed:int ref -> unit
 (** Deletes quarantined records and stray temp files (counting deletions

@@ -1,19 +1,20 @@
 (* The storage engine: sharded layout + manifest index + decoded-record
-   LRU, behind the same question-keyed find/put the flat store answered.
+   LRU, behind the question-keyed find/put the serving layer answers from.
 
-   Read path: LRU (no syscalls) → stat-probe of the question's sharded
-   paths (both codecs) → flat v2 → flat v1 — probes are direct path stats,
-   never a manifest consultation, so a second process appending to the same
+   One record format (canonical JSON) under one layout (the sharded path)
+   is all the serving path knows. Read path: LRU (no syscalls) → one open
+   of the question's sharded path; a file that is not there is a miss. The
+   manifest is never consulted, so a second process appending to the same
    store (inline [wfc query --store] beside a daemon) is visible
    immediately; the manifest only feeds ls/verify/gc, where staleness costs
-   a report line, not a wrong answer.
+   a report line, not a wrong answer. Flat pre-sharding records are not
+   served: [migrate] is the only code that reads them.
 
    Write path: encode → atomic publish (unique .wtmp + fsync + rename) →
-   retire superseded copies (other codec, flat names) → fsync'd manifest
-   append → cache fill. A crash at any instant leaves a store verify can
-   explain: at worst a stray temp (reaped by gc) or a durable record whose
-   manifest line is missing (reported as unindexed, re-adopted by
-   migrate). *)
+   fsync'd manifest append → cache fill. A crash at any instant leaves a
+   store verify can explain: at worst a stray temp (reaped by gc) or a
+   durable record whose manifest line is missing (reported as unindexed,
+   re-adopted by migrate). *)
 
 let c_reads = Wfc_obs.Metrics.counter "serve.store.reads"
 
@@ -31,7 +32,6 @@ let default_cache_cap = 4096
 
 type t = {
   root : string;
-  codec : Codec.t;
   cache : Record.record Lru.t;
   cache_mu : Mutex.t;
   manifest : Manifest.t;
@@ -39,12 +39,11 @@ type t = {
 
 let manifest_path root = Filename.concat root Layout.manifest_basename
 
-let open_store ?(cache_cap = default_cache_cap) ?(codec = Codec.Json) root =
+let open_store ?(cache_cap = default_cache_cap) root =
   Layout.mkdir_p root;
   Layout.mkdir_p (Filename.concat root Layout.quarantine_root);
   {
     root;
-    codec;
     cache =
       Lru.create cache_cap ~on_evict:(fun _ _ -> Wfc_obs.Metrics.incr c_evict);
     cache_mu = Mutex.create ();
@@ -52,8 +51,6 @@ let open_store ?(cache_cap = default_cache_cap) ?(codec = Codec.Json) root =
   }
 
 let dir t = t.root
-
-let codec t = t.codec
 
 let close t = Manifest.close t.manifest
 
@@ -71,7 +68,54 @@ let cache_key ~digest ~model ~max_level =
 let abs t rel = Filename.concat t.root rel
 
 let path_of t ~digest ~model ~max_level =
-  abs t (Layout.verdict_rel ~digest ~model ~max_level ~ext:(Codec.extension t.codec))
+  abs t (Layout.verdict_rel ~digest ~model ~max_level)
+
+(* ---- manifest entries ---- *)
+
+let del_entry rel =
+  {
+    Manifest.op = Del;
+    kind = Verdict;
+    rel;
+    digest = "";
+    model = "";
+    max_level = 0;
+    budget = 0;
+    verdict = "";
+    level = 0;
+    codec = "";
+    created_at = 0.;
+  }
+
+let manifest_put_entry ~rel (r : Record.record) =
+  {
+    Manifest.op = Put;
+    kind = Verdict;
+    rel;
+    digest = r.Record.digest;
+    model = r.Record.model;
+    max_level = r.Record.max_level;
+    budget = r.Record.budget;
+    verdict = r.Record.outcome.Wfc_core.Solvability.o_verdict;
+    level = r.Record.outcome.Wfc_core.Solvability.o_level;
+    codec = "json";
+    created_at = r.Record.created_at;
+  }
+
+let skeleton_entry ~rel ~digest ~level ~created_at =
+  {
+    Manifest.op = Put;
+    kind = Skeleton;
+    rel;
+    digest;
+    model = "";
+    max_level = level;
+    budget = 0;
+    verdict = "";
+    level;
+    codec = "json";
+    created_at;
+  }
 
 (* ---- quarantine ---- *)
 
@@ -85,45 +129,17 @@ let quarantine t rel =
    with Unix.Unix_error _ -> (
      try Sys.remove path with Sys_error _ -> ()));
   (* keep the index honest: the artifact is gone from its filed path *)
-  Manifest.append t.manifest
-    {
-      Manifest.op = Del;
-      kind = Verdict;
-      rel;
-      digest = "";
-      model = "";
-      max_level = 0;
-      budget = 0;
-      verdict = "";
-      level = 0;
-      codec = "";
-      created_at = 0.;
-    }
+  Manifest.append t.manifest (del_entry rel)
 
 (* ---- read path ---- *)
 
-let read_record ~rel_or_path path =
-  let codec = Option.value (Codec.of_path rel_or_path) ~default:Codec.Json in
+let read_record path =
   match Layout.read_file path with
   | exception Sys_error e -> Error (`Unreadable e)
   | contents -> (
-    match Codec.decode codec contents with
-    | Error e -> Error (`Corrupt e)
-    | Ok r -> Ok r)
-
-(* The stat-probe order a question resolves through. Both codec extensions
-   are probed — codec choice is per record, a store can mix freely — then
-   the flat v2 name and (wait-free only) the flat v1 name, so pre-sharding
-   stores answer without migration. *)
-let candidate_rels ~digest ~model ~max_level =
-  let sharded ext = Layout.verdict_rel ~digest ~model ~max_level ~ext in
-  let flats =
-    Layout.flat_basename ~digest ~model ~max_level
-    ::
-    (if model = "wait-free" then [ Layout.flat_basename_v1 ~digest ~max_level ]
-     else [])
-  in
-  (sharded ".json" :: sharded ".wfcb" :: flats)
+    match Wfc_obs.Json.parse contents with
+    | Error e -> Error (`Corrupt (Printf.sprintf "invalid JSON (%s)" e))
+    | Ok j -> Result.map_error (fun e -> `Corrupt e) (Record.record_of_json j))
 
 let find t ~digest ~model ~max_level ~budget =
   let key = cache_key ~digest ~model ~max_level in
@@ -135,16 +151,12 @@ let find t ~digest ~model ~max_level ~budget =
     if r.Record.budget = budget then Some r else None
   | None -> (
     Wfc_obs.Metrics.incr c_miss;
-    let rel =
-      List.find_opt
-        (fun rel -> Sys.file_exists (abs t rel))
-        (candidate_rels ~digest ~model ~max_level)
-    in
-    match rel with
-    | None -> None
-    | Some rel -> (
+    let rel = Layout.verdict_rel ~digest ~model ~max_level in
+    match read_record (abs t rel) with
+    | Error (`Unreadable _) -> None (* absent (the common miss) or unreadable *)
+    | read -> (
       Wfc_obs.Metrics.incr c_reads;
-      match read_record ~rel_or_path:rel (abs t rel) with
+      match read with
       | Ok r
         when r.Record.digest = digest && r.Record.model = model
              && r.Record.budget = budget ->
@@ -155,66 +167,20 @@ let find t ~digest ~model ~max_level ~budget =
         quarantine t rel;
         None
       | Ok _ -> None (* different budget: a miss, and the record stays *)
-      | Error (`Unreadable _) -> None
-      | Error (`Corrupt _) ->
+      | Error _ ->
         quarantine t rel;
         None))
 
 (* ---- write path ---- *)
 
-let manifest_put_entry ~rel ~codec (r : Record.record) =
-  {
-    Manifest.op = Put;
-    kind = Verdict;
-    rel;
-    digest = r.Record.digest;
-    model = r.Record.model;
-    max_level = r.Record.max_level;
-    budget = r.Record.budget;
-    verdict = r.Record.outcome.Wfc_core.Solvability.o_verdict;
-    level = r.Record.outcome.Wfc_core.Solvability.o_level;
-    codec = Codec.to_string codec;
-    created_at = r.Record.created_at;
-  }
-
-let remove_superseded t rels =
-  List.iter
-    (fun rel ->
-      let path = abs t rel in
-      if Sys.file_exists path then begin
-        (try Sys.remove path with Sys_error _ -> ());
-        Manifest.append t.manifest
-          {
-            Manifest.op = Del;
-            kind = Verdict;
-            rel;
-            digest = "";
-            model = "";
-            max_level = 0;
-            budget = 0;
-            verdict = "";
-            level = 0;
-            codec = "";
-            created_at = 0.;
-          }
-      end)
-    rels
-
 let put t (r : Record.record) =
   let digest = r.Record.digest
   and model = r.Record.model
   and max_level = r.Record.max_level in
-  let ext = Codec.extension t.codec in
-  let rel = Layout.verdict_rel ~digest ~model ~max_level ~ext in
-  Layout.atomic_write (abs t rel) (Codec.encode t.codec r);
+  let rel = Layout.verdict_rel ~digest ~model ~max_level in
+  Layout.atomic_write (abs t rel) (Wfc_obs.Json.to_string (Record.record_to_json r));
   Wfc_obs.Metrics.incr c_puts;
-  (* one live copy per question: retire the other-codec sharded file and
-     any flat-named predecessor the read path would otherwise still probe *)
-  remove_superseded t
-    (List.filter
-       (fun c -> c <> rel)
-       (candidate_rels ~digest ~model ~max_level));
-  Manifest.append t.manifest (manifest_put_entry ~rel ~codec:t.codec r);
+  Manifest.append t.manifest (manifest_put_entry ~rel r);
   with_cache t (fun c -> Lru.put c (cache_key ~digest ~model ~max_level) r)
 
 (* ---- skeleton keyspace ---- *)
@@ -228,20 +194,7 @@ let find_skeleton t ~digest ~level =
 let put_skeleton t ~digest ~level ~created_at data =
   let rel = Layout.skeleton_rel ~digest ~level in
   Layout.atomic_write (abs t rel) data;
-  Manifest.append t.manifest
-    {
-      Manifest.op = Put;
-      kind = Skeleton;
-      rel;
-      digest;
-      model = "";
-      max_level = level;
-      budget = 0;
-      verdict = "";
-      level;
-      codec = "json";
-      created_at;
-    }
+  Manifest.append t.manifest (skeleton_entry ~rel ~digest ~level ~created_at)
 
 (* ---- scans: ls / entries / verify / migrate / gc ----
 
@@ -261,7 +214,7 @@ let entries t =
     (fun e ->
       let rel = e.Manifest.rel in
       let r =
-        match read_record ~rel_or_path:rel (abs t rel) with
+        match read_record (abs t rel) with
         | Ok r -> Ok r
         | Error (`Unreadable e) | Error (`Corrupt e) -> Error e
       in
@@ -269,18 +222,13 @@ let entries t =
     (verdict_entries t)
 
 (* A record file is well-named when its filed path is derivable from its
-   own body under some accepted scheme: the sharded v3 name, the flat v2
-   name, or (wait-free) the flat v1 name. *)
+   own body under some accepted scheme: the sharded v3 name, or one of the
+   flat names only [migrate] still reads — v2, or (wait-free) v1. *)
 let well_named rel (r : Record.record) =
   let digest = r.Record.digest
   and model = r.Record.model
   and max_level = r.Record.max_level in
-  let ext =
-    match Codec.of_path rel with
-    | Some c -> Codec.extension c
-    | None -> ".json"
-  in
-  rel = Layout.verdict_rel ~digest ~model ~max_level ~ext
+  rel = Layout.verdict_rel ~digest ~model ~max_level
   || rel = Layout.flat_basename ~digest ~model ~max_level
   || (model = "wait-free" && rel = Layout.flat_basename_v1 ~digest ~max_level)
 
@@ -293,8 +241,19 @@ let classify rel =
   else if Layout.is_tmp rel then Tmp
   else if String.length rel > 10 && String.sub rel 0 10 = "skeletons/" then
     Skeleton_file
-  else if Codec.of_path rel <> None then Record_file
+  else if Filename.check_suffix rel ".json" then Record_file
   else Other
+
+(* The manifest entry of a skeleton file, recovered from its name alone
+   ([<digest>.L<level>.json]) for the scans that index what they find. *)
+let skeleton_entry_of_rel rel =
+  let b = Filename.basename rel in
+  let digest = try String.sub b 0 32 with Invalid_argument _ -> "" in
+  let level =
+    try Scanf.sscanf (Filename.remove_extension b) "%_s@.L%d" (fun l -> l)
+    with Scanf.Scan_failure _ | End_of_file | Failure _ -> 0
+  in
+  skeleton_entry ~rel ~digest ~level ~created_at:0.
 
 type verify_report = {
   valid : int;
@@ -331,7 +290,7 @@ let verify t =
       | Skeleton_file -> seen rel
       | Record_file -> (
         seen rel;
-        match read_record ~rel_or_path:rel (abs t rel) with
+        match read_record (abs t rel) with
         | Error (`Unreadable e) | Error (`Corrupt e) ->
           corrupt := (rel, e) :: !corrupt
         | Ok r ->
@@ -355,11 +314,13 @@ type migrate_report = {
   skipped : (string * string) list;
 }
 
-(* v2→v3 migration, idempotent: every record file not already at its
-   canonical sharded path is re-put (sharded, current codec, same record
-   bytes-wise content and created_at) and its old file removed; canonical
-   files missing a manifest line are adopted (indexed in place). A second
-   run finds only canonical, indexed files and does nothing. *)
+(* v1/v2→v3 migration, idempotent: every record file filed under a flat
+   name is retired — re-put under its sharded path (same record, same
+   created_at), or, when a sharded record for the question already exists,
+   simply removed: the sharded file is the one the serving path answers
+   from, so it is never overwritten by an older flat body. Canonical files
+   missing a manifest line are adopted (indexed in place). A second run
+   finds only canonical, indexed files and does nothing. *)
 let migrate t =
   let indexed = Hashtbl.create 256 in
   List.iter (fun e -> Hashtbl.replace indexed e.Manifest.rel ()) (ls t);
@@ -371,71 +332,32 @@ let migrate t =
       | Skeleton_file ->
         if not (Hashtbl.mem indexed rel) then begin
           (* adopt: the artifact is fine where it is, only the index lost it *)
-          let b = Filename.basename rel in
-          let digest = try String.sub b 0 32 with Invalid_argument _ -> "" in
-          let level =
-            try Scanf.sscanf (Filename.remove_extension b) "%_s@.L%d" (fun l -> l)
-            with Scanf.Scan_failure _ | End_of_file | Failure _ -> 0
-          in
-          Manifest.append t.manifest
-            {
-              Manifest.op = Put;
-              kind = Skeleton;
-              rel;
-              digest;
-              model = "";
-              max_level = level;
-              budget = 0;
-              verdict = "";
-              level;
-              codec = "json";
-              created_at = 0.;
-            };
+          Manifest.append t.manifest (skeleton_entry_of_rel rel);
           incr adopted
         end
       | _ -> ());
   List.iter
     (fun rel ->
-      match read_record ~rel_or_path:rel (abs t rel) with
+      match read_record (abs t rel) with
       | Error (`Unreadable e) | Error (`Corrupt e) -> skipped := (rel, e) :: !skipped
       | Ok r ->
-        let ext =
-          match Codec.of_path rel with
-          | Some c -> Codec.extension c
-          | None -> ".json"
-        in
         let canonical =
           Layout.verdict_rel ~digest:r.Record.digest ~model:r.Record.model
-            ~max_level:r.Record.max_level ~ext
+            ~max_level:r.Record.max_level
         in
         if rel = canonical then
           if Hashtbl.mem indexed rel then incr untouched
           else begin
-            let codec = Option.value (Codec.of_path rel) ~default:Codec.Json in
-            Manifest.append t.manifest (manifest_put_entry ~rel ~codec r);
+            Manifest.append t.manifest (manifest_put_entry ~rel r);
             incr adopted
           end
         else if well_named rel r then begin
-          (* flat v1/v2 (or other-codec) name: rewrite sharded, retire the
-             old file. [put] also removes the flat predecessors itself. *)
-          put t r;
-          (if Sys.file_exists (abs t rel) then
-             try Sys.remove (abs t rel) with Sys_error _ -> ());
+          (* flat v1/v2 name: rewrite sharded unless a sharded record
+             already answers the question, then retire the old file *)
+          if not (Sys.file_exists (abs t canonical)) then put t r;
+          (try Sys.remove (abs t rel) with Sys_error _ -> ());
           if Hashtbl.mem indexed rel then
-            Manifest.append t.manifest
-              {
-                Manifest.op = Del;
-                kind = Verdict;
-                rel;
-                digest = "";
-                model = "";
-                max_level = 0;
-                budget = 0;
-                verdict = "";
-                level = 0;
-                codec = "";
-                created_at = 0.;
-              };
+            Manifest.append t.manifest (del_entry rel);
           incr migrated
         end
         else skipped := (rel, "filed under a name matching no scheme") :: !skipped)
@@ -450,33 +372,10 @@ let rebuild_manifest t =
   Layout.walk t.root ~f:(fun rel ->
       match classify rel with
       | Record_file -> (
-        match read_record ~rel_or_path:rel (abs t rel) with
+        match read_record (abs t rel) with
         | Error _ -> ()
-        | Ok r ->
-          let codec = Option.value (Codec.of_path rel) ~default:Codec.Json in
-          entries := manifest_put_entry ~rel ~codec r :: !entries)
-      | Skeleton_file ->
-        let b = Filename.basename rel in
-        let digest = try String.sub b 0 32 with Invalid_argument _ -> "" in
-        let level =
-          try Scanf.sscanf (Filename.remove_extension b) "%_s@.L%d" (fun l -> l)
-          with Scanf.Scan_failure _ | End_of_file | Failure _ -> 0
-        in
-        entries :=
-          {
-            Manifest.op = Put;
-            kind = Skeleton;
-            rel;
-            digest;
-            model = "";
-            max_level = level;
-            budget = 0;
-            verdict = "";
-            level;
-            codec = "json";
-            created_at = 0.;
-          }
-          :: !entries
+        | Ok r -> entries := manifest_put_entry ~rel r :: !entries)
+      | Skeleton_file -> entries := skeleton_entry_of_rel rel :: !entries
       | _ -> ());
   let entries = List.sort (fun a b -> compare a.Manifest.rel b.Manifest.rel) !entries in
   Manifest.close t.manifest;

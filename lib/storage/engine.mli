@@ -2,19 +2,20 @@
 
     One engine instance serves two keyspaces under one root:
 
-    - {b verdicts} — [ab/cd/<digest>.<model-slug>.L<n>.<ext>], the record
-      of one decided [(task, model, max_level, budget)] question, encoded
-      by a per-record {!Codec} ([.json] canonical / [.wfcb] compact);
+    - {b verdicts} — [ab/cd/<digest>.<model-slug>.L<n>.json], the record
+      of one decided [(task, model, max_level, budget)] question, as
+      canonical JSON ({!Record.record_to_json});
     - {b skeletons} — [skeletons/ab/cd/<digest>.L<b>.json], a persisted
       [SDS^b] subdivision keyed by the structural digest of its base.
 
     Every mutation appends a fsync'd line to [MANIFEST.jsonl]
     ({!Manifest}); [ls]/[verify]/[gc] answer from that one sequential file.
     The {e serving} path never consults the manifest: {!find} goes LRU →
-    direct stat-probes (sharded both codecs, then flat v2/v1 for
-    pre-sharding stores), so concurrent writers in other processes are
-    visible immediately and manifest staleness can only mis-report, never
-    mis-answer.
+    one [open] of the question's sharded path, so concurrent writers in
+    other processes are visible immediately and manifest staleness can
+    only mis-report, never mis-answer. Flat pre-sharding records (v1/v2 in
+    the store root) are not served: {!migrate} is the only code that reads
+    them.
 
     Counters: [serve.store.{reads,puts,quarantined}] (disk tier, the
     pre-engine names) and [storage.cache.{hit,miss,evict}] (memory
@@ -24,23 +25,19 @@ type t
 
 val default_cache_cap : int
 
-val open_store : ?cache_cap:int -> ?codec:Codec.t -> string -> t
+val open_store : ?cache_cap:int -> string -> t
 (** Opens (creating root and quarantine dirs) the store at the path.
-    [codec] is the {e write} codec; both codecs are always readable.
     [cache_cap] bounds the decoded-record LRU (default
     {!default_cache_cap}). *)
 
 val dir : t -> string
-
-val codec : t -> Codec.t
 
 val close : t -> unit
 (** Releases the manifest append handle. The store stays usable — the
     handle reopens lazily. *)
 
 val path_of : t -> digest:string -> model:string -> max_level:int -> string
-(** The sharded path {!put} would write for this question under the
-    engine's codec. *)
+(** The sharded path {!put} writes and {!find} reads for this question. *)
 
 val find :
   t ->
@@ -52,12 +49,12 @@ val find :
 (** The stored verdict, or [None] on: no record, a different-budget record
     (which stays), or a corrupt/misfiled record (quarantined on the way
     out, with a manifest [Del]). Hits fill and consult the LRU; a cache hit
-    makes no syscall. Wait-free questions fall back to flat v1 paths. *)
+    makes no syscall, and a cache miss makes one [open] of {!path_of} — a
+    file that is not there is a miss. *)
 
 val put : t -> Record.record -> unit
-(** Atomic durable publish under the sharded path, retiring any superseded
-    copy (other codec, flat v2/v1 names), then manifest append and cache
-    fill. *)
+(** Atomic durable publish under the sharded path, then manifest append
+    and cache fill. *)
 
 val find_skeleton : t -> digest:string -> level:int -> string option
 (** Raw bytes of the persisted [SDS^level] artifact for a base complex
@@ -82,7 +79,7 @@ type verify_report = {
   quarantined : int;  (** files already in quarantine/ *)
   stray_tmp : int;  (** interrupted atomic writes ([*.wtmp]) *)
   unindexed : int;  (** files on disk with no live manifest line (includes
-                        pre-migration flat records) *)
+                        pre-migration flat records, which are not served) *)
   missing : int;  (** live manifest lines whose file is gone *)
   bad_manifest_lines : int;  (** unparseable (torn) manifest lines *)
 }
@@ -92,17 +89,19 @@ val verify : t -> verify_report
     both ways. Read-only. *)
 
 type migrate_report = {
-  migrated : int;  (** flat-named records rewritten under sharded paths *)
+  migrated : int;  (** flat-named records retired into the sharded layout *)
   untouched : int;  (** records already canonical and indexed *)
   adopted : int;  (** canonical files the manifest had lost, re-indexed *)
   skipped : (string * string) list;  (** (path, reason) *)
 }
 
 val migrate : t -> migrate_report
-(** v1/v2 → v3: every well-formed record filed under a flat name is
-    re-put under its sharded path (same record, current codec) and the old
-    file removed; canonical-but-unindexed files (and skeletons) are
-    adopted into the manifest. Idempotent. *)
+(** v1/v2 → v3, the only reader of flat names: every well-formed record
+    filed under a flat name is re-put under its sharded path (same record)
+    and the old file removed. A sharded record already answering the
+    question is kept as it is — the flat file is removed, never copied
+    over it. Canonical-but-unindexed files (and skeletons) are adopted
+    into the manifest. Idempotent: a second run migrates nothing. *)
 
 val rebuild_manifest : t -> int
 (** Regenerates [MANIFEST.jsonl] from nothing but a tree walk, atomically

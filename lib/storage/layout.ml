@@ -15,21 +15,19 @@ let rel_of_basename ~digest basename =
   let a, b = shard_of_digest digest in
   Filename.concat a (Filename.concat b basename)
 
-let verdict_basename ~digest ~model ~max_level ~ext =
-  Printf.sprintf "%s.%s.L%d%s" digest
-    (Wfc_tasks.Model.slug_of_name model)
-    max_level ext
-
-let verdict_rel ~digest ~model ~max_level ~ext =
-  rel_of_basename ~digest (verdict_basename ~digest ~model ~max_level ~ext)
-
-(* Flat-layout names, kept for read-compat and migration. v2 is the
-   pre-engine flat file; v1 additionally predates models (implicitly
-   wait-free). *)
-let flat_basename ~digest ~model ~max_level =
+(* Records are canonical JSON, so every verdict file ends in [.json]. *)
+let verdict_basename ~digest ~model ~max_level =
   Printf.sprintf "%s.%s.L%d.json" digest
     (Wfc_tasks.Model.slug_of_name model)
     max_level
+
+let verdict_rel ~digest ~model ~max_level =
+  rel_of_basename ~digest (verdict_basename ~digest ~model ~max_level)
+
+(* Flat-layout names, read by [Engine.migrate] alone: v2 is the
+   pre-sharding file — the sharded basename, filed at the store root — and
+   v1 additionally predates models (implicitly wait-free). *)
+let flat_basename = verdict_basename
 
 let flat_basename_v1 ~digest ~max_level =
   Printf.sprintf "%s.L%d.json" digest max_level

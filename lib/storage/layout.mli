@@ -7,20 +7,19 @@
 val shard_of_digest : string -> string * string
 (** First and second hex-pair of the digest — the two directory levels. *)
 
-val verdict_basename :
-  digest:string -> model:string -> max_level:int -> ext:string -> string
-
-val verdict_rel :
-  digest:string -> model:string -> max_level:int -> ext:string -> string
+val verdict_rel : digest:string -> model:string -> max_level:int -> string
 (** Store-relative sharded path of a verdict record, e.g.
-    [ab/cd/abcd....k-set-2.L3.json]. [ext] comes from {!Codec.extension}. *)
+    [ab/cd/abcd....k-set-2.L3.json] — the only path the serving path reads
+    or writes. *)
 
 val flat_basename : digest:string -> model:string -> max_level:int -> string
-(** Flat v2 basename ([<digest>.<model-slug>.L<n>.json]) — read-compat and
-    migration only. *)
+(** Flat v2 basename ([<digest>.<model-slug>.L<n>.json], filed at the store
+    root) — read by migration only. It is also the sharded record's
+    basename. *)
 
 val flat_basename_v1 : digest:string -> max_level:int -> string
-(** Flat v1 basename ([<digest>.L<n>.json], implicitly wait-free). *)
+(** Flat v1 basename ([<digest>.L<n>.json], implicitly wait-free) —
+    read by migration only. *)
 
 val skeleton_root : string
 

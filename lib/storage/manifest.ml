@@ -219,8 +219,8 @@ let live entries =
   let out = Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] in
   List.sort (fun a b -> compare a.rel b.rel) out
 
-(* Compaction: atomically replace the log with exactly the live set. Used
-   by [gc] and by rebuild-from-walk. *)
+(* Atomically replace the log with exactly the live set. Used by [gc] and
+   by rebuild-from-walk. *)
 let write_full path entries =
   let buf = Buffer.create 4096 in
   List.iter

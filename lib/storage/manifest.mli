@@ -24,7 +24,7 @@ type entry = {
   budget : int;  (** [0] for skeletons *)
   verdict : string;  (** [""] for skeletons and deletions *)
   level : int;  (** decided level; [0] when not applicable *)
-  codec : string;
+  codec : string;  (** ["json"] on every put — records have one format *)
   created_at : float;
 }
 

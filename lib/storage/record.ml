@@ -89,10 +89,9 @@ let string_member key j =
 
 let ( let* ) = Result.bind
 
-(* Semantic checks shared by every decode path (JSON and the compact binary
-   codec): whatever the wire format, a record that reaches the engine has a
-   well-formed digest, a known verdict, and a decide table consistent with
-   it. *)
+(* Semantic checks past the JSON shape: a record that reaches the engine
+   has a well-formed digest, a known verdict, and a decide table
+   consistent with it. *)
 let check_record r =
   let* () =
     if is_hex_digest r.digest then Ok () else Error "digest is not 32 hex chars"

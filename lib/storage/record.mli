@@ -1,12 +1,11 @@
 (** The verdict record: one decided [(task, model, max_level, budget)]
     question, plus its provenance (search cost, timestamps).
 
-    This is the [wfc.store.v2] object of the serving layer, moved into the
-    storage engine so every codec (canonical JSON, compact binary) and every
-    backend (flat v2, sharded v3) serializes exactly one type. The JSON
-    renderings and parsing are byte-for-byte those of the pre-engine
-    [Wfc_serve.Store], so existing records, wire frames and [check-json]
-    artifacts are unaffected. *)
+    This is the [wfc.store.v2] object of the serving layer. Its canonical
+    JSON rendering ({!record_to_json}) is the one record format at rest,
+    and {!record_of_json} the one decoder. The renderings and parsing are
+    byte-for-byte those of the pre-engine [Wfc_serve.Store], so existing
+    records, wire frames and [check-json] artifacts are unaffected. *)
 
 val schema_version : string
 (** ["wfc.store.v2"]. *)
@@ -50,12 +49,10 @@ val verdict_json : record -> Wfc_obs.Json.t
     identical object — the invariant the CI smoke diffs. *)
 
 val record_of_json : Wfc_obs.Json.t -> (record, string) result
-(** Accepts both schemas: a v1 object parses with [model = "wait-free"]. *)
-
-val check_record : record -> (unit, string) result
-(** The semantic invariants every decode path enforces, whatever the wire
-    format: 32-hex digest, non-empty model, known verdict vocabulary, and a
-    decide table present iff the verdict is ["solvable"]. *)
+(** Accepts both schemas: a v1 object parses with [model = "wait-free"].
+    Past the JSON shape it enforces the record's semantic invariants:
+    32-hex digest, non-empty model, known verdict vocabulary, and a decide
+    table present iff the verdict is ["solvable"]. *)
 
 val validate_json : Wfc_obs.Json.t -> (unit, string) result
 (** Structural check used by [wfc check-json] on store artifacts. *)

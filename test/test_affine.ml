@@ -1,7 +1,7 @@
 (* Tier-1 tests for first-class computation models (affine tasks): the
    Model codec and built-ins, the model-restricted solvability search and
    its wait-free byte-identity guarantee, the (task, model)-keyed v2
-   verdict store with v1 fallback and migration, the model field of the
+   verdict store with v1 migration, the model field of the
    wire protocol, the explicit options record, and the daemon serving two
    models for one task end to end. *)
 
@@ -196,7 +196,7 @@ let test_options () =
   checkb "empty builder is the defaults" true (Solvability.options () = d)
 
 (* ------------------------------------------------------------------ *)
-(* Store: (task, model) keyed records, v1 fallback, migration           *)
+(* Store: (task, model) keyed records, v1 migration                      *)
 (* ------------------------------------------------------------------ *)
 
 let outcome_for ?(model = Model.wait_free) task =
@@ -243,21 +243,25 @@ let test_store_v1_fallback_and_migrate () =
   let v2_path = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
   let v1_path = Filename.concat dir (digest ^ ".L1.json") in
   Sys.rename v2_path v1_path;
-  (match Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget with
-  | Some r' -> checks "v1 fallback serves wait-free" "wait-free" r'.Store.model
-  | None -> Alcotest.fail "v1-named record must still satisfy wait-free finds");
+  (* a fresh handle, so the answer cannot come from the put's LRU entry:
+     the serving path reads the sharded path only, so the v1 file is a miss *)
+  let find () =
+    Store.find (Store.open_store dir) ~digest ~model:"wait-free" ~max_level:1 ~budget
+  in
+  checkb "flat v1 record is not served" true (find () = None);
+  checkb "the miss leaves it in place" true (Sys.file_exists v1_path);
   let report = Store.verify st in
   checki "v1 name is well-formed to verify" 1 report.Store.valid;
   checki "not mismatched" 0 (List.length report.Store.mismatched);
-  (* migrate rewrites it under the v2 name... *)
+  (* migrate rewrites it under the sharded name... *)
   let m = Store.migrate st in
   checki "one record migrated" 1 m.Store.migrated;
   checki "no skips" 0 (List.length m.Store.skipped);
   checkb "v1 file removed" false (Sys.file_exists v1_path);
-  checkb "v2 file written" true (Sys.file_exists v2_path);
-  (match Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget with
-  | Some _ -> ()
-  | None -> Alcotest.fail "record lost by migration");
+  checkb "sharded file written" true (Sys.file_exists v2_path);
+  (match find () with
+  | Some r' -> checks "served wait-free after migrate" "wait-free" r'.Store.model
+  | None -> Alcotest.fail "migrated record must satisfy wait-free finds");
   (* ...and is idempotent *)
   let m2 = Store.migrate st in
   checki "second pass migrates nothing" 0 m2.Store.migrated;
@@ -274,16 +278,18 @@ let test_store_model_mismatch_quarantined () =
     Store.record ~task:t ~spec:"consensus(procs=2,param=2)"
       ~model:(Model.to_string model) ~max_level:1 ~budget (outcome_for ~model t)
   in
-  (* file a k-set:2 body under the flat wait-free name (as a bad actor or a
-     botched copy into a pre-sharding store would): served to a wait-free
-     question it would be a wrong answer, so find must quarantine it *)
-  let path = Filename.concat dir (digest ^ ".wait-free.L1.json") in
+  (* file a k-set:2 body under the sharded wait-free path (as a bad actor
+     or a botched copy would): served to a wait-free question it would be a
+     wrong answer, so find must quarantine it *)
+  let path = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
+  Wfc_storage.Layout.mkdir_p (Filename.dirname path);
   let oc = open_out path in
   output_string oc (Wfc_obs.Json.to_string (Store.record_to_json r));
   close_out oc;
   checkb "mismatched model is a miss" true
     (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
-  checkb "file moved out of the way" false (Sys.file_exists path)
+  checkb "file moved out of the way" false (Sys.file_exists path);
+  checki "moved into quarantine" 1 (Store.verify st).Store.quarantined
 
 (* ------------------------------------------------------------------ *)
 (* Wire: the model field                                                *)

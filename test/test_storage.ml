@@ -1,4 +1,4 @@
-(* Tests for the storage engine: LRU mechanics, codec round-trips, manifest
+(* Tests for the storage engine: LRU mechanics, record round-trips, manifest
    durability and rebuild, quarantine-on-damage, concurrent writers, and
    persisted SDS skeletons replaying bit-for-bit. *)
 
@@ -100,53 +100,17 @@ let lru_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Codecs                                                               *)
+(* Record JSON                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let qcheck_compact_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"compact codec round-trips exactly"
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"json record round-trips exactly"
     QCheck.(quad int int int int)
     (fun (seed, kind, ndecide, level) ->
       let r = record_of_params ~seed ~kind ~ndecide ~level in
-      Codec.decode Codec.Compact (Codec.encode Codec.Compact r) = Ok r)
+      Record.record_of_json (Record.record_to_json r) = Ok r)
 
-let qcheck_codecs_agree =
-  QCheck.Test.make ~count:200
-    ~name:"json and compact round-trips render identical canonical records"
-    QCheck.(quad int int int int)
-    (fun (seed, kind, ndecide, level) ->
-      let r = record_of_params ~seed ~kind ~ndecide ~level in
-      let via codec =
-        match Codec.decode codec (Codec.encode codec r) with
-        | Ok r' -> Wfc_obs.Json.to_string (Record.record_to_json r')
-        | Error e -> "decode error: " ^ e
-      in
-      via Codec.Json = via Codec.Compact)
-
-let codec_tests =
-  [
-    QCheck_alcotest.to_alcotest qcheck_compact_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_codecs_agree;
-    Alcotest.test_case "compact is smaller than json on real decide tables" `Quick
-      (fun () ->
-        let r = record_of_params ~seed:42 ~kind:0 ~ndecide:40 ~level:2 in
-        let j = String.length (Codec.encode Codec.Json r) in
-        let c = String.length (Codec.encode Codec.Compact r) in
-        checkb (Printf.sprintf "compact %d < json %d" c j) true (c < j));
-    Alcotest.test_case "every truncation of a compact record decodes to Error" `Quick
-      (fun () ->
-        let r = record_of_params ~seed:7 ~kind:0 ~ndecide:10 ~level:1 in
-        let bytes = Codec.encode Codec.Compact r in
-        for cut = 0 to String.length bytes - 1 do
-          match Codec.decode Codec.Compact (String.sub bytes 0 cut) with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.failf "prefix of %d bytes decoded" cut
-        done);
-    Alcotest.test_case "extension negotiates the codec" `Quick (fun () ->
-        checkb "json" true (Codec.of_path "ab/cd/x.wait-free.L1.json" = Some Codec.Json);
-        checkb "wfcb" true (Codec.of_path "ab/cd/x.wait-free.L1.wfcb" = Some Codec.Compact);
-        checkb "tmp is neither" true (Codec.of_path "x.json.12.0.wtmp" = None));
-  ]
+let record_tests = [ QCheck_alcotest.to_alcotest qcheck_json_roundtrip ]
 
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                             *)
@@ -353,6 +317,35 @@ let engine_tests =
         checki "no torn files" 0 (List.length v.Engine.corrupt);
         checki "no manifest entry without a file" 0 v.Engine.missing;
         checki "no file without a manifest entry" 0 v.Engine.unindexed);
+    Alcotest.test_case "migrate never overwrites a sharded record" `Quick (fun () ->
+        let dir = temp_dir "wfc-engine" in
+        let eng = Engine.open_store dir in
+        let r = record_of_params ~seed:31 ~kind:1 ~ndecide:0 ~level:1 in
+        Engine.put eng r;
+        (* an older flat v2 file for the same question, under another
+           budget — what a query on a never-migrated store leaves behind *)
+        let flat =
+          Filename.concat dir
+            (Layout.flat_basename ~digest:r.Record.digest ~model:r.Record.model
+               ~max_level:r.Record.max_level)
+        in
+        Out_channel.with_open_bin flat (fun oc ->
+            output_string oc
+              (Wfc_obs.Json.to_string
+                 (Record.record_to_json { r with Record.budget = r.Record.budget + 1 })));
+        let m = Engine.migrate eng in
+        checki "flat file retired" 1 m.Engine.migrated;
+        checkb "flat file removed" false (Sys.file_exists flat);
+        (* a fresh handle reads the disk, not the LRU *)
+        let cold = Engine.open_store dir in
+        checkb "the sharded record still answers its budget" true
+          (Engine.find cold ~digest:r.Record.digest ~model:r.Record.model
+             ~max_level:r.Record.max_level ~budget:r.Record.budget
+          <> None);
+        checki "second migrate has nothing to do" 0 (Engine.migrate eng).Engine.migrated;
+        let v = Engine.verify eng in
+        checki "one valid record" 1 v.Engine.valid;
+        checki "indexed" 0 v.Engine.unindexed);
     Alcotest.test_case "ls is deterministic and sorted" `Quick (fun () ->
         let dir = temp_dir "wfc-engine" in
         let eng = Engine.open_store dir in
@@ -420,7 +413,7 @@ let () =
   Alcotest.run "wfc_storage"
     [
       ("lru", lru_tests);
-      ("codec", codec_tests);
+      ("record", record_tests);
       ("manifest", manifest_tests);
       ("engine", engine_tests);
       ("skeleton", skeleton_tests);
