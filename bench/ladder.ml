@@ -16,7 +16,7 @@
 
      dune exec bench/ladder.exe -- \
        [--rungs 1,4,8,16,32] [--repeats 3] [--requests 120] [--warmup 30] \
-       [--solvers N] [--log FILE] [--out BENCH_serve_ladder.json]
+       [--log FILE] [--out BENCH_serve_ladder.json]
 
    Per-rung scenario extras: concurrency, requests, repeats, qps_median,
    latency_p50_s, latency_p95_s (latency percentiles are medians of the
@@ -29,7 +29,6 @@ type opts = {
   mutable repeats : int;
   mutable requests : int;
   mutable warmup : int;
-  mutable solvers : int;
   mutable log : string option;
   mutable out : string;
 }
@@ -41,7 +40,6 @@ let parse_argv () =
       repeats = 3;
       requests = 120;
       warmup = 30;
-      solvers = 2;
       log = None;
       out = "BENCH_serve_ladder.json";
     }
@@ -49,7 +47,7 @@ let parse_argv () =
   let usage () =
     prerr_endline
       "usage: ladder.exe [--rungs CSV] [--repeats N] [--requests N] [--warmup N]\n\
-      \                  [--solvers N] [--log FILE] [--out FILE]";
+      \                  [--log FILE] [--out FILE]";
     exit 2
   in
   let int_of s = match int_of_string_opt s with Some n when n > 0 -> n | _ -> usage () in
@@ -66,9 +64,6 @@ let parse_argv () =
       go rest
     | "--warmup" :: v :: rest ->
       o.warmup <- int_of v;
-      go rest
-    | "--solvers" :: v :: rest ->
-      o.solvers <- int_of v;
       go rest
     | "--log" :: v :: rest ->
       o.log <- Some v;
@@ -158,8 +153,7 @@ let () =
   let ready = Atomic.make false in
   let cfg =
     {
-      (Wfc_serve.Daemon.config ~queue_capacity:256 ~solvers:o.solvers ?log:o.log
-         ~socket ~store_dir ())
+      (Wfc_serve.Daemon.config ~queue_capacity:256 ?log:o.log ~socket ~store_dir ())
       with
       Wfc_serve.Daemon.on_ready = Some (fun () -> Atomic.set ready true);
     }
@@ -219,7 +213,6 @@ let () =
         [
           ("rungs", Wfc_obs.Json.Arr (List.map (fun c -> Wfc_obs.Json.Int c) o.rungs));
           ("warmup_requests", Wfc_obs.Json.Int o.warmup);
-          ("solvers", Wfc_obs.Json.Int o.solvers);
         ]
       "ladder" total_s
   in

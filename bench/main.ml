@@ -645,13 +645,6 @@ let scenarios : (string * (unit -> int option * string option)) list =
     for _ = 2 to reps do v := Solvability.solve_at ~opts task level done;
     solved !v
   in
-  (* SDS^4(s^2) rebuilt cold: subdivision fans the facets of each level
-     across the pool, the sharded arena interns from all domains at once. *)
-  let sds_par domains = plain (fun () ->
-    Wfc_par.set_domains domains;
-    Fun.protect ~finally:(fun () -> Wfc_par.set_domains 1)
-      (fun () -> ignore (Sds.standard ~dim:2 ~levels:4)))
-  in
   (* Daemon round-trips: cold is one store-miss query (solve + persist +
      wire, lifecycle included), warm is the best of five fresh-daemon
      200-request store-hit loops (self-timed — startup and the priming
@@ -666,12 +659,6 @@ let scenarios : (string * (unit -> int option * string option)) list =
      over independent daemons estimates the cost of the code path itself,
      which is what serve_warm_logged's <=5% overhead budget is about. *)
   let serve ?(log = false) mode = fun () ->
-    (* drop the domain pool earlier scenarios grew: parked worker domains
-       make every minor collection a multi-domain stop-the-world, which
-       taxes allocation on the serving path in a way a real daemon process
-       (pool grown only while a solve is in flight) never sees — with it
-       parked, the warm pair's logging delta reads as ~2x its true cost *)
-    Wfc_par.shutdown ();
     let spec =
       {
         Wfc_serve.Wire.task = "set-consensus";
@@ -960,9 +947,6 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ( "solve_both",
       solve_rep ~symmetry:true ~collapse:true ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    ("sds_iterate_domains_1", sds_par 1);
-    ("sds_iterate_domains_2", sds_par 2);
-    ("sds_iterate_domains_4", sds_par 4);
     (* verdict daemon: cold miss vs warm store hits vs coalesced burst;
        serve_warm_logged is serve_warm with the debug event log on — the
        pair bounds the per-request cost of telemetry writing *)

@@ -33,21 +33,6 @@ let procs_arg =
 
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Adversary seed.")
 
-(* --domains N > 1 turns on the Wfc_par worker pool for the solvability
-   search and SDS subdivision; results are identical to the sequential
-   engine. Default comes from WFC_DOMAINS (1 when unset). *)
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Run subdivision on $(docv) domains (default: the WFC_DOMAINS environment \
-           variable, else 1 = sequential); the search itself is sequential. Results are \
-           independent of $(docv).")
-
-let apply_domains = function Some d -> Wfc_par.set_domains d | None -> ()
-
 (* ---------- trace plumbing shared by emulate / simulate / trace / replay ---------- *)
 
 let exit_unknown_schema = 4
@@ -113,8 +98,7 @@ let check_is_levels tr =
 (* ---------- sds ---------- *)
 
 let sds_cmd =
-  let run dim levels domains svg tikz stats json =
-    apply_domains domains;
+  let run dim levels svg tikz stats json =
     let s, seconds = Output.timed (fun () -> Sds.standard ~dim ~levels) in
     let cx = Chromatic.complex (Sds.complex s) in
     Format.printf "%a@." Complex.pp_stats cx;
@@ -156,8 +140,7 @@ let sds_cmd =
   Cmd.v
     (Cmd.info "sds" ~doc:"Iterated standard chromatic subdivision: stats, geometry, drawings.")
     Term.(
-      const run $ dim_arg $ levels_arg $ domains_arg $ svg $ tikz $ Output.stats_arg
-      $ Output.json_arg)
+      const run $ dim_arg $ levels_arg $ svg $ tikz $ Output.stats_arg $ Output.json_arg)
 
 (* ---------- homology ---------- *)
 
@@ -610,9 +593,8 @@ let fresh_record ~t ~task ~procs ~param ~max_level ~model outcome =
     ~model ~max_level ~budget:Solvability.default_budget outcome
 
 let solve_cmd =
-  let run (task, procs, param, t) max_level domains model no_symmetry no_collapse validate
+  let run (task, procs, param, t) max_level model no_symmetry no_collapse validate
       search_trace store_dir verdict_out perfetto stats json =
-    apply_domains domains;
     let opts =
       Solvability.options ~trace:search_trace ~model ~symmetry:(not no_symmetry)
         ~collapse:(not no_collapse) ()
@@ -766,7 +748,7 @@ let solve_cmd =
           (const (fun task procs param ->
                Result.map (fun t -> (task, procs, param, t)) (task_of task procs param))
           $ task $ procs_arg $ param)
-      $ max_level $ domains_arg $ model_arg
+      $ max_level $ model_arg
       $ no_symmetry_arg $ no_collapse_arg $ validate $ search_trace $ store_opt_arg
       $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
 
@@ -791,7 +773,7 @@ let max_level_arg =
   Arg.(value & opt int 2 & info [ "max-level" ] ~docv:"B" ~doc:"Largest round count to try.")
 
 let serve_cmd =
-  let run socket store_dir queue solvers domains json log log_level slow_ms stop =
+  let run socket store_dir queue json log log_level slow_ms stop =
     if stop then (
       match Wfc_serve.Client.connect ~socket with
       | Error e ->
@@ -808,9 +790,7 @@ let serve_cmd =
           Format.eprintf "%s@." e;
           1))
     else begin
-      apply_domains domains;
-      Format.printf "wfc serve: socket=%s store=%s queue=%d solvers=%d domains=%d@." socket
-        store_dir queue (max 1 solvers) (Wfc_par.domains ());
+      Format.printf "wfc serve: socket=%s store=%s queue=%d@." socket store_dir queue;
       match Wfc_obs.Log.level_of_string log_level with
       | Error e ->
         Format.eprintf "%s@." e;
@@ -818,7 +798,7 @@ let serve_cmd =
       | Ok log_level -> (
         let cfg =
           {
-            (Wfc_serve.Daemon.config ~queue_capacity:queue ~solvers ?log ~log_level ?slow_ms
+            (Wfc_serve.Daemon.config ~queue_capacity:queue ?log ~log_level ?slow_ms
                ~socket ~store_dir ())
             with
             Wfc_serve.Daemon.report = json;
@@ -838,14 +818,6 @@ let serve_cmd =
           ~doc:
             "Bounded request queue: queries beyond $(docv) pending questions are shed \
              (explicit backpressure) instead of buffered.")
-  in
-  let solvers =
-    Arg.(
-      value & opt int 2
-      & info [ "solvers" ] ~docv:"N"
-          ~doc:
-            "Scheduler worker threads: up to $(docv) distinct cold questions are solved \
-             concurrently, round-robin across task digests (no head-of-line blocking).")
   in
   let log =
     Arg.(
@@ -878,18 +850,17 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the solvability daemon: a persistent verdict store plus in-flight dedup behind \
-          a Unix-domain socket. Answers $(b,wfc query) traffic; search work runs on the \
-          --domains pool. Request lifecycles are measured stage by stage (see $(b,wfc \
+          a Unix-domain socket. Answers $(b,wfc query) traffic; one solver thread works \
+          through cold questions round-robin across task digests. Request lifecycles are measured stage by stage (see $(b,wfc \
           stats)) and optionally logged with $(b,--log). Shut down with $(b,--stop), SIGINT \
           or SIGTERM; survives SIGKILL with a loadable store.")
     Term.(
-      const run $ socket_arg $ store_req_arg $ queue $ solvers $ domains_arg $ Output.json_arg
+      const run $ socket_arg $ store_req_arg $ queue $ Output.json_arg
       $ log $ log_level $ slow_ms $ stop)
 
 let query_cmd =
   let run task procs param max_level model no_symmetry no_collapse socket store_dir
-      domains no_daemon ping verdict_out stats json =
-    apply_domains domains;
+      no_daemon ping verdict_out stats json =
     let model_name = Model.to_string model in
     let symmetry = not no_symmetry and collapse = not no_collapse in
     if ping then (
@@ -1059,7 +1030,7 @@ let query_cmd =
     Term.(
       const run $ task_arg $ procs_arg $ param_arg $ max_level_arg $ model_arg
       $ no_symmetry_arg $ no_collapse_arg $ socket_arg $ store_opt_arg
-      $ domains_arg $ no_daemon $ ping $ verdict_out_arg $ Output.stats_arg $ Output.json_arg)
+      $ no_daemon $ ping $ verdict_out_arg $ Output.stats_arg $ Output.json_arg)
 
 let stats_cmd =
   let run socket prometheus json =
@@ -1143,28 +1114,25 @@ let stats_cmd =
               | _ -> "?"
             in
             let int k = match server_num k with Some v -> int_of_float v | None -> 0 in
-            Format.printf "daemon: version=%s uptime=%.1fs inflight=%d queue=%d/%d solvers=%d@."
+            Format.printf "daemon: version=%s uptime=%.1fs inflight=%d queue=%d/%d@."
               (str "version")
               (Option.value ~default:0. (server_num "uptime_s"))
-              (int "inflight") (int "queue_depth") (int "queue_capacity") (int "solvers");
-            (match Wfc_obs.Json.member "workers" s with
-            | Some (Wfc_obs.Json.Arr ws) ->
-              List.iter
-                (fun w ->
-                  let f k =
-                    match Wfc_obs.Json.member k w with
-                    | Some (Wfc_obs.Json.Int i) -> string_of_int i
-                    | Some (Wfc_obs.Json.String v) -> v
-                    | _ -> "?"
-                  in
-                  Format.printf "worker %s: %s%s (%s job%s)@." (f "id") (f "state")
-                    (match Wfc_obs.Json.member "digest" w with
-                    | Some (Wfc_obs.Json.String d) -> " " ^ d
-                    | _ -> "")
-                    (f "jobs")
-                    (if f "jobs" = "1" then "" else "s"))
-                ws
-            | _ -> ())
+              (int "inflight") (int "queue_depth") (int "queue_capacity");
+            (match Wfc_obs.Json.member "solver" s with
+            | Some solver ->
+              let f k =
+                match Wfc_obs.Json.member k solver with
+                | Some (Wfc_obs.Json.Int i) -> string_of_int i
+                | Some (Wfc_obs.Json.String v) -> v
+                | _ -> "?"
+              in
+              Format.printf "solver: %s%s (%s job%s)@." (f "state")
+                (match Wfc_obs.Json.member "digest" solver with
+                | Some (Wfc_obs.Json.String d) -> " " ^ d
+                | None | Some _ -> "")
+                (f "jobs")
+                (if f "jobs" = "1" then "" else "s")
+            | None -> ())
           | None -> Format.printf "daemon: (pre-telemetry daemon — no server block)@.");
           if counters <> [] then begin
             Format.printf "counters@.";
@@ -1223,7 +1191,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Live introspection of a running solvability daemon: version, uptime, in-flight \
-          queries, queue depth, per-worker state, and every serve.* counter and stage/latency \
+          queries, queue depth, the solver's state, and every serve.* counter and stage/latency \
           histogram. Output as a human table (default), $(b,--json) wfc.obs.v1 report, or \
           $(b,--prometheus) text exposition.")
     Term.(const run $ socket_arg $ prometheus $ Output.json_arg)

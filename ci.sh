@@ -8,18 +8,14 @@
 # drift apart. Finally the trace pipeline: record a seeded emulation as a
 # wfc.trace.v1 trace, replay it, validate both through check-json, and
 # require the replayed canonical trace to be byte-identical to the
-# recording. The whole suite runs twice — sequential and on 4 domains —
-# and a solve whose subdivisions are built on 4 domains is diffed against
-# the sequential run: the domain pool (parallel subdivision, the shared
-# simplex arena) must never change a result or a search tally, only the
-# wall-clock. Bad arguments must end in a usage error, never a crash or a
-# silently started run: an unknown `wfc solve --task` and an unknown
-# bench flag are both checked. Last, the
-# serving smoke: a daemon's cold and warm answers must be byte-identical
-# to an inline solve's canonical verdict, a SIGKILLed daemon must leave a
-# store that verifies clean and a stale socket the next daemon replaces,
-# and two distinct concurrent cold queries must both be computed by the
-# worker scheduler. The models leg closes the loop on computation models:
+# recording. Bad arguments must end in a usage error, never a crash or a
+# silently started run: an unknown `wfc solve --task`, the deleted
+# `--solvers` and `--domains` options and an unknown bench flag are all
+# checked. Last, the serving smoke: a daemon's cold and warm answers must
+# be byte-identical to an inline solve's canonical verdict, a SIGKILLed
+# daemon must leave a store that verifies clean and a stale socket the
+# next daemon replaces, and two distinct concurrent cold queries must both
+# be computed by the daemon's one solver thread. The models leg closes the loop on computation models:
 # one task solved under two models (wait-free / k-set:2) must yield two
 # distinct verdicts, each cacheable and re-served warm by the daemon
 # byte-identically to its inline baseline. The storage leg exercises the
@@ -31,8 +27,7 @@
 set -eux
 
 dune build
-WFC_DOMAINS=1 dune runtest
-WFC_DOMAINS=4 dune runtest --force
+dune runtest --force
 dune exec bench/main.exe -- --quick --json BENCH_ci.json
 dune exec bin/wfc_cli.exe -- check-json BENCH_ci.json
 
@@ -42,25 +37,26 @@ dune exec bin/wfc_cli.exe -- check-json SOLVE_ci.json \
   --expect-verdict unsolvable --min-nodes 1
 rm -f SOLVE_ci.json
 
-# determinism smoke: subdivision on 1 and on 4 domains must print the same
-# verdict, stats line and counters (timings and the pool's own par.*
-# book-keeping counters are stripped)
-dune exec bin/wfc_cli.exe -- solve --task set-consensus --procs 3 --param 2 \
-  --max-level 1 --domains 1 --stats | grep -v 'elapsed\|seconds\|call\|par\.' > SOLVE_seq.txt
-dune exec bin/wfc_cli.exe -- solve --task set-consensus --procs 3 --param 2 \
-  --max-level 1 --domains 4 --stats | grep -v 'elapsed\|seconds\|call\|par\.' > SOLVE_par.txt
-diff SOLVE_seq.txt SOLVE_par.txt
-rm -f SOLVE_seq.txt SOLVE_par.txt
-
 # usage errors: an unknown task is a cmdliner usage error (non-zero, not
-# the 125 of an uncaught exception, no "internal error"), and an unknown
-# bench flag exits 2 before any experiment starts
+# the 125 of an uncaught exception, no "internal error"), so are the
+# deleted `serve --solvers` and `solve --domains`, and an unknown bench
+# flag exits 2 before any experiment starts
 RC=0
 ./_build/default/bin/wfc_cli.exe solve --task bogus --procs 2 > USAGE_ci.txt 2>&1 || RC=$?
 test "$RC" -ne 0
 test "$RC" -ne 125
 if grep -q 'internal error' USAGE_ci.txt; then exit 1; fi
 grep -q 'consensus' USAGE_ci.txt
+for ARGS in "serve --socket ci_usage.sock --store ci_usage_store --solvers 2" \
+  "solve --task consensus --procs 2 --domains 2"; do
+  RC=0
+  # shellcheck disable=SC2086
+  ./_build/default/bin/wfc_cli.exe $ARGS > USAGE_ci.txt 2>&1 || RC=$?
+  test "$RC" -ne 0
+  if grep -q 'internal error' USAGE_ci.txt; then exit 1; fi
+done
+test ! -e ci_usage.sock
+test ! -e ci_usage_store
 RC=0
 ./_build/default/bench/main.exe --bogus-flag > USAGE_ci.txt 2>&1 || RC=$?
 test "$RC" -eq 2
@@ -175,13 +171,13 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE" VERDICT_solve.json VERDICT_cold.json \
   VERDICT_warm.json VERDICT_after.json
 
 # scheduler smoke: two DISTINCT cold questions issued concurrently against
-# a fresh store must both come back as computed verdicts — the daemon's
-# worker scheduler, not one serializing solver thread, is on the path (the
-# gated unit test asserts the two computations actually overlap; this leg
-# asserts the end-to-end behaviour over the real socket)
+# a fresh store must both come back as computed verdicts — one is solved
+# while the other waits in the queue for the one solver thread (the gated
+# unit test asserts the queueing; this leg asserts the end-to-end
+# behaviour over the real socket)
 SERVE_STORE2=ci_serve_store2
 rm -rf "$SERVE_SOCK" "$SERVE_STORE2"
-"$WFC" serve --socket "$SERVE_SOCK" --store "$SERVE_STORE2" --solvers 2 &
+"$WFC" serve --socket "$SERVE_SOCK" --store "$SERVE_STORE2" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
   if "$WFC" query --ping --socket "$SERVE_SOCK" >/dev/null 2>&1; then

@@ -30,8 +30,9 @@ let histograms : (string, histo) Hashtbl.t = Hashtbl.create 16
 
 (* The span forest hangs off a root sentinel shared by every domain; the
    path of open spans is keyed per (domain, sys-thread), so concurrent
-   domains AND concurrent threads within one domain (the daemon's solver
-   pool) each nest spans without corrupting one another's LIFO discipline.
+   domains AND concurrent threads within one domain (the daemon's handler
+   and solver threads) each nest spans without corrupting one another's
+   LIFO discipline.
    Domain-local storage alone is not enough: sys-threads sharing a domain
    would interleave pushes and pops on one stack. Spans opened at a
    thread's top level become children of the shared root. *)

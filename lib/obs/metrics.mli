@@ -26,12 +26,8 @@
     independently, and a span opened at a domain's top level becomes a
     root span in the shared forest. {!reset} clears measurements globally
     but can only unwind the calling domain's open-span path — call it
-    while no other domain has a span open.
-
-    Relation to [Simplex.reset]: {!reset} clears {e measurements} only and
-    is always safe; [Simplex.reset] clears the interned arena (live data)
-    and has strict reachability preconditions. Resetting one never resets
-    the other. *)
+    while no other domain has a span open. {!reset} clears
+    {e measurements} only; the interned simplex arena is never emptied. *)
 
 type counter
 

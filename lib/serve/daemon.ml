@@ -6,7 +6,6 @@ type config = {
   socket : string;
   store_dir : string;
   queue_capacity : int;
-  solvers : int;
   report : string option;
   on_ready : (unit -> unit) option;
   gate : (string -> unit) option;
@@ -15,13 +14,12 @@ type config = {
   slow_ms : float option;
 }
 
-let config ?(queue_capacity = 64) ?(solvers = 2) ?log ?(log_level = Wfc_obs.Log.Info)
-    ?slow_ms ~socket ~store_dir () =
+let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms ~socket
+    ~store_dir () =
   {
     socket;
     store_dir;
     queue_capacity;
-    solvers = max 1 solvers;
     report = None;
     on_ready = None;
     gate = None;
@@ -51,7 +49,7 @@ let h_depth = Wfc_obs.Metrics.histogram "serve.queue.depth"
 (* Stage histograms: the request lifecycle cut where it actually spends
    time. decode = frame JSON -> typed request; admission = the store-lookup
    / enqueue decision under the state mutex; queue_wait = admitted ->
-   picked by a worker; solve = the search itself; store_put = persisting
+   picked by the solver; solve = the search itself; store_put = persisting
    the fresh verdict; encode = response -> socket bytes. *)
 let h_stage_decode = Wfc_obs.Metrics.histogram "serve.stage.decode.seconds"
 
@@ -85,7 +83,7 @@ let h_latency_of_model model_name =
   Wfc_obs.Metrics.histogram
     ("serve.latency.model." ^ Wfc_tasks.Model.slug_of_name model_name ^ ".seconds")
 
-(* Worker-side stage costs of one computation; the handler adds its own
+(* Solver-side stage costs of one computation; the handler adds its own
    wait into [total_s] when it builds the wire timing. *)
 type stages = { queue_wait_s : float; solve_s : float; store_s : float }
 
@@ -100,16 +98,16 @@ type job = {
   j_task : Wfc_tasks.Task.t;
   j_digest : string;
   j_model : Wfc_tasks.Model.t;  (** parsed at admission; unknown names never enqueue *)
-  j_req_id : string;  (** the admitting request's id, for worker-side log lines *)
+  j_req_id : string;  (** the admitting request's id, for solver-side log lines *)
   j_enqueued_at : float;
   mutable j_result : (Store.record * stages, string) result option;
 }
 
-(* Per-worker introspection for [wfc stats]: what each scheduler thread is
-   doing right now, mutated under the state mutex. *)
-type worker_info = {
-  mutable w_state : [ `Idle | `Solving of string ];
-  mutable w_jobs : int;  (** computations finished by this worker *)
+(* Solver introspection for [wfc stats]: what the solver thread is doing
+   right now, mutated under the state mutex. *)
+type solver_info = {
+  mutable s_state : [ `Idle | `Solving of string ];
+  mutable s_jobs : int;  (** computations finished *)
 }
 
 (* The scheduler's pending work, grouped by task digest for fairness: the
@@ -130,7 +128,7 @@ type state = {
   rotation : string Queue.t;
   mutable npending : int;
   inflight : (string, job) Hashtbl.t;
-  workers_info : worker_info array;
+  solver : solver_info;
   req_seq : int Atomic.t;  (** daemon-assigned request ids for old clients *)
   stopping : bool Atomic.t;
 }
@@ -235,13 +233,11 @@ let compute st (job : job) ~queue_wait_s =
   | outcome, `Computed -> (
     match !committed with Some r -> Ok (r, stages) | None -> Ok (fresh outcome, stages))
 
-(* Each of the [cfg.solvers] worker threads loops here, so distinct cold
-   questions are solved concurrently (within one computation the search is
-   sequential; only subdivision can use the Wfc_par domain pool). On
-   shutdown a worker keeps draining until no pending job is left — every
-   admitted question gets its answer — and only then exits. *)
-let worker_loop (st, idx) =
-  let info = st.workers_info.(idx) in
+(* The one solver thread loops here. On shutdown it keeps draining until
+   no pending job is left — every admitted question gets its answer — and
+   only then exits. *)
+let solver_loop st =
+  let info = st.solver in
   let rec next () =
     let job =
       locked st (fun () ->
@@ -251,7 +247,7 @@ let worker_loop (st, idx) =
           if st.npending = 0 then None
           else begin
             let job = dequeue_job st in
-            info.w_state <- `Solving job.j_digest;
+            info.s_state <- `Solving job.j_digest;
             Some job
           end)
     in
@@ -276,8 +272,8 @@ let worker_loop (st, idx) =
       | Ok _ -> ());
       locked st (fun () ->
           job.j_result <- Some result;
-          info.w_state <- `Idle;
-          info.w_jobs <- info.w_jobs + 1;
+          info.s_state <- `Idle;
+          info.s_jobs <- info.s_jobs + 1;
           Hashtbl.remove st.inflight
             (key_of ~digest:job.j_digest ~model:job.j_spec.Wire.model
                ~max_level:job.j_spec.Wire.max_level);
@@ -444,21 +440,15 @@ let uptime_s st = Wfc_obs.Metrics.now_s () -. st.started_at
 
 let server_json st =
   let open Wfc_obs.Json in
-  let inflight, depth, workers =
+  let inflight, depth, solver =
     locked st (fun () ->
         ( Hashtbl.length st.inflight,
           st.npending,
-          Array.to_list
-            (Array.mapi
-               (fun i w ->
-                 Obj
-                   ([ ("id", Int i); ("jobs", Int w.w_jobs) ]
-                   @
-                   match w.w_state with
-                   | `Idle -> [ ("state", String "idle") ]
-                   | `Solving digest ->
-                     [ ("state", String "solving"); ("digest", String digest) ]))
-               st.workers_info) ))
+          Obj
+            ((match st.solver.s_state with
+             | `Idle -> [ ("state", String "idle") ]
+             | `Solving digest -> [ ("state", String "solving"); ("digest", String digest) ])
+            @ [ ("jobs", Int st.solver.s_jobs) ]) ))
   in
   Obj
     [
@@ -467,8 +457,7 @@ let server_json st =
       ("inflight", Int inflight);
       ("queue_depth", Int depth);
       ("queue_capacity", Int st.cfg.queue_capacity);
-      ("solvers", Int st.cfg.solvers);
-      ("workers", Arr workers);
+      ("solver", solver);
     ]
 
 let handle_connection st fd =
@@ -569,8 +558,7 @@ let run cfg =
       rotation = Queue.create ();
       npending = 0;
       inflight = Hashtbl.create 64;
-      workers_info =
-        Array.init (max 1 cfg.solvers) (fun _ -> { w_state = `Idle; w_jobs = 0 });
+      solver = { s_state = `Idle; s_jobs = 0 };
       req_seq = Atomic.make 0;
       stopping = Atomic.make false;
     }
@@ -580,14 +568,13 @@ let run cfg =
     [
       ("socket", Wfc_obs.Json.String cfg.socket);
       ("store", Wfc_obs.Json.String cfg.store_dir);
-      ("solvers", Wfc_obs.Json.Int cfg.solvers);
       ("queue_capacity", Wfc_obs.Json.Int cfg.queue_capacity);
       ("version", Wfc_obs.Json.String version);
     ];
   let initiate_stop _ = Atomic.set st.stopping true in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle initiate_stop) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle initiate_stop) in
-  let workers = Array.init cfg.solvers (fun i -> Thread.create worker_loop (st, i)) in
+  let solver = Thread.create solver_loop st in
   (match cfg.on_ready with Some f -> f () | None -> ());
   (* Accept with a select timeout so a signal- or request-initiated stop is
      noticed within a tick even when no connection ever arrives. *)
@@ -605,11 +592,11 @@ let run cfg =
     end
   in
   accept_loop ();
-  (* stopping: wake and join EVERY worker — each drains admitted work,
-     finishes the job it is computing, and only then exits, so no admitted
-     question is ever abandoned mid-shutdown *)
+  (* stopping: wake and join the solver — it drains admitted work, finishes
+     the job it is computing, and only then exits, so no admitted question
+     is ever abandoned mid-shutdown *)
   locked st (fun () -> Condition.broadcast st.work_cv);
-  Array.iter Thread.join workers;
+  Thread.join solver;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Sys.remove cfg.socket with Sys_error _ -> ());
   Sys.set_signal Sys.sigint old_int;

@@ -10,28 +10,22 @@
       of re-entering the queue — N concurrent identical queries cost one
       search;
     - {b miss} ([serve.misses]): the question joins a bounded queue and is
-      picked up by one of the [solvers] scheduler workers, which solves it
-      (subdivision may use the {!Wfc_par} domain pool; the search is
-      sequential) and files
-      the verdict in the store before anyone is answered;
+      picked up by the solver thread, which solves it and files the
+      verdict in the store before anyone is answered;
     - {b shed} ([serve.shed]): if the pending queue is full the daemon
       answers [shed] immediately — explicit backpressure; clients fall
       back to an inline solve or retry, the daemon never buffers
       unboundedly.
 
     Concurrency model: one accepting thread, one handler thread per
-    connection, and a small scheduler of [solvers] worker threads (default
-    2), so distinct cold questions are solved {e concurrently} — no
-    head-of-line blocking behind one long search. Pending work is grouped
-    by task digest and dispatched round-robin across digests, so a burst
-    of questions on one task cannot starve another task's cold query.
-    Verdicts stay deterministic because each question is solved by exactly
-    one worker with the deterministic engine, and the store's atomic
-    [put] makes concurrent commits of {e different} questions safe (two
-    workers never hold the same question: coalescing keys on the in-flight
-    table). The store-hit fast path never touches the solve queue: handler
-    threads answer hits directly under the state mutex, so hit latency is
-    unaffected by running solves.
+    connection, and one solver thread, all on one domain. The solver's
+    caches (subdivision, symmetry and collapse memos) therefore have a
+    single writer by construction. A second solver thread on the same
+    domain never ran in parallel and measured no gain (DESIGN §9). Pending
+    work is grouped by task digest and dispatched round-robin across
+    digests, so a burst of questions on one task cannot starve another
+    task's cold query. The store-hit fast path never touches the solve
+    queue: handler threads answer hits directly under the state mutex.
 
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
@@ -50,11 +44,11 @@
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
     a [server] block: version, uptime, in-flight count, queue depth and
-    per-worker state. On shutdown the daemon prints a traffic summary and,
+    the solver's state. On shutdown the daemon prints a traffic summary and,
     with [report], writes the final metrics snapshot as a [wfc.obs.v1]
     report. SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
-    request — every scheduler worker drains the pending queue and finishes
-    its in-flight job before the daemon exits; SIGKILL at any instant
+    request — the solver drains the pending queue and finishes its
+    in-flight job before the daemon exits; SIGKILL at any instant
     leaves a loadable store ({!Store.put} is atomic). *)
 
 val version : string
@@ -65,13 +59,12 @@ type config = {
   socket : string;  (** Unix-domain socket path *)
   store_dir : string;
   queue_capacity : int;  (** pending (not yet solving) questions admitted *)
-  solvers : int;  (** scheduler worker threads solving concurrently *)
   report : string option;  (** write a wfc.obs.v1 report here on shutdown *)
   on_ready : (unit -> unit) option;  (** called once the socket accepts *)
   gate : (string -> unit) option;
-      (** test/bench instrumentation: a scheduler worker calls this with
+      (** test/bench instrumentation: the solver thread calls this with
           the question's digest immediately before each computation — a
-          hook to hold workers while clients pile onto in-flight entries *)
+          hook to hold it while clients pile onto in-flight entries *)
   log : string option;  (** append [wfc.log.v1] event lines here *)
   log_level : Wfc_obs.Log.level;  (** minimum level written to [log] *)
   slow_ms : float option;
@@ -81,7 +74,6 @@ type config = {
 
 val config :
   ?queue_capacity:int ->
-  ?solvers:int ->
   ?log:string ->
   ?log_level:Wfc_obs.Log.level ->
   ?slow_ms:float ->
@@ -89,14 +81,13 @@ val config :
   store_dir:string ->
   unit ->
   config
-(** Defaults: queue capacity 64, 2 solver workers (clamped to [>= 1]), no
-    report, no hooks, no event log (level [Info] once one is given), no
-    slow-query threshold. *)
+(** Defaults: queue capacity 64, no report, no hooks, no event log (level
+    [Info] once one is given), no slow-query threshold. *)
 
 val run : config -> unit
 (** Binds the socket (refusing if a live daemon already answers on it,
     replacing it if stale) and serves until a [shutdown] request, SIGINT,
-    or SIGTERM. Returns after {e all} scheduler workers have drained every
-    admitted question and the socket file is unlinked.
+    or SIGTERM. Returns after the solver thread has drained every admitted
+    question and the socket file is unlinked.
     @raise Failure if the socket is in use by a live daemon or cannot be
     bound. *)

@@ -92,24 +92,18 @@ let enumerate t =
   let ids = Key_tbl.create nverts in
   List.iteri (fun i (v, s) -> Key_tbl.replace ids (v, Simplex.id s) i) ordered;
   let id_of v s = Key_tbl.find ids (v, Simplex.id s) in
-  (* Facets: ordered partitions of each facet of the previous complex. Top
-     facets are independent, so they subdivide in parallel when the domain
-     pool is enabled; the per-facet map preserves facet order, [ids] is only
-     read, and every prefix simplex is already interned (it is a face of a
-     closure simplex) or interns through the domain-safe publication arena
-     — so the concatenation is bit-for-bit the sequential facet list. *)
+  (* Facets: ordered partitions of each facet of the previous complex, in
+     facet order. *)
   let facets =
-    Wfc_par.map_array
+    List.concat_map
       (fun facet ->
-        let vs = Simplex.to_list facet in
         List.map
           (fun partition ->
             List.map
               (fun (v, prefix) -> id_of v (Simplex.of_sorted prefix))
               (Ordered_partition.views partition))
-          (Ordered_partition.enumerate vs))
-      (Array.of_list (Complex.facets prev_complex))
-    |> Array.to_list |> List.concat
+          (Ordered_partition.enumerate (Simplex.to_list facet)))
+      (Complex.facets prev_complex)
   in
   (ordered, facets)
 
@@ -292,9 +286,9 @@ let next_level ~digest t k' =
       t')
 
 (* [iterate] memo: keyed by (base name, structural digest, level). The digest
-   renders the base's facets with their colors — independent of the simplex
-   arena, so it survives [Simplex.reset] semantics — which means two distinct
-   complexes that happen to share a name get distinct slots. The old
+   renders the base's facets with their colors, independent of simplex ids,
+   so two distinct complexes that happen to share a name get distinct
+   slots. The old
    name-only key let them evict each other's subdivision chains on every
    alternation (and served whichever chain was filed last, pending an
    [Chromatic.equal] re-check). The name stays in the key so derived complex

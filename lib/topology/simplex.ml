@@ -12,27 +12,12 @@
      result equals one of the operands, avoiding both allocation and an
      arena probe.
 
-   The arena is a publication scheme with domain-local caches, replacing
-   the earlier 16-shard mutexed table. Three tiers:
-
-   - a {e domain-local} table (DLS) caching every representative this
-     domain has resolved: the steady-state path, no locks, no atomics
-     beyond one epoch load;
-   - a {e frozen} table published through an [Atomic.t]: built under the
-     publish lock, never mutated after the swap, so readers probe it
-     lock-free (local miss -> frozen probe);
-   - a {e delta} table guarded by the single publish [Mutex]: only a key's
-     first-ever intern (a frozen miss) takes the lock, allocates the next
-     dense id, and files the new representative. When the delta rivals the
-     frozen table it is merged into a fresh frozen table and swapped in —
-     geometric growth, so total copy work stays linear.
-
-   Ids are allocated under the publish lock, so they are dense and
-   contiguous with no gaps even under domain races. [reset] (only safe
-   when no pre-reset simplex is still in use) swaps in an empty frozen
-   table, clears the delta, and bumps a global epoch that invalidates
-   every domain-local cache on its next access; the canonical empty
-   simplex keeps id 0 across resets. *)
+   The arena is one hash table under one [Mutex]: [intern] probes it and,
+   on a miss, files the newcomer with id = the table's length, so ids are
+   dense and contiguous. The process runs on one domain; the lock makes
+   interning safe for the daemon's sys-threads, which build tasks while the
+   solver thread subdivides. The faces cache is a second table, keyed by
+   id, under the same lock. *)
 
 type t = { id : int; verts : int array }
 
@@ -61,116 +46,38 @@ end
 
 module Arena = Hashtbl.Make (Key)
 
-let next_id = Atomic.make 0
-
 let max_cached_faces_card = 16
 
-(* Publish lock: guards [delta], id allocation, and the frozen swap. The
-   frozen table itself is written only while it is private (during the
-   merge, before the [Atomic.set]), so reading it without the lock is
-   sound — a reader sees either the old or the new fully-built table. *)
-let publish_lock = Mutex.create ()
+let lock = Mutex.create ()
 
-let frozen : t Arena.t Atomic.t = Atomic.make (Arena.create 1)
+let arena : t Arena.t = Arena.create 4096
 
-let delta : t Arena.t = Arena.create 512
+(* Kept out of the record on purpose: [faces s] contains [s], so a memo
+   field would make polymorphic [=] on simplices diverge and
+   [Hashtbl.hash] change once the faces are cached. *)
+let faces_memo : (int, t list) Hashtbl.t = Hashtbl.create 4096
 
-(* Bumped by [reset]; domain-local caches compare it on every access and
-   drop their contents when it moved. *)
-let epoch = Atomic.make 0
-
-type local = {
-  mutable l_epoch : int;
-  l_arena : t Arena.t; (* representatives this domain has resolved *)
-  l_faces : (int, t list) Hashtbl.t; (* faces cached by interned id *)
-}
-
-let local_key =
-  Domain.DLS.new_key (fun () ->
-      { l_epoch = Atomic.get epoch; l_arena = Arena.create 512; l_faces = Hashtbl.create 128 })
-
-let local () =
-  let l = Domain.DLS.get local_key in
-  let e = Atomic.get epoch in
-  if l.l_epoch <> e then begin
-    Arena.reset l.l_arena;
-    Hashtbl.reset l.l_faces;
-    l.l_epoch <- e
-  end;
-  l
-
-(* Move everything published so far into one fresh table and swap it in.
-   Called under [publish_lock] when the delta has grown to the size of the
-   frozen table, so each representative is copied O(1) amortized times. *)
-let merge_and_swap fz =
-  let merged = Arena.create (2 * (Arena.length fz + Arena.length delta) + 16) in
-  Arena.iter (fun k v -> Arena.add merged k v) fz;
-  Arena.iter (fun k v -> Arena.add merged k v) delta;
-  Atomic.set frozen merged;
-  Arena.reset delta
+let locked f =
+  Mutex.lock lock;
+  let r = f () in
+  Mutex.unlock lock;
+  r
 
 (* [intern verts] takes ownership of [verts] (never copied, never mutated
-   afterwards). Fast paths in order: domain-local hit (no locks), frozen
-   hit (one atomic load, lock-free probe), then the publish lock for the
-   delta probe / first-ever intern. Ids are allocated under the lock, so
-   they are dense and contiguous; which simplex gets which id can depend
-   on domain interleaving, but ids never leak into results (orders are
-   lexicographic on vertices), so outputs stay deterministic. *)
+   afterwards). Ids never leak into results (orders are lexicographic on
+   vertices), so outputs do not depend on which thread interned first. *)
 let intern verts =
-  let l = local () in
-  match Arena.find_opt l.l_arena verts with
-  | Some s -> s
-  | None ->
-    let s =
-      match Arena.find_opt (Atomic.get frozen) verts with
+  locked (fun () ->
+      match Arena.find_opt arena verts with
       | Some s -> s
       | None ->
-        Mutex.lock publish_lock;
-        let s =
-          (* re-probe the frozen table: it may have been swapped between
-             the lock-free miss and acquiring the lock *)
-          match Arena.find_opt (Atomic.get frozen) verts with
-          | Some s -> s
-          | None -> (
-            match Arena.find_opt delta verts with
-            | Some s -> s
-            | None ->
-              let s = { id = Atomic.fetch_and_add next_id 1; verts } in
-              Arena.add delta verts s;
-              let fz = Atomic.get frozen in
-              if Arena.length delta >= max 64 (Arena.length fz) then merge_and_swap fz;
-              s)
-        in
-        Mutex.unlock publish_lock;
-        s
-    in
-    (* cache under the canonical verts so a duplicate argument array can be
-       collected *)
-    Arena.add l.l_arena s.verts s;
-    s
+        let s = { id = Arena.length arena; verts } in
+        Arena.add arena verts s;
+        s)
 
 let empty = intern [||]
 
-let arena_size () =
-  Mutex.lock publish_lock;
-  (* frozen and delta are disjoint: a key is published to delta only after
-     missing frozen under the lock, and merging clears the delta *)
-  let n = Arena.length (Atomic.get frozen) + Arena.length delta in
-  Mutex.unlock publish_lock;
-  n
-
-let reset () =
-  Mutex.lock publish_lock;
-  (* keep the canonical empty simplex (and its id 0) alive across resets;
-     build the replacement frozen table privately, then swap *)
-  let fz = Arena.create 16 in
-  Arena.add fz empty.verts empty;
-  Atomic.set frozen fz;
-  Arena.reset delta;
-  Atomic.set next_id 1;
-  (* invalidate every domain-local cache *)
-  Atomic.incr epoch;
-  Mutex.unlock publish_lock
+let arena_size () = locked (fun () -> Arena.length arena)
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                         *)
@@ -428,17 +335,19 @@ let faces s =
   let n = card s in
   if n = 0 then []
   else if n > max_cached_faces_card then enumerate_faces s
-  else begin
-    let l = local () in
-    match Hashtbl.find_opt l.l_faces s.id with
+  else
+    match locked (fun () -> Hashtbl.find_opt faces_memo s.id) with
     | Some fs -> fs
     | None ->
-      (* per-domain cache: two domains may enumerate the same simplex, but
-         both produce the same interned list and never contend a lock *)
+      (* enumerated outside the lock, which [intern] takes; a racing thread
+         may enumerate too, and the first list filed is the one returned *)
       let fs = enumerate_faces s in
-      Hashtbl.replace l.l_faces s.id fs;
-      fs
-  end
+      locked (fun () ->
+          match Hashtbl.find_opt faces_memo s.id with
+          | Some fs -> fs
+          | None ->
+            Hashtbl.add faces_memo s.id fs;
+            fs)
 
 let proper_faces s = List.filter (fun f -> f.id <> s.id) (faces s)
 

@@ -9,14 +9,12 @@
     work by sorted-array merge and return an existing representative whenever
     the result coincides with an operand.
 
-    The arena is a three-tier publication scheme: each domain keeps a
-    local cache of the representatives it has resolved (no locks), misses
-    probe a frozen read-only table published through an atomic (lock-free),
-    and only a vertex set's first-ever intern takes the single publish
-    lock to allocate the next dense id and file the newcomer — so the
-    concurrent subdivision and solvability engines intern without a global
-    bottleneck. Ids remain dense, contiguous and stable. The arena can be
-    emptied with {!reset} for long-running processes. *)
+    The arena is one table under one lock: {!of_list} and the set
+    operations probe it, and only a vertex set's first intern files a new
+    representative, with the next dense id. The lock makes interning safe
+    for the sys-threads of one domain (the daemon's handlers build tasks
+    while its solver thread subdivides); the process runs on one domain.
+    Ids are dense, contiguous and stable; the arena is never emptied. *)
 
 type t
 
@@ -46,11 +44,10 @@ val card : t -> int
 
 val id : t -> int
 (** The interned identifier: [equal s t] iff [id s = id t]. Stable for the
-    lifetime of the arena (until {!reset}); dense from 0, so it can index
-    arrays sized by {!arena_size}. Which id a given vertex set receives may
-    depend on domain interleaving when interning runs in parallel — ids are
-    identity tokens, never an ordering ({!compare} is lexicographic on the
-    vertices). *)
+    life of the process; dense from 0, so it can index arrays sized by
+    {!arena_size}. Which id a given vertex set receives may depend on thread
+    interleaving — ids are identity tokens, never an ordering ({!compare} is
+    lexicographic on the vertices). *)
 
 val mem : int -> t -> bool
 (** Binary search, O(log card). *)
@@ -101,7 +98,8 @@ val exists : (int -> bool) -> t -> bool
 val faces : t -> t list
 (** All non-empty faces, including [t] itself. [2^card - 1] of them. Cached
     per interned simplex (for [card <= 16]), so repeated closure
-    computations share one enumeration. *)
+    computations share one enumeration: a second call returns the same
+    list. *)
 
 val proper_faces : t -> t list
 (** All non-empty faces excluding [t] itself. *)
@@ -117,13 +115,6 @@ val to_string : t -> string
 
 val arena_size : unit -> int
 (** Number of distinct simplices currently interned. *)
-
-val reset : unit -> unit
-(** Empties the arena and the face cache (the empty simplex survives with
-    its identity). Only safe when no simplex interned before the reset is
-    still reachable: stale values would compare by [id] against fresh ones.
-    Intended for tests and long-running processes between independent
-    workloads. *)
 
 module Set : Set.S with type elt = t
 

@@ -1,8 +1,9 @@
 (* Tier-1 tests for the Prop 3.1 search reducers: free-face collapse of the
    protocol complex, task automorphisms and their SDS lifts, the structural
    Sds.iterate memo key, the wire codec of the reducer flags, the pinned
-   search tallies, and the headline guarantee — the pruned engine answers
-   byte-identically to the seed engine under every builtin model. *)
+   search tallies, the headline guarantee — the pruned engine answers
+   byte-identically to the seed engine under every builtin model — and the
+   sequential engine's budget and cache behaviour. *)
 
 open Wfc_topology
 open Wfc_tasks
@@ -279,6 +280,99 @@ let test_reducer_counters () =
   checkb "symmetry pruned candidates" true (value pruned > p0);
   checkb "collapse schedule recorded" true (value sched > s0)
 
+(* ------------------------------------------------------------------ *)
+(* The one sequential engine: budgets, warm caches, tracing             *)
+(* ------------------------------------------------------------------ *)
+
+let solver_tasks =
+  tasks_under_test
+  @ [ ("renaming-2-3", fun () -> Instances.adaptive_renaming ~procs:2 ~names:3) ]
+
+let decide_table verdict =
+  match verdict with
+  | Solvability.Solvable { map; _ } ->
+    let scx = Chromatic.complex (Sds.complex map.Solvability.sds) in
+    Some (List.map (fun v -> (v, map.Solvability.decide v)) (Complex.vertices scx))
+  | _ -> None
+
+let tallies v =
+  let s = Solvability.stats_of_verdict v in
+  (s.Solvability.nodes, s.Solvability.backtracks, s.Solvability.prunes)
+
+let test_cumulative_budget () =
+  let task = Instances.set_consensus ~procs:3 ~k:2 in
+  let budget = 40 in
+  let max_level = 2 in
+  match Solvability.solve ~opts:(Solvability.options ~budget ()) ~max_level task with
+  | Solvability.Exhausted { level; stats } ->
+    (* the sweep shares one node budget: each level is granted only the
+       remainder, so total nodes stay within budget + one root pre-count
+       per level tried. (Budget ticks also cover failed candidate tries,
+       so nodes can legitimately land below the budget.) *)
+    checkb "sweep stays within the cumulative budget" true
+      (stats.Solvability.nodes <= budget + max_level + 1);
+    checkb "level 0 completed inside the shared budget" true (level >= 1);
+    checkb "searched at all" true (stats.Solvability.nodes > 0)
+  | v -> Alcotest.failf "expected Exhausted, got %s" (Solvability.verdict_name v)
+
+(* The subdivision, symmetry and collapse memos all persist across calls;
+   a warm solve must reproduce the cold one exactly, tallies included. *)
+let test_warm_matches_cold () =
+  List.iter
+    (fun (name, mk) ->
+      Sds.clear_cache ();
+      let cold = Solvability.solve_at (mk ()) 1 in
+      let warm = Solvability.solve_at (mk ()) 1 in
+      checks (name ^ ": same verdict") (Solvability.verdict_name cold)
+        (Solvability.verdict_name warm);
+      checkb (name ^ ": same decision map") true (decide_table cold = decide_table warm);
+      checkb (name ^ ": same tallies") true (tallies cold = tallies warm))
+    solver_tasks
+
+(* set-consensus-3-2 needs 8 nodes to refute level 1 with both reducers;
+   a smaller budget stops the level early instead of answering. *)
+let test_budget_caps_level () =
+  let budget = 3 in
+  match
+    Solvability.solve_at ~opts:(Solvability.options ~budget ())
+      (Instances.set_consensus ~procs:3 ~k:2) 1
+  with
+  | Solvability.Exhausted { level; stats } ->
+    checki "exhausted at the level asked" 1 level;
+    checkb "stays within the budget plus the root" true (stats.Solvability.nodes <= budget + 1);
+    checkb "searched at all" true (stats.Solvability.nodes > 0)
+  | v -> Alcotest.failf "expected Exhausted, got %s" (Solvability.verdict_name v)
+
+(* A traced search runs with both reducers off: its tallies are those of
+   the plain engine, and it records the refutation it walked. *)
+let test_trace_is_plain_engine () =
+  let sc () = Instances.set_consensus ~procs:3 ~k:2 in
+  let traced = Solvability.solve_at ~opts:(Solvability.options ~trace:true ()) (sc ()) 1 in
+  let plain =
+    Solvability.solve_at ~opts:(Solvability.options ~symmetry:false ~collapse:false ()) (sc ()) 1
+  in
+  (match traced with
+  | Solvability.Unsolvable_at { level; trail; _ } ->
+    checki "refuted at level 1" 1 level;
+    checkb "trail recorded" true (trail <> [])
+  | v -> Alcotest.failf "expected Unsolvable_at, got %s" (Solvability.verdict_name v));
+  checkb "traced tallies = plain engine tallies" true (tallies traced = tallies plain);
+  let rn () = Instances.adaptive_renaming ~procs:2 ~names:3 in
+  let traced = Solvability.solve_at ~opts:(Solvability.options ~trace:true ()) (rn ()) 1 in
+  let default = Solvability.solve_at (rn ()) 1 in
+  checkb "traced decision map = default decision map" true
+    (decide_table traced <> None && decide_table traced = decide_table default)
+
+let test_budget_zero_exhausts () =
+  match
+    Solvability.solve ~opts:(Solvability.options ~budget:0 ()) ~max_level:3
+      (Instances.id_task ~procs:2)
+  with
+  | Solvability.Exhausted { level; stats } ->
+    checki "stopped before level 0" 0 level;
+    checki "no nodes granted" 0 stats.Solvability.nodes
+  | v -> Alcotest.failf "expected Exhausted, got %s" (Solvability.verdict_name v)
+
 let () =
   Alcotest.run "wfc_prune"
     [
@@ -309,5 +403,13 @@ let () =
           Alcotest.test_case "canonicalized maps verify" `Quick test_sat_canonical_map;
           Alcotest.test_case "pinned sequential tallies" `Quick test_pinned_tallies;
           Alcotest.test_case "counters and node reduction" `Quick test_reducer_counters;
+        ] );
+      ( "solver",
+        [
+          Alcotest.test_case "cumulative budget" `Quick test_cumulative_budget;
+          Alcotest.test_case "warm caches = cold solve" `Quick test_warm_matches_cold;
+          Alcotest.test_case "budget caps a single level" `Quick test_budget_caps_level;
+          Alcotest.test_case "trace runs the plain engine" `Quick test_trace_is_plain_engine;
+          Alcotest.test_case "budget 0 exhausts immediately" `Quick test_budget_zero_exhausts;
         ] );
     ]

@@ -344,13 +344,13 @@ let temp_socket () =
 
 (* Start a daemon on fresh paths, run [f] against it, then shut it down
    through the protocol and join the daemon thread. *)
-let with_daemon ?queue_capacity ?solvers ?gate f =
+let with_daemon ?queue_capacity ?gate f =
   let socket = temp_socket () in
   let store_dir = temp_dir "wfc-daemon-store" in
   let ready = Atomic.make false in
   let cfg =
     {
-      (Daemon.config ?queue_capacity ?solvers ~socket ~store_dir ()) with
+      (Daemon.config ?queue_capacity ~socket ~store_dir ()) with
       Daemon.on_ready = Some (fun () -> Atomic.set ready true);
       gate;
     }
@@ -376,6 +376,75 @@ let query_exn c spec =
   match Client.query c spec with
   | Ok r -> r
   | Error e -> Alcotest.fail e
+
+(* The [server] block of a fresh [stats] request. *)
+let server_block socket =
+  let c = connect_exn socket in
+  let r = Client.stats c in
+  Client.close c;
+  match r with
+  | Ok (_, Some s) -> s
+  | Ok (_, None) -> Alcotest.fail "expected a server block"
+  | Error e -> Alcotest.fail e
+
+let server_int s k =
+  match Wfc_obs.Json.member k s with
+  | Some (Wfc_obs.Json.Int i) -> i
+  | _ -> Alcotest.failf "server block without %s" k
+
+let solver_field s k =
+  match Wfc_obs.Json.member "solver" s with
+  | Some solver -> Wfc_obs.Json.member k solver
+  | None -> Alcotest.fail "server block without solver"
+
+(* Polls [p] until it holds or 10 s pass; returns its last value. *)
+let eventually p =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    p ()
+    || Unix.gettimeofday () < deadline
+       && begin
+         Thread.delay 0.005;
+         go ()
+       end
+  in
+  go ()
+
+let spec_b =
+  {
+    Wire.task = "set-consensus";
+    procs = 3;
+    param = 2;
+    max_level = 1;
+    model = "wait-free";
+    symmetry = true;
+    collapse = true;
+  }
+
+(* A gate that holds the solver inside its first computation until
+   [release] is called (or 10 s pass); [entered] turns true once it holds. *)
+let holding_gate () =
+  let entered = Atomic.make false and released = Atomic.make false in
+  let gate _digest =
+    if not (Atomic.exchange entered true) then begin
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (not (Atomic.get released)) && Unix.gettimeofday () < deadline do
+        Thread.yield ()
+      done
+    end
+  in
+  (gate, entered, fun () -> Atomic.set released true)
+
+let check_verdict ?source name spec r =
+  match r with
+  | Some (Wire.Verdict { source = got; record; _ }) ->
+    (match source with
+    | Some want -> checks (name ^ " source") (Wire.source_name want) (Wire.source_name got)
+    | None -> ());
+    checks (name ^ " equals inline solve")
+      (json_str (Store.verdict_json (inline_record spec)))
+      (json_str (Store.verdict_json record))
+  | _ -> Alcotest.fail ("expected a verdict for " ^ name)
 
 let daemon_tests =
   [
@@ -434,9 +503,18 @@ let daemon_tests =
                 (match Wfc_obs.Json.member "version" s with
                 | Some (Wfc_obs.Json.String v) -> checks "server version" Daemon.version v
                 | _ -> Alcotest.fail "server block without version");
-                (match Wfc_obs.Json.member "workers" s with
-                | Some (Wfc_obs.Json.Arr ws) -> checki "one entry per worker" 2 (List.length ws)
-                | _ -> Alcotest.fail "server block without workers");
+                (match Wfc_obs.Json.member "solver" s with
+                | Some solver ->
+                  (match Wfc_obs.Json.member "state" solver with
+                  | Some (Wfc_obs.Json.String st) -> checks "solver idle" "idle" st
+                  | _ -> Alcotest.fail "solver without state");
+                  checkb "no digest while idle" true
+                    (Wfc_obs.Json.member "digest" solver = None);
+                  (match Wfc_obs.Json.member "jobs" solver with
+                  | Some (Wfc_obs.Json.Int n) -> checki "one computation" 1 n
+                  | _ -> Alcotest.fail "solver without jobs")
+                | None -> Alcotest.fail "server block without solver");
+                checkb "no per-worker array" true (Wfc_obs.Json.member "workers" s = None);
                 (match Wfc_obs.Json.member "queue_depth" s with
                 | Some (Wfc_obs.Json.Int d) -> checkb "queue drained" true (d = 0)
                 | _ -> Alcotest.fail "server block without queue_depth")));
@@ -557,36 +635,12 @@ let daemon_tests =
             | Wire.Verdict { source = Wire.From_store; _ } -> ()
             | _ -> Alcotest.fail "expected a store hit despite the full queue");
             Client.close c));
-    Alcotest.test_case "two distinct cold queries are solved concurrently" `Quick (fun () ->
-        (* Both workers must sit inside their computations at the same
-           instant: the gate admits nobody until it has seen two distinct
-           digests enter, so if the scheduler serialized distinct questions
-           behind one worker the test would time out here. *)
-        let spec_b =
-          {
-            Wire.task = "set-consensus";
-            procs = 3;
-            param = 2;
-            max_level = 1;
-            model = "wait-free";
-            symmetry = true;
-            collapse = true;
-          }
-        in
-        let seen = Hashtbl.create 4 in
-        let seen_m = Mutex.create () in
-        let both_in = Atomic.make false in
-        let gate digest =
-          Mutex.lock seen_m;
-          Hashtbl.replace seen digest ();
-          if Hashtbl.length seen >= 2 then Atomic.set both_in true;
-          Mutex.unlock seen_m;
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while (not (Atomic.get both_in)) && Unix.gettimeofday () < deadline do
-            Thread.yield ()
-          done
-        in
-        with_daemon ~solvers:2 ~gate (fun ~socket ~store_dir:_ ->
+    Alcotest.test_case "a distinct cold query waits in the queue" `Quick (fun () ->
+        (* One solver: while it is held inside the first question, a second
+           distinct question is admitted and waits queued, then is solved
+           once the first is done. *)
+        let gate, entered, release = holding_gate () in
+        with_daemon ~gate (fun ~socket ~store_dir:_ ->
             let ask spec out =
               let c = connect_exn socket in
               out := Some (query_exn c spec);
@@ -594,52 +648,27 @@ let daemon_tests =
             in
             let ra = ref None and rb = ref None in
             let a = Thread.create (fun () -> ask default_spec ra) () in
+            checkb "solver holds the first question" true
+              (eventually (fun () -> Atomic.get entered));
             let b = Thread.create (fun () -> ask spec_b rb) () in
+            checkb "second question queued" true
+              (eventually (fun () -> server_int (server_block socket) "queue_depth" = 1));
+            let s = server_block socket in
+            checkb "solver is solving" true
+              (solver_field s "state" = Some (Wfc_obs.Json.String "solving"));
+            checki "one question in flight per client" 2 (server_int s "inflight");
+            release ();
             Thread.join a;
             Thread.join b;
-            checkb "both questions were in compute simultaneously" true
-              (Atomic.get both_in);
-            let check_computed name spec r =
-              match r with
-              | Some (Wire.Verdict { source = Wire.Computed; record; _ }) ->
-                checks (name ^ " equals inline solve")
-                  (json_str (Store.verdict_json (inline_record spec)))
-                  (json_str (Store.verdict_json record))
-              | _ -> Alcotest.fail ("expected a computed verdict for " ^ name)
-            in
-            check_computed "consensus" default_spec !ra;
-            check_computed "set-consensus" spec_b !rb));
+            check_verdict ~source:Wire.Computed "consensus" default_spec !ra;
+            check_verdict ~source:Wire.Computed "set-consensus" spec_b !rb;
+            checkb "solver finished both" true
+              (solver_field (server_block socket) "jobs" = Some (Wfc_obs.Json.Int 2))));
     Alcotest.test_case "shutdown drains every in-flight solve job" `Quick (fun () ->
-        (* Regression: the old daemon joined only one solver thread on
-           shutdown, so a second in-flight job could be abandoned and its
-           client hung. Hold BOTH workers mid-computation, request
+        (* Hold the solver inside one job with a second one queued, request
            shutdown, then release: both clients must still get verdicts. *)
-        let spec_b =
-          {
-            Wire.task = "set-consensus";
-            procs = 3;
-            param = 2;
-            max_level = 1;
-            model = "wait-free";
-            symmetry = true;
-            collapse = true;
-          }
-        in
-        let seen = Hashtbl.create 4 in
-        let seen_m = Mutex.create () in
-        let both_in = Atomic.make false in
-        let released = Atomic.make false in
-        let gate digest =
-          Mutex.lock seen_m;
-          Hashtbl.replace seen digest ();
-          if Hashtbl.length seen >= 2 then Atomic.set both_in true;
-          Mutex.unlock seen_m;
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while (not (Atomic.get released)) && Unix.gettimeofday () < deadline do
-            Thread.yield ()
-          done
-        in
-        with_daemon ~solvers:2 ~gate (fun ~socket ~store_dir:_ ->
+        let gate, entered, release = holding_gate () in
+        with_daemon ~gate (fun ~socket ~store_dir:_ ->
             let ask spec out =
               let c = connect_exn socket in
               out := Some (query_exn c spec);
@@ -647,31 +676,64 @@ let daemon_tests =
             in
             let ra = ref None and rb = ref None in
             let a = Thread.create (fun () -> ask default_spec ra) () in
+            checkb "solver holds the first question" true
+              (eventually (fun () -> Atomic.get entered));
             let b = Thread.create (fun () -> ask spec_b rb) () in
-            (* wait until both workers hold a job, then stop the daemon *)
-            let deadline = Unix.gettimeofday () +. 10.0 in
-            while (not (Atomic.get both_in)) && Unix.gettimeofday () < deadline do
-              Thread.yield ()
-            done;
-            checkb "both jobs in flight before shutdown" true (Atomic.get both_in);
+            checkb "one solving, one queued before shutdown" true
+              (eventually (fun () -> server_int (server_block socket) "queue_depth" = 1));
             (match Client.connect ~socket with
             | Ok c ->
               ignore (Client.shutdown c);
               Client.close c
             | Error e -> Alcotest.fail e);
-            Atomic.set released true;
+            release ();
             Thread.join a;
             Thread.join b;
-            let got name spec r =
-              match r with
-              | Some (Wire.Verdict { record; _ }) ->
-                checks (name ^ " verdict survives shutdown")
-                  (json_str (Store.verdict_json (inline_record spec)))
-                  (json_str (Store.verdict_json record))
-              | _ -> Alcotest.fail ("client " ^ name ^ " was abandoned by shutdown")
-            in
-            got "consensus" default_spec !ra;
-            got "set-consensus" spec_b !rb));
+            check_verdict "consensus" default_spec !ra;
+            check_verdict "set-consensus" spec_b !rb));
+    Alcotest.test_case "concurrent clients match inline solves" `Quick (fun () ->
+        (* Eight client threads ask eight distinct catalogue questions at
+           once, from cold caches: handler threads intern simplices while
+           the solver subdivides. Every answer must be byte-identical to an
+           inline solve made afterwards. *)
+        let specs =
+          List.map
+            (fun (task, procs, param) -> { default_spec with Wire.task; procs; param })
+            [
+              ("consensus", 2, 2);
+              ("consensus", 3, 2);
+              ("set-consensus", 3, 2);
+              ("renaming", 2, 3);
+              ("approx", 2, 3);
+              ("identity", 3, 2);
+              ("tas", 2, 1);
+              ("fai", 2, 2);
+            ]
+        in
+        Wfc_topology.Sds.clear_cache ();
+        let answers =
+          with_daemon (fun ~socket ~store_dir:_ ->
+              let results = Array.make (List.length specs) None in
+              let threads =
+                List.mapi
+                  (fun i spec ->
+                    Thread.create
+                      (fun () ->
+                        let c = connect_exn socket in
+                        results.(i) <- Some (query_exn c spec);
+                        Client.close c)
+                      ())
+                  specs
+              in
+              List.iter Thread.join threads;
+              results)
+        in
+        List.iteri
+          (fun i spec ->
+            check_verdict ~source:Wire.Computed
+              (Printf.sprintf "%s/%d/%d" spec.Wire.task spec.Wire.procs spec.Wire.param)
+              spec answers.(i))
+          specs);
     Alcotest.test_case "daemon answers persist for later inline queries" `Quick (fun () ->
         let captured = ref None in
         let dir =

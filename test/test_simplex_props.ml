@@ -5,7 +5,7 @@
    representation. A second group checks the interning invariants
    themselves: equality coincides with physical equality and with id
    equality, so the arena really does keep one live representative per
-   vertex set. *)
+   vertex set. A third group interns from several sys-threads at once. *)
 
 open Wfc_topology
 
@@ -138,6 +138,54 @@ let interning_tests =
         && Simplex.Tbl.find tbl t = 2);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The arena under concurrent sys-threads                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Four threads plus the main thread intern the same fresh vertex sets:
+   each set must get one id whatever the interleaving, the arena must grow
+   by exactly the distinct sets, and the fresh ids must form one block.
+   Vertices start high so nothing is interned already. *)
+let test_arena_threads () =
+  let checki = Alcotest.(check int) and checkb = Alcotest.(check bool) in
+  let base = 200_000 in
+  let sets =
+    List.concat_map
+      (fun a ->
+        List.concat_map
+          (fun b -> [ [ base + a ]; [ base + a; base + 50 + b ]; [ base + a; base + 50 + b; base + 100 ] ])
+          [ 0; 1; 2; 3; 4 ])
+      [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+  in
+  let distinct = List.sort_uniq compare sets in
+  let before = Simplex.arena_size () in
+  let work () = List.map (fun vs -> (vs, Simplex.id (Simplex.of_list vs))) sets in
+  let results = Array.make 4 [] in
+  let threads = Array.init 4 (fun i -> Thread.create (fun () -> results.(i) <- work ()) ()) in
+  let mine = work () in
+  Array.iter Thread.join threads;
+  Array.iter (fun theirs -> checkb "one id per set on every thread" true (theirs = mine)) results;
+  checki "arena grew by the distinct sets exactly" (List.length distinct)
+    (Simplex.arena_size () - before);
+  checkb "re-intern is a lookup" true (work () = mine);
+  checki "no further growth" (List.length distinct) (Simplex.arena_size () - before);
+  let ids = List.sort_uniq compare (List.map (fun (_, id) -> id) mine) in
+  checki "no duplicate ids across keys" (List.length distinct) (List.length ids);
+  checki "ids form the contiguous block the arena grew by" before (List.hd ids);
+  checki "block ends at the arena size" (Simplex.arena_size () - 1)
+    (List.nth ids (List.length ids - 1));
+  (* the faces cache returns the list it filed, and caching it leaves
+     polymorphic equality on simplices usable *)
+  let s = Simplex.of_list [ base; base + 50; base + 100 ] in
+  let fs = Simplex.faces s in
+  checkb "faces is cached" true (Simplex.faces s == fs);
+  checki "faces of a triangle" 7 (List.length fs);
+  checkb "structural equality after faces" true (s = Simplex.of_list [ base + 100; base; base + 50 ])
+
 let () =
   Alcotest.run "wfc_simplex_props"
-    [ ("model agreement", model_tests); ("interning", interning_tests) ]
+    [
+      ("model agreement", model_tests);
+      ("interning", interning_tests);
+      ("arena", [ Alcotest.test_case "sys-thread intern stress" `Quick test_arena_threads ]);
+    ]
