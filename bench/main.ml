@@ -768,7 +768,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
       Sys.remove dir;
       Unix.mkdir dir 0o755;
       let st = Wfc_serve.Store.open_store dir in
-      Wfc_storage.Engine.seed (Wfc_serve.Store.engine st) ~count:(store_count ());
+      Wfc_storage.Engine.seed st ~count:(store_count ());
       seeded_store := Some st;
       st
   in
@@ -802,8 +802,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
     (None, None)
   in
   let store_put = fun () ->
-    let st = store_env () in
-    let eng = Wfc_serve.Store.engine st in
+    let eng = store_env () in
     timed_ops (store_ops ()) (fun i ->
         let digest = Digest.to_hex (Digest.string (Printf.sprintf "bench-put-%d" i)) in
         Wfc_storage.Engine.put eng
@@ -852,8 +851,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
     timed_ops (store_ops ()) ask ()
   in
   let store_ls = fun () ->
-    let st = store_env () in
-    let eng = Wfc_serve.Store.engine st in
+    let eng = store_env () in
     let reps = if !quick_scenarios then 5 else 20 in
     timed_ops
       ~extra:[ ("entries", Wfc_obs.Json.Int (List.length (Wfc_storage.Engine.ls eng))) ]

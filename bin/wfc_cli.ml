@@ -1209,7 +1209,7 @@ let store_cmd =
        whatever readdir would say. *)
     let run store_dir json =
       let st = Wfc_serve.Store.open_store store_dir in
-      let entries = Wfc_storage.Engine.ls (Wfc_serve.Store.engine st) in
+      let entries = Wfc_storage.Engine.ls st in
       let verdicts, skeletons =
         List.partition (fun e -> e.Wfc_storage.Manifest.kind = Wfc_storage.Manifest.Verdict) entries
       in
@@ -1243,9 +1243,9 @@ let store_cmd =
          ~doc:
            "List the live records of a verdict store from its manifest (sorted, \
             deterministic; no directory walk). $(b,--json) prints a wfc.store.ls.v1 \
-            object for machine consumption. Flat pre-migration records are neither \
-            listed nor served until $(b,wfc store migrate) moves them into the sharded \
-            layout; $(b,wfc store verify) counts them as unindexed.")
+            object for machine consumption. Files the manifest lost are re-indexed by \
+            $(b,wfc store rebuild). Flat pre-sharding and wfc.store.v1 stores are not \
+            read; commit 26231c0 is the last that can convert one.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let verify =
@@ -1306,8 +1306,9 @@ let store_cmd =
             in-place record is corrupt or misfiled; quarantined, stray-temp, unindexed \
             and missing files are reported but do not fail (contained or index-only \
             damage — clean with $(b,wfc store gc) / re-index with $(b,wfc store \
-            migrate)). Flat pre-migration records count as unindexed: they are not \
-            served until migrated.")
+            rebuild)). Flat pre-sharding records are listed as mismatched and \
+            wfc.store.v1 records as corrupt: neither is served; commit 26231c0 is the \
+            last that can convert them.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let gc =
@@ -1325,30 +1326,6 @@ let store_cmd =
             then compact the manifest to exactly the live record set.")
       Term.(const run $ store_req_arg)
   in
-  let migrate =
-    let run store_dir =
-      let st = Wfc_serve.Store.open_store store_dir in
-      let r = Wfc_serve.Store.migrate st in
-      Format.printf "migrated: %d@." r.Wfc_serve.Store.migrated;
-      Format.printf "already sharded: %d@." r.Wfc_serve.Store.untouched;
-      Format.printf "re-indexed: %d@." r.Wfc_serve.Store.adopted;
-      List.iter
-        (fun (name, e) -> Format.printf "skipped: %s (%s)@." name e)
-        r.Wfc_serve.Store.skipped;
-      if r.Wfc_serve.Store.skipped = [] then 0 else 1
-    in
-    Cmd.v
-      (Cmd.info "migrate"
-         ~doc:
-           "Rewrite flat records — v1 (pre-model, implicitly wait-free) and v2 (flat \
-            pre-sharding) — under the sharded ab/cd layout with manifest entries, and \
-            re-index any canonical file the manifest has lost. Flat records are not \
-            served until migrated. A sharded record that already answers a question is \
-            kept; the flat file for it is removed, never copied over it. Idempotent; \
-            corrupt or misfiled records are reported and left for $(b,wfc store verify) \
-            / $(b,gc).")
-      Term.(const run $ store_req_arg)
-  in
   let seed =
     let count =
       Arg.(
@@ -1357,7 +1334,7 @@ let store_cmd =
     in
     let run store_dir count =
       let st = Wfc_serve.Store.open_store store_dir in
-      Wfc_storage.Engine.seed (Wfc_serve.Store.engine st) ~count;
+      Wfc_storage.Engine.seed st ~count;
       Format.printf "seeded %d synthetic record(s) into %s@." count store_dir;
       0
     in
@@ -1371,24 +1348,27 @@ let store_cmd =
   let rebuild =
     let run store_dir =
       let st = Wfc_serve.Store.open_store store_dir in
-      let n = Wfc_storage.Engine.rebuild_manifest (Wfc_serve.Store.engine st) in
+      let n = Wfc_storage.Engine.rebuild_manifest st in
       Format.printf "manifest rebuilt: %d live entr%s@." n (if n = 1 then "y" else "ies");
       0
     in
     Cmd.v
       (Cmd.info "rebuild"
          ~doc:
-           "Regenerate MANIFEST.jsonl from a directory walk — the recovery path proving \
-            the manifest is derived state. Equivalent to the index a crash-free history \
-            would have left (modulo compaction).")
+           "Regenerate MANIFEST.jsonl from a directory walk, re-indexing every file the \
+            manifest lost — the recovery path proving the manifest is derived state. \
+            Equivalent to the index a crash-free history would have left (modulo \
+            compaction).")
       Term.(const run $ store_req_arg)
   in
   Cmd.group
     (Cmd.info "store"
        ~doc:
          "Inspect and maintain verdict stores: sharded wfc.store.v2 records under a \
-          MANIFEST.jsonl index, with a skeletons keyspace.")
-    [ ls; verify; gc; migrate; seed; rebuild ]
+          MANIFEST.jsonl index, with a skeletons keyspace. $(b,wfc store rebuild) \
+          re-indexes the tree. Flat pre-sharding and wfc.store.v1 stores are not read; \
+          commit 26231c0 is the last that can convert one.")
+    [ ls; verify; gc; seed; rebuild ]
 
 (* ---------- models ---------- *)
 
@@ -1559,8 +1539,7 @@ let check_json_cmd =
           | Error e ->
             Format.eprintf "%s: invalid trace (%s)@." file e;
             1)
-      | Some (Wfc_obs.Json.String s)
-        when s = Wfc_serve.Store.schema_version || s = Wfc_serve.Store.schema_version_v1 ->
+      | Some (Wfc_obs.Json.String s) when s = Wfc_serve.Store.schema_version ->
         if scenario <> None then begin
           Format.eprintf "%s: --scenario only applies to %s reports@." file
             Wfc_obs.Report.schema_version;
@@ -1632,7 +1611,7 @@ let check_json_cmd =
     (Cmd.info "check-json"
        ~doc:
          "Validate a JSON artifact by its schema tag: wfc.obs.v1 reports, wfc.trace.v1 \
-          traces, wfc.store.v2 (or legacy v1) verdict records, and wfc.log.v1 event logs \
+          traces, wfc.store.v2 verdict records, and wfc.log.v1 event logs \
           (JSONL: validated line by line). Exits 4 on an unknown schema.")
     Term.(const run $ file $ expect_verdict $ min_nodes $ scenario)
 

@@ -10,8 +10,8 @@
 # require the replayed canonical trace to be byte-identical to the
 # recording. Bad arguments must end in a usage error, never a crash or a
 # silently started run: an unknown `wfc solve --task`, the deleted
-# `--solvers` and `--domains` options and an unknown bench flag are all
-# checked. Last, the serving smoke: a daemon's cold and warm answers must
+# `--solvers` and `--domains` options, the deleted `store migrate`
+# subcommand and an unknown bench flag are all checked. Last, the serving smoke: a daemon's cold and warm answers must
 # be byte-identical to an inline solve's canonical verdict, a SIGKILLed
 # daemon must leave a store that verifies clean and a stale socket the
 # next daemon replaces, and two distinct concurrent cold queries must both
@@ -20,10 +20,9 @@
 # distinct verdicts, each cacheable and re-served warm by the daemon
 # byte-identically to its inline baseline. The storage leg exercises the
 # sharded store at scale: manifest-backed ls/verify over thousands of
-# seeded records, idempotent v2->v3 migration, crash recovery after a
-# SIGKILL mid-put, LRU cache-hit counters, and verdict byte-identity
-# between a cold solve, a warm sharded store and a flat store, which is
-# served only after `wfc store migrate`.
+# seeded records, crash recovery after a SIGKILL mid-put, LRU cache-hit
+# counters, and verdict byte-identity between a cold solve and a warm
+# sharded store. A wfc.store.v1 record is an unknown schema to check-json.
 set -eux
 
 dune build
@@ -39,8 +38,9 @@ rm -f SOLVE_ci.json
 
 # usage errors: an unknown task is a cmdliner usage error (non-zero, not
 # the 125 of an uncaught exception, no "internal error"), so are the
-# deleted `serve --solvers` and `solve --domains`, and an unknown bench
-# flag exits 2 before any experiment starts
+# deleted `serve --solvers`, `solve --domains` and `store migrate` (none
+# of them may create the store), and an unknown bench flag exits 2 before
+# any experiment starts
 RC=0
 ./_build/default/bin/wfc_cli.exe solve --task bogus --procs 2 > USAGE_ci.txt 2>&1 || RC=$?
 test "$RC" -ne 0
@@ -48,7 +48,8 @@ test "$RC" -ne 125
 if grep -q 'internal error' USAGE_ci.txt; then exit 1; fi
 grep -q 'consensus' USAGE_ci.txt
 for ARGS in "serve --socket ci_usage.sock --store ci_usage_store --solvers 2" \
-  "solve --task consensus --procs 2 --domains 2"; do
+  "solve --task consensus --procs 2 --domains 2" \
+  "store migrate --store ci_usage_store"; do
   RC=0
   # shellcheck disable=SC2086
   ./_build/default/bin/wfc_cli.exe $ARGS > USAGE_ci.txt 2>&1 || RC=$?
@@ -136,6 +137,13 @@ STORE_REC="$SERVE_STORE/$("$WFC" store ls --store "$SERVE_STORE" --json \
   | grep -o '"rel": "[^"]*"' | head -1 | sed 's/"rel": "//;s/"$//')"
 "$WFC" check-json "$STORE_REC" \
   --expect-verdict unsolvable --min-nodes 1
+# the same record in the pre-model wfc.store.v1 form (v1 tag, no "model"
+# key) is no longer a store record: check-json calls it an unknown schema
+sed -e '/"model":/d' -e 's/"wfc.store.v2"/"wfc.store.v1"/' "$STORE_REC" > REC_v1.json
+RC=0
+"$WFC" check-json REC_v1.json || RC=$?
+test "$RC" -eq 4
+rm -f REC_v1.json
 "$WFC" store verify --store "$SERVE_STORE"
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
@@ -206,8 +214,8 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE2" QUERY_a.txt QUERY_b.txt
 # restriction). Baseline both verdicts inline, then have one daemon compute
 # both cold, re-serve both warm from its (task, model)-keyed store, and
 # require every daemon answer byte-identical to the inline verdict for the
-# same model. The store ends up holding both records side by side; `store
-# migrate` on an all-v2 store is a no-op and `store verify` stays clean.
+# same model. The store ends up holding both records side by side and
+# `store verify` stays clean.
 SERVE_STORE3=ci_serve_store3
 rm -rf "$SERVE_SOCK" "$SERVE_STORE3"
 "$WFC" models
@@ -237,7 +245,6 @@ cmp VERDICT_kset.json VERDICT_kset_cold.json
 cmp VERDICT_kset.json VERDICT_kset_warm.json
 "$WFC" store ls --store "$SERVE_STORE3" --json | grep -o '"count": 2'
 "$WFC" store ls --store "$SERVE_STORE3" | grep 'k-set:2'
-"$WFC" store migrate --store "$SERVE_STORE3"
 "$WFC" store verify --store "$SERVE_STORE3"
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
@@ -307,13 +314,11 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG" STATS_ci.json \
 
 # storage engine leg: the sharded, manifest-indexed, cache-tiered store at
 # scale. Seed thousands of records, answer ls/verify from the manifest
-# alone, de-shard records back to the flat v2 layout and migrate them home
-# (idempotently), SIGKILL a bulk seeding mid-put and require the store to
-# still verify clean (atomic temps: crash debris is never a torn record),
-# then the byte-identity matrix — one question answered through a cold
-# solve, a warm sharded store and a migrated flat pre-sharding store must
-# render cmp-identical verdict bytes — and the daemon's decoded-record LRU
-# showing real cache hits in its stats.
+# alone, SIGKILL a bulk seeding mid-put and require the store to still
+# verify clean (atomic temps: crash debris is never a torn record), then
+# byte identity — one question answered through a cold solve and a warm
+# sharded store must render cmp-identical verdict bytes — and the daemon's
+# decoded-record LRU showing real cache hits in its stats.
 ST=ci_storage_store
 rm -rf "$ST"
 "$WFC" store seed --store "$ST" --count 2000
@@ -325,14 +330,6 @@ cmp LS_a.txt LS_b.txt
 rm -f LS_a.txt LS_b.txt
 # records live under two-level shards, never the store root
 test "$(find "$ST" -maxdepth 1 -name '*.json' | wc -l)" -eq 0
-# de-shard two records to their flat v2 names: migrate re-shards exactly
-# those two, and a second migrate has nothing left to do
-for f in $(find "$ST" -path '*/??/??/*' -name '*.json' -not -path '*/skeletons/*' | sort | head -2); do
-  mv "$f" "$ST/$(basename "$f")"
-done
-"$WFC" store migrate --store "$ST" | grep '^migrated: 2$'
-"$WFC" store migrate --store "$ST" | grep '^migrated: 0$'
-"$WFC" store verify --store "$ST" --json | grep -o '"missing": 0'
 # simulated crash: kill a bulk seeding mid-put. Atomicity means no record
 # can exist torn under its final name, so verify must pass immediately; gc
 # reaps whatever temp the kill orphaned and rebuild restores the index
@@ -349,30 +346,16 @@ wait $SEED_PID || true
 "$WFC" store verify --store "$ST" --json | grep -o '"unindexed": 0'
 rm -rf "$ST"
 
-# byte-identity across layouts
+# byte identity between a cold solve and a warm sharded store
 SB=ci_store_sharded
-SF=ci_flat_v2
-rm -rf "$SB" "$SF"
+rm -rf "$SB"
 "$WFC" solve --task set-consensus --procs 3 --param 2 --max-level 1 \
   --store "$SB" --verdict-out VERDICT_st_base.json > /dev/null
 "$WFC" query --task set-consensus --procs 3 --param 2 --max-level 1 \
   --no-daemon --store "$SB" --verdict-out VERDICT_st_warm.json 2>/dev/null \
   | grep 'source=store'
 cmp VERDICT_st_base.json VERDICT_st_warm.json
-# flat v2: exactly what a pre-sharding store looked like — one record at
-# the root, no manifest. verify counts it unindexed, since the serving
-# path does not read it; migrate moves it into the sharded layout, after
-# which it is served warm and byte-identical
-mkdir "$SF"
-REC=$(find "$SB" -path '*/??/??/*' -name '*.json' -not -path '*/skeletons/*')
-cp "$REC" "$SF/$(basename "$REC")"
-"$WFC" store verify --store "$SF" --json | grep -o '"unindexed": 1'
-"$WFC" store migrate --store "$SF" | grep '^migrated: 1$'
-"$WFC" query --task set-consensus --procs 3 --param 2 --max-level 1 \
-  --no-daemon --store "$SF" --verdict-out VERDICT_st_v3.json 2>/dev/null \
-  | grep 'source=store'
-cmp VERDICT_st_base.json VERDICT_st_v3.json
-rm -rf "$SB" "$SF" VERDICT_st_base.json VERDICT_st_warm.json VERDICT_st_v3.json
+rm -rf "$SB" VERDICT_st_base.json VERDICT_st_warm.json
 
 # the daemon's decoded-record LRU: repeated warm queries answer from
 # memory — the storage.cache.hit counter must be live in the stats report

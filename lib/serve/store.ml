@@ -9,8 +9,6 @@ module Engine = Wfc_storage.Engine
 
 let schema_version = Record.schema_version
 
-let schema_version_v1 = Record.schema_version_v1
-
 type record = Record.record = {
   digest : string;
   task : string;
@@ -35,8 +33,6 @@ let validate_json = Record.validate_json
 type t = Engine.t
 
 let open_store = Engine.open_store
-
-let engine t = t
 
 (* Point [Sds.iterate] at this store's skeleton keyspace: subdivision steps
    of already-seen complexes replay from one artifact instead of re-running
@@ -76,14 +72,5 @@ type verify_report = Engine.verify_report = {
 }
 
 let verify = Engine.verify
-
-type migrate_report = Engine.migrate_report = {
-  migrated : int;
-  untouched : int;
-  adopted : int;
-  skipped : (string * string) list;
-}
-
-let migrate = Engine.migrate
 
 let gc = Engine.gc

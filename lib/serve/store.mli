@@ -13,10 +13,10 @@
     the record and is checked on read: a record computed under a different
     budget is a miss, never a wrong answer.
 
-    {b Flat stores.} Records written before sharding ([wfc.store.v2] files
-    in the root, and pre-model [wfc.store.v1] [<digest>.L<n>.json]
-    wait-free records) are not served by {!find}: [wfc store migrate]
-    rewrites them under the sharded layout, after which they are.
+    {b Flat and v1 stores are not read.} Records written before sharding
+    ([wfc.store.v2] files in the root) and pre-model [wfc.store.v1]
+    records are never served: {!find} reads the sharded path only, and
+    {!record_of_json} accepts [wfc.store.v2] only.
 
     Durability and hygiene are the engine's: atomic fsync'd writes through
     unique [.wtmp] temps, quarantine-on-read for corrupt or misfiled
@@ -28,9 +28,6 @@
 
 val schema_version : string
 (** ["wfc.store.v2"]. *)
-
-val schema_version_v1 : string
-(** ["wfc.store.v1"] — still accepted on read. *)
 
 type record = Wfc_storage.Record.record = {
   digest : string;  (** {!Wfc_tasks.Task.digest} of the task *)
@@ -68,7 +65,8 @@ val verdict_json : record -> Wfc_obs.Json.t
     identical object — the invariant the CI smoke diffs. *)
 
 val record_of_json : Wfc_obs.Json.t -> (record, string) result
-(** Accepts both schemas: a v1 object parses with [model = "wait-free"]. *)
+(** Accepts [wfc.store.v2] only; any other schema tag is an [Error]
+    naming it. *)
 
 val validate_json : Wfc_obs.Json.t -> (unit, string) result
 (** Structural check used by [wfc check-json] on store artifacts. *)
@@ -79,10 +77,6 @@ val open_store :
   ?cache_cap:int -> string -> t
 (** Opens (creating directories as needed) the store rooted at the path.
     [cache_cap] bounds the decoded-record LRU. *)
-
-val engine : t -> Wfc_storage.Engine.t
-(** The underlying engine (identity — for callers needing engine-only
-    operations like [ls] or the skeleton keyspace). *)
 
 val attach_skeletons : t -> unit
 (** Installs this store's skeleton keyspace as the process-wide
@@ -118,33 +112,16 @@ type verify_report = Wfc_storage.Engine.verify_report = {
   valid : int;
   corrupt : (string * string) list;  (** record files failing validation *)
   mismatched : string list;
-      (** records whose body disagrees with their filed path under every
-          accepted naming scheme (sharded v3, flat v2, wait-free v1) *)
+      (** records not filed at the sharded path of their own body's
+          question — flat pre-sharding names included *)
   quarantined : int;  (** files already sitting in quarantine/ *)
   stray_tmp : int;  (** interrupted writes ([*.wtmp]) *)
-  unindexed : int;  (** files with no live manifest line (e.g. flat
-                        pre-migration records, not served until migrated) *)
+  unindexed : int;  (** files with no live manifest line *)
   missing : int;  (** live manifest lines whose file is gone *)
   bad_manifest_lines : int;  (** unparseable (torn) manifest lines *)
 }
 
 val verify : t -> verify_report
-
-type migrate_report = Wfc_storage.Engine.migrate_report = {
-  migrated : int;  (** flat-named records retired into the sharded layout *)
-  untouched : int;  (** records already filed canonically and indexed *)
-  adopted : int;  (** canonical files re-indexed into the manifest *)
-  skipped : (string * string) list;  (** (name, reason): corrupt or misfiled *)
-}
-
-val migrate : t -> migrate_report
-(** [wfc store migrate]: rewrites every well-formed flat-named (v1 or v2)
-    record under its sharded v3 path (same outcome and [created_at]),
-    removing the flat file — or, when a sharded record for the question
-    already exists, keeps that record and only removes the flat file — and
-    adopts unindexed canonical files into the manifest. Corrupt or
-    misfiled records are left in place and reported — {!verify} is the
-    tool for those. Idempotent. *)
 
 val gc : t -> removed:int ref -> unit
 (** Deletes quarantined records and stray temp files (counting deletions

@@ -7,14 +7,14 @@
    manifest is never consulted, so a second process appending to the same
    store (inline [wfc query --store] beside a daemon) is visible
    immediately; the manifest only feeds ls/verify/gc, where staleness costs
-   a report line, not a wrong answer. Flat pre-sharding records are not
-   served: [migrate] is the only code that reads them.
+   a report line, not a wrong answer. Nothing reads any other layout or
+   schema: a flat pre-sharding or [wfc.store.v1] file is never served.
 
    Write path: encode → atomic publish (unique .wtmp + fsync + rename) →
    fsync'd manifest append → cache fill. A crash at any instant leaves a
    store verify can explain: at worst a stray temp (reaped by gc) or a
    durable record whose manifest line is missing (reported as unindexed,
-   re-adopted by migrate). *)
+   re-indexed by rebuild). *)
 
 let c_reads = Wfc_obs.Metrics.counter "serve.store.reads"
 
@@ -196,10 +196,10 @@ let put_skeleton t ~digest ~level ~created_at data =
   Layout.atomic_write (abs t rel) data;
   Manifest.append t.manifest (skeleton_entry ~rel ~digest ~level ~created_at)
 
-(* ---- scans: ls / entries / verify / migrate / gc ----
+(* ---- scans: ls / entries / verify / rebuild / gc ----
 
    Everything below reads the manifest (one sequential file) or, for the
-   reconciling scans (verify / migrate / rebuild), walks the tree once.
+   reconciling scans (verify / rebuild / gc), walks the tree once.
    The serving path above never does either. *)
 
 let ls t =
@@ -221,16 +221,12 @@ let entries t =
       (rel, r))
     (verdict_entries t)
 
-(* A record file is well-named when its filed path is derivable from its
-   own body under some accepted scheme: the sharded v3 name, or one of the
-   flat names only [migrate] still reads — v2, or (wait-free) v1. *)
+(* A record file is well-named when it sits at the one path [find] reads
+   for its own body's question. *)
 let well_named rel (r : Record.record) =
-  let digest = r.Record.digest
-  and model = r.Record.model
-  and max_level = r.Record.max_level in
-  rel = Layout.verdict_rel ~digest ~model ~max_level
-  || rel = Layout.flat_basename ~digest ~model ~max_level
-  || (model = "wait-free" && rel = Layout.flat_basename_v1 ~digest ~max_level)
+  rel
+  = Layout.verdict_rel ~digest:r.Record.digest ~model:r.Record.model
+      ~max_level:r.Record.max_level
 
 type file_class = Manifest_file | Quarantined | Tmp | Skeleton_file | Record_file | Other
 
@@ -306,63 +302,6 @@ let verify t =
     missing;
     bad_manifest_lines = bad_lines;
   }
-
-type migrate_report = {
-  migrated : int;
-  untouched : int;
-  adopted : int;
-  skipped : (string * string) list;
-}
-
-(* v1/v2→v3 migration, idempotent: every record file filed under a flat
-   name is retired — re-put under its sharded path (same record, same
-   created_at), or, when a sharded record for the question already exists,
-   simply removed: the sharded file is the one the serving path answers
-   from, so it is never overwritten by an older flat body. Canonical files
-   missing a manifest line are adopted (indexed in place). A second run
-   finds only canonical, indexed files and does nothing. *)
-let migrate t =
-  let indexed = Hashtbl.create 256 in
-  List.iter (fun e -> Hashtbl.replace indexed e.Manifest.rel ()) (ls t);
-  let migrated = ref 0 and untouched = ref 0 and adopted = ref 0 and skipped = ref [] in
-  let files = ref [] in
-  Layout.walk t.root ~f:(fun rel ->
-      match classify rel with
-      | Record_file -> files := rel :: !files
-      | Skeleton_file ->
-        if not (Hashtbl.mem indexed rel) then begin
-          (* adopt: the artifact is fine where it is, only the index lost it *)
-          Manifest.append t.manifest (skeleton_entry_of_rel rel);
-          incr adopted
-        end
-      | _ -> ());
-  List.iter
-    (fun rel ->
-      match read_record (abs t rel) with
-      | Error (`Unreadable e) | Error (`Corrupt e) -> skipped := (rel, e) :: !skipped
-      | Ok r ->
-        let canonical =
-          Layout.verdict_rel ~digest:r.Record.digest ~model:r.Record.model
-            ~max_level:r.Record.max_level
-        in
-        if rel = canonical then
-          if Hashtbl.mem indexed rel then incr untouched
-          else begin
-            Manifest.append t.manifest (manifest_put_entry ~rel r);
-            incr adopted
-          end
-        else if well_named rel r then begin
-          (* flat v1/v2 name: rewrite sharded unless a sharded record
-             already answers the question, then retire the old file *)
-          if not (Sys.file_exists (abs t canonical)) then put t r;
-          (try Sys.remove (abs t rel) with Sys_error _ -> ());
-          if Hashtbl.mem indexed rel then
-            Manifest.append t.manifest (del_entry rel);
-          incr migrated
-        end
-        else skipped := (rel, "filed under a name matching no scheme") :: !skipped)
-    (List.sort compare !files);
-  { migrated = !migrated; untouched = !untouched; adopted = !adopted; skipped = List.rev !skipped }
 
 (* Rebuild the manifest from nothing but the tree — the recovery path that
    makes the manifest derived state. Returns the number of live entries

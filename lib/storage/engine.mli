@@ -14,8 +14,9 @@
     one [open] of the question's sharded path, so concurrent writers in
     other processes are visible immediately and manifest staleness can
     only mis-report, never mis-answer. Flat pre-sharding records (v1/v2 in
-    the store root) are not served: {!migrate} is the only code that reads
-    them.
+    the store root) and [wfc.store.v1] bodies are not read by any of this
+    module's operations; {!verify} reports such files as mismatched or
+    corrupt.
 
     Counters: [serve.store.{reads,puts,quarantined}] (disk tier, the
     pre-engine names) and [storage.cache.{hit,miss,evict}] (memory
@@ -78,8 +79,7 @@ type verify_report = {
   mismatched : string list;  (** body disagrees with filed path *)
   quarantined : int;  (** files already in quarantine/ *)
   stray_tmp : int;  (** interrupted atomic writes ([*.wtmp]) *)
-  unindexed : int;  (** files on disk with no live manifest line (includes
-                        pre-migration flat records, which are not served) *)
+  unindexed : int;  (** files on disk with no live manifest line *)
   missing : int;  (** live manifest lines whose file is gone *)
   bad_manifest_lines : int;  (** unparseable (torn) manifest lines *)
 }
@@ -87,21 +87,6 @@ type verify_report = {
 val verify : t -> verify_report
 (** Full reconciliation: one manifest read + one tree walk, cross-checked
     both ways. Read-only. *)
-
-type migrate_report = {
-  migrated : int;  (** flat-named records retired into the sharded layout *)
-  untouched : int;  (** records already canonical and indexed *)
-  adopted : int;  (** canonical files the manifest had lost, re-indexed *)
-  skipped : (string * string) list;  (** (path, reason) *)
-}
-
-val migrate : t -> migrate_report
-(** v1/v2 → v3, the only reader of flat names: every well-formed record
-    filed under a flat name is re-put under its sharded path (same record)
-    and the old file removed. A sharded record already answering the
-    question is kept as it is — the flat file is removed, never copied
-    over it. Canonical-but-unindexed files (and skeletons) are adopted
-    into the manifest. Idempotent: a second run migrates nothing. *)
 
 val rebuild_manifest : t -> int
 (** Regenerates [MANIFEST.jsonl] from nothing but a tree walk, atomically

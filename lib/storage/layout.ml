@@ -24,14 +24,6 @@ let verdict_basename ~digest ~model ~max_level =
 let verdict_rel ~digest ~model ~max_level =
   rel_of_basename ~digest (verdict_basename ~digest ~model ~max_level)
 
-(* Flat-layout names, read by [Engine.migrate] alone: v2 is the
-   pre-sharding file — the sharded basename, filed at the store root — and
-   v1 additionally predates models (implicitly wait-free). *)
-let flat_basename = verdict_basename
-
-let flat_basename_v1 ~digest ~max_level =
-  Printf.sprintf "%s.L%d.json" digest max_level
-
 (* The skeleton keyspace lives beside the verdict shards under its own
    root, sharded the same way; the digest here is the structural digest of
    the complex being subdivided, the level the number of SDS applications. *)
@@ -99,7 +91,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Recursive walk of a store root, yielding paths relative to it. Only used
-   by rebuild/verify/migrate — the serving path never walks. *)
+   by rebuild/verify/gc — the serving path never walks. *)
 let walk root ~f =
   let rec go rel =
     let abs = if rel = "" then root else Filename.concat root rel in

@@ -12,15 +12,6 @@ val verdict_rel : digest:string -> model:string -> max_level:int -> string
     [ab/cd/abcd....k-set-2.L3.json] — the only path the serving path reads
     or writes. *)
 
-val flat_basename : digest:string -> model:string -> max_level:int -> string
-(** Flat v2 basename ([<digest>.<model-slug>.L<n>.json], filed at the store
-    root) — read by migration only. It is also the sharded record's
-    basename. *)
-
-val flat_basename_v1 : digest:string -> max_level:int -> string
-(** Flat v1 basename ([<digest>.L<n>.json], implicitly wait-free) —
-    read by migration only. *)
-
 val skeleton_root : string
 
 val skeleton_rel : digest:string -> level:int -> string
@@ -52,4 +43,4 @@ val read_file : string -> string
 
 val walk : string -> f:(string -> unit) -> unit
 (** Depth-first walk yielding store-relative file paths in sorted order.
-    Only rebuild/verify/migrate walk; the serving path never does. *)
+    Only rebuild/verify/gc walk; the serving path never does. *)

@@ -2,8 +2,6 @@ open Wfc_core
 
 let schema_version = "wfc.store.v2"
 
-let schema_version_v1 = "wfc.store.v1"
-
 type record = {
   digest : string;
   task : string;
@@ -112,19 +110,12 @@ let check_record r =
 let record_of_json j =
   let* schema = string_member "schema" j in
   let* () =
-    if schema = schema_version || schema = schema_version_v1 then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema %S, expected %S or %S" schema schema_version
-           schema_version_v1)
+    if schema = schema_version then Ok ()
+    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
   in
   let* digest = string_member "digest" j in
   let* task = string_member "task" j in
-  let* model =
-    (* v1 records predate models and are implicitly wait-free; v2 must say *)
-    if schema = schema_version_v1 then Ok "wait-free"
-    else string_member "model" j
-  in
+  let* model = string_member "model" j in
   let* procs = int_member "procs" j in
   let* max_level = int_member "max_level" j in
   let* budget = int_member "budget" j in

@@ -10,9 +10,6 @@
 val schema_version : string
 (** ["wfc.store.v2"]. *)
 
-val schema_version_v1 : string
-(** ["wfc.store.v1"] — still accepted on read. *)
-
 type record = {
   digest : string;  (** {!Wfc_tasks.Task.digest} of the task *)
   task : string;  (** informational: the instance spec, e.g. ["consensus(procs=2,param=2)"] *)
@@ -49,10 +46,11 @@ val verdict_json : record -> Wfc_obs.Json.t
     identical object — the invariant the CI smoke diffs. *)
 
 val record_of_json : Wfc_obs.Json.t -> (record, string) result
-(** Accepts both schemas: a v1 object parses with [model = "wait-free"].
-    Past the JSON shape it enforces the record's semantic invariants:
-    32-hex digest, non-empty model, known verdict vocabulary, and a decide
-    table present iff the verdict is ["solvable"]. *)
+(** Accepts [wfc.store.v2] only: any other schema tag, the pre-model
+    [wfc.store.v1] included, is an [Error] naming it. Past the JSON shape
+    it enforces the record's semantic invariants: 32-hex digest, non-empty
+    model, known verdict vocabulary, and a decide table present iff the
+    verdict is ["solvable"]. *)
 
 val validate_json : Wfc_obs.Json.t -> (unit, string) result
 (** Structural check used by [wfc check-json] on store artifacts. *)

@@ -77,7 +77,7 @@ val canonical_json : t -> Wfc_obs.Json.t
 
 val digest : t -> string
 (** Hex digest of {!canonical_json}'s canonical bytes — the
-    content-addressed key under which verdict stores ([wfc.store.v1]) file
+    content-addressed key under which verdict stores ([wfc.store.v2]) file
     this task. Stable across processes and task re-construction. *)
 
 val pp_stats : Format.formatter -> t -> unit

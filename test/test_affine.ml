@@ -1,7 +1,7 @@
 (* Tier-1 tests for first-class computation models (affine tasks): the
    Model codec and built-ins, the model-restricted solvability search and
    its wait-free byte-identity guarantee, the (task, model)-keyed v2
-   verdict store with v1 migration, the model field of the
+   verdict store (flat and v1 names not read), the model field of the
    wire protocol, the explicit options record, and the daemon serving two
    models for one task end to end. *)
 
@@ -196,7 +196,7 @@ let test_options () =
   checkb "empty builder is the defaults" true (Solvability.options () = d)
 
 (* ------------------------------------------------------------------ *)
-(* Store: (task, model) keyed records, v1 migration                      *)
+(* Store: (task, model) keyed records, flat names not read               *)
 (* ------------------------------------------------------------------ *)
 
 let outcome_for ?(model = Model.wait_free) task =
@@ -229,7 +229,7 @@ let test_store_model_key () =
   checki "v2 record passes verify" 1 report.Store.valid;
   checki "nothing mismatched" 0 (List.length report.Store.mismatched)
 
-let test_store_v1_fallback_and_migrate () =
+let test_store_flat_names_not_read () =
   let dir = temp_dir "wfc-affine-store" in
   let st = Store.open_store dir in
   let t = Instances.binary_consensus ~procs:2 in
@@ -239,33 +239,37 @@ let test_store_v1_fallback_and_migrate () =
     Store.record ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget (outcome_for t)
   in
   Store.put st r;
-  (* demote the record to its pre-model (v1) filename, as an old store has *)
-  let v2_path = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
-  let v1_path = Filename.concat dir (digest ^ ".L1.json") in
-  Sys.rename v2_path v1_path;
-  (* a fresh handle, so the answer cannot come from the put's LRU entry:
-     the serving path reads the sharded path only, so the v1 file is a miss *)
+  (* copy the sharded record to the two names pre-sharding stores used at
+     the root: flat v2 ([<digest>.wait-free.L1.json]) and pre-model v1
+     ([<digest>.L1.json]) *)
+  let sharded = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
+  let body = In_channel.with_open_bin sharded In_channel.input_all in
+  let flat_v2 = Filename.concat dir (Filename.basename sharded) in
+  let flat_v1 = Filename.concat dir (digest ^ ".L1.json") in
+  List.iter
+    (fun path -> Out_channel.with_open_bin path (fun oc -> output_string oc body))
+    [ flat_v2; flat_v1 ];
+  (* a fresh handle, so no answer can come from the put's LRU entry *)
   let find () =
     Store.find (Store.open_store dir) ~digest ~model:"wait-free" ~max_level:1 ~budget
   in
-  checkb "flat v1 record is not served" true (find () = None);
-  checkb "the miss leaves it in place" true (Sys.file_exists v1_path);
-  let report = Store.verify st in
-  checki "v1 name is well-formed to verify" 1 report.Store.valid;
-  checki "not mismatched" 0 (List.length report.Store.mismatched);
-  (* migrate rewrites it under the sharded name... *)
-  let m = Store.migrate st in
-  checki "one record migrated" 1 m.Store.migrated;
-  checki "no skips" 0 (List.length m.Store.skipped);
-  checkb "v1 file removed" false (Sys.file_exists v1_path);
-  checkb "sharded file written" true (Sys.file_exists v2_path);
+  Sys.rename sharded (sharded ^ ".aside");
+  checkb "neither flat name is served" true (find () = None);
+  checkb "the miss leaves the flat v2 file" true (Sys.file_exists flat_v2);
+  checkb "the miss leaves the flat v1 file" true (Sys.file_exists flat_v1);
+  Sys.rename (sharded ^ ".aside") sharded;
   (match find () with
-  | Some r' -> checks "served wait-free after migrate" "wait-free" r'.Store.model
-  | None -> Alcotest.fail "migrated record must satisfy wait-free finds");
-  (* ...and is idempotent *)
-  let m2 = Store.migrate st in
-  checki "second pass migrates nothing" 0 m2.Store.migrated;
-  checki "second pass counts it untouched" 1 m2.Store.untouched
+  | Some r' ->
+    checks "the sharded record still answers"
+      (Wfc_obs.Json.to_string (Store.verdict_json r))
+      (Wfc_obs.Json.to_string (Store.verdict_json r'))
+  | None -> Alcotest.fail "sharded record must answer its question");
+  let report = Store.verify st in
+  checki "only the sharded record is valid" 1 report.Store.valid;
+  checks "both flat names are mismatched"
+    (String.concat ","
+       (List.sort compare (List.map Filename.basename [ flat_v2; flat_v1 ])))
+    (String.concat "," (List.sort compare report.Store.mismatched))
 
 let test_store_model_mismatch_quarantined () =
   let dir = temp_dir "wfc-affine-store" in
@@ -444,7 +448,8 @@ let () =
       ( "store",
         [
           Alcotest.test_case "records are keyed by model" `Quick test_store_model_key;
-          Alcotest.test_case "v1 fallback and migrate" `Quick test_store_v1_fallback_and_migrate;
+          Alcotest.test_case "flat v1 and v2 names are not read" `Quick
+            test_store_flat_names_not_read;
           Alcotest.test_case "model mismatch is quarantined" `Quick
             test_store_model_mismatch_quarantined;
         ] );

@@ -110,7 +110,49 @@ let qcheck_json_roundtrip =
       let r = record_of_params ~seed ~kind ~ndecide ~level in
       Record.record_of_json (Record.record_to_json r) = Ok r)
 
-let record_tests = [ QCheck_alcotest.to_alcotest qcheck_json_roundtrip ]
+(* A well-formed [wfc.store.v1] body: the v2 object of a wait-free record
+   with the v1 tag and without the "model" key v1 predates. *)
+let v1_body (r : Record.record) =
+  match Record.record_to_json r with
+  | Wfc_obs.Json.Obj fields ->
+    Wfc_obs.Json.Obj
+      (List.filter_map
+         (function
+           | "schema", _ -> Some ("schema", Wfc_obs.Json.String "wfc.store.v1")
+           | "model", _ -> None
+           | kv -> Some kv)
+         fields)
+  | _ -> assert false
+
+let record_tests =
+  [
+    QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+    Alcotest.test_case "v1 schema is untrusted input" `Quick (fun () ->
+        (* an even seed makes a wait-free record, the only model v1 knew *)
+        let r = record_of_params ~seed:40 ~kind:0 ~ndecide:3 ~level:1 in
+        let body = v1_body r in
+        (match Record.record_of_json body with
+        | Ok _ -> Alcotest.fail "a wfc.store.v1 object must not decode"
+        | Error e ->
+          checks "error names the schema"
+            {|schema "wfc.store.v1", expected "wfc.store.v2"|} e);
+        (* the same body filed where a wait-free question reads *)
+        let dir = temp_dir "wfc-engine" in
+        let eng = Engine.open_store dir in
+        let path =
+          Engine.path_of eng ~digest:r.Record.digest ~model:"wait-free"
+            ~max_level:r.Record.max_level
+        in
+        Layout.atomic_write path (Wfc_obs.Json.to_string body);
+        let q0 = counter_value "serve.store.quarantined" in
+        checkb "not served" true
+          (Engine.find eng ~digest:r.Record.digest ~model:"wait-free"
+             ~max_level:r.Record.max_level ~budget:r.Record.budget
+          = None);
+        checkb "moved off the serving path" false (Sys.file_exists path);
+        checki "quarantined" 1 (counter_value "serve.store.quarantined" - q0);
+        checki "in the quarantine pen" 1 (Engine.verify eng).Engine.quarantined);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                             *)
@@ -317,35 +359,6 @@ let engine_tests =
         checki "no torn files" 0 (List.length v.Engine.corrupt);
         checki "no manifest entry without a file" 0 v.Engine.missing;
         checki "no file without a manifest entry" 0 v.Engine.unindexed);
-    Alcotest.test_case "migrate never overwrites a sharded record" `Quick (fun () ->
-        let dir = temp_dir "wfc-engine" in
-        let eng = Engine.open_store dir in
-        let r = record_of_params ~seed:31 ~kind:1 ~ndecide:0 ~level:1 in
-        Engine.put eng r;
-        (* an older flat v2 file for the same question, under another
-           budget — what a query on a never-migrated store leaves behind *)
-        let flat =
-          Filename.concat dir
-            (Layout.flat_basename ~digest:r.Record.digest ~model:r.Record.model
-               ~max_level:r.Record.max_level)
-        in
-        Out_channel.with_open_bin flat (fun oc ->
-            output_string oc
-              (Wfc_obs.Json.to_string
-                 (Record.record_to_json { r with Record.budget = r.Record.budget + 1 })));
-        let m = Engine.migrate eng in
-        checki "flat file retired" 1 m.Engine.migrated;
-        checkb "flat file removed" false (Sys.file_exists flat);
-        (* a fresh handle reads the disk, not the LRU *)
-        let cold = Engine.open_store dir in
-        checkb "the sharded record still answers its budget" true
-          (Engine.find cold ~digest:r.Record.digest ~model:r.Record.model
-             ~max_level:r.Record.max_level ~budget:r.Record.budget
-          <> None);
-        checki "second migrate has nothing to do" 0 (Engine.migrate eng).Engine.migrated;
-        let v = Engine.verify eng in
-        checki "one valid record" 1 v.Engine.valid;
-        checki "indexed" 0 v.Engine.unindexed);
     Alcotest.test_case "ls is deterministic and sorted" `Quick (fun () ->
         let dir = temp_dir "wfc-engine" in
         let eng = Engine.open_store dir in
