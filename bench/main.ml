@@ -747,7 +747,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
             Array.iter Thread.join ts;
             Option.get results.(0))
     in
-    let o = record.Wfc_serve.Store.outcome in
+    let o = record.Wfc_storage.Record.outcome in
     (Some o.Solvability.o_nodes, Some o.Solvability.o_verdict)
   in
   (* Storage engine at scale: a store seeded with 10k records (500 under
@@ -759,7 +759,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
      for the gets and ls; puts use fresh digests). *)
   let store_count () = if !quick_scenarios then 500 else 10_000 in
   let store_ops () = if !quick_scenarios then 100 else 1_000 in
-  let seeded_store : Wfc_serve.Store.t option ref = ref None in
+  let seeded_store : Wfc_storage.Engine.t option ref = ref None in
   let store_env () =
     match !seeded_store with
     | Some st -> st
@@ -767,7 +767,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
       let dir = Filename.temp_file "wfc-bench-store10k" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o755;
-      let st = Wfc_serve.Store.open_store dir in
+      let st = Wfc_storage.Engine.open_store dir in
       Wfc_storage.Engine.seed st ~count:(store_count ());
       seeded_store := Some st;
       st
@@ -834,7 +834,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
        (cap 4096 >= ops), so every op is an LRU hit. A miss asks digests
        nothing was filed under, through a fresh handle: the full cost of
        learning that a question is not in the store. *)
-    let eng = Wfc_storage.Engine.open_store (Wfc_serve.Store.dir st) in
+    let eng = Wfc_storage.Engine.open_store (Wfc_storage.Engine.dir st) in
     let digest i =
       if tier = `Miss then Digest.to_hex (Digest.string (Printf.sprintf "bench-miss-%d" i))
       else seed_digest i
@@ -868,12 +868,12 @@ let scenarios : (string * (unit -> int option * string option)) list =
     let dir = Filename.temp_file "wfc-bench-skel" "" in
     Sys.remove dir;
     Unix.mkdir dir 0o755;
-    let st = Wfc_serve.Store.open_store dir in
+    let st = Wfc_storage.Engine.open_store dir in
     Sds.clear_cache ();
     let t0 = Wfc_obs.Metrics.now_s () in
     ignore (Sds.standard ~dim:2 ~levels:3);
     let cold_s = Wfc_obs.Metrics.now_s () -. t0 in
-    Wfc_serve.Store.attach_skeletons st;
+    Wfc_storage.Engine.attach_skeletons st;
     Fun.protect
       ~finally:(fun () -> Sds.set_skeleton_store None)
       (fun () ->

@@ -521,8 +521,8 @@ let store_req_arg =
    keyspace, so cold solves against already-seen subdivisions replay
    persisted SDS steps instead of re-enumerating. *)
 let open_solving_store dir =
-  let st = Wfc_serve.Store.open_store dir in
-  Wfc_serve.Store.attach_skeletons st;
+  let st = Wfc_storage.Engine.open_store dir in
+  Wfc_storage.Engine.attach_skeletons st;
   st
 
 let verdict_out_arg =
@@ -587,11 +587,6 @@ let spec_string ~task ~procs ~param ~max_level ~model =
       collapse = true;
     }
 
-let fresh_record ~t ~task ~procs ~param ~max_level ~model outcome =
-  Wfc_serve.Store.record ~task:t
-    ~spec:(spec_string ~task ~procs ~param ~max_level ~model)
-    ~model ~max_level ~budget:Solvability.default_budget outcome
-
 let solve_cmd =
   let run (task, procs, param, t) max_level model no_symmetry no_collapse validate
       search_trace store_dir verdict_out perfetto stats json =
@@ -606,26 +601,19 @@ let solve_cmd =
     let store = Option.map open_solving_store store_dir in
     let emit_verdict record =
       match verdict_out with
-      | Some path -> write_json_to path (Wfc_serve.Store.verdict_json record)
+      | Some path -> write_json_to path (Wfc_storage.Record.verdict_json record)
       | None -> ()
     in
+    let spec = spec_string ~task ~procs ~param ~max_level ~model:model_name in
     (* a store hit answers without building a single subdivision *)
-    let cached =
-      match store with
-      | Some st ->
-        Wfc_serve.Store.find st ~digest:(Task.digest t) ~model:model_name ~max_level
-          ~budget:Solvability.default_budget
-      | None -> None
-    in
-    match cached with
-    | Some r ->
-      let o = r.Wfc_serve.Store.outcome in
+    match Wfc_storage.Engine.answer store ~opts ~spec ~max_level t with
+    | Wfc_storage.Engine.Stored r ->
+      let o = r.Wfc_storage.Record.outcome in
       Format.printf "verdict from store: %s at level %d (nodes=%d)@." o.Solvability.o_verdict
         o.Solvability.o_level o.Solvability.o_nodes;
       emit_verdict r;
       if o.Solvability.o_verdict = "exhausted" then exit_exhausted else 0
-    | None ->
-    let verdict = Solvability.solve ~opts ~max_level t in
+    | Wfc_storage.Engine.Computed { record; verdict; _ } ->
     let vstats = Solvability.stats_of_verdict verdict in
     let level =
       match verdict with
@@ -686,17 +674,7 @@ let solve_cmd =
       Wfc_obs.Report.write_file path (Wfc_obs.Trace_event.to_json events);
       Printf.eprintf "wrote %s\n%!" path
     | None -> ());
-    if verdict_out <> None || store <> None then begin
-      let record =
-        fresh_record ~t ~task ~procs ~param ~max_level ~model:model_name
-          (Solvability.outcome_of_verdict verdict)
-      in
-      (match (store, verdict) with
-      | Some st, (Solvability.Solvable _ | Solvability.Unsolvable_at _) ->
-        Wfc_serve.Store.put st record
-      | _ -> () (* exhausted: not a reusable fact about the task *));
-      emit_verdict record
-    end;
+    emit_verdict record;
     code
   in
   let task =
@@ -887,12 +865,11 @@ let query_cmd =
       let spec =
         { Wfc_serve.Wire.task; procs; param; max_level; model = model_name; symmetry; collapse }
       in
-      let budget = Solvability.default_budget in
       let finish ?req_id ?timing ~source record =
-        let o = record.Wfc_serve.Store.outcome in
+        let o = record.Wfc_storage.Record.outcome in
         Format.printf "verdict: %s at level %d (source=%s, nodes=%d)@."
           o.Solvability.o_verdict o.Solvability.o_level source o.Solvability.o_nodes;
-        Format.printf "digest: %s@." record.Wfc_serve.Store.digest;
+        Format.printf "digest: %s@." record.Wfc_storage.Record.digest;
         (* daemon-side telemetry, echoed on the wire; absent on inline solves
            and against pre-telemetry daemons *)
         (match timing with
@@ -902,7 +879,7 @@ let query_cmd =
             t.Wfc_serve.Wire.total_s
         | None -> ());
         (match verdict_out with
-        | Some path -> write_json_to path (Wfc_serve.Store.verdict_json record)
+        | Some path -> write_json_to path (Wfc_storage.Record.verdict_json record)
         | None -> ());
         Output.emit ~stats ~json
           [
@@ -912,7 +889,7 @@ let query_cmd =
                 ([
                    ("source", Wfc_obs.Json.String source);
                    ("level", Wfc_obs.Json.Int o.Solvability.o_level);
-                   ("digest", Wfc_obs.Json.String record.Wfc_serve.Store.digest);
+                   ("digest", Wfc_obs.Json.String record.Wfc_storage.Record.digest);
                  ]
                 @ (match req_id with
                   | Some id -> [ ("req_id", Wfc_obs.Json.String id) ]
@@ -926,9 +903,9 @@ let query_cmd =
           ];
         if o.Solvability.o_verdict = "exhausted" then exit_exhausted else 0
       in
-      (* No daemon (or a shed response) degrades to an inline solve through
-         the same store-hook entry point the daemon uses, so the printed
-         verdict and --verdict-out bytes cannot depend on who computed. *)
+      (* No daemon (or a shed response) degrades to an inline answer through
+         the same Engine.answer the daemon uses, so the printed verdict and
+         --verdict-out bytes cannot depend on who computed. *)
       let inline reason =
         Format.eprintf "query: %s; solving inline@." reason;
         match Instances.by_name ~name:task ~procs ~param with
@@ -936,53 +913,14 @@ let query_cmd =
           Format.eprintf "%s@." m;
           1
         | t -> (
-          let store = Option.map open_solving_store store_dir in
-          let digest = Task.digest t in
-          let committed = ref None in
-          let hook =
-            Option.map
-              (fun st ->
-                {
-                  Solvability.lookup =
-                    (fun () ->
-                      Option.map
-                        (fun r -> r.Wfc_serve.Store.outcome)
-                        (Wfc_serve.Store.find st ~digest ~model:model_name ~max_level
-                           ~budget));
-                  commit =
-                    (fun o ->
-                      let r =
-                        fresh_record ~t ~task ~procs ~param ~max_level ~model:model_name o
-                      in
-                      Wfc_serve.Store.put st r;
-                      committed := Some r);
-                })
-              store
-          in
           match
-            Solvability.solve_cached
-              ~opts:(Solvability.options ~budget ~model ~symmetry ~collapse ())
-              ?store:hook ~max_level t
+            Wfc_storage.Engine.answer
+              (Option.map open_solving_store store_dir)
+              ~opts:(Solvability.options ~model ~symmetry ~collapse ())
+              ~spec:(Wfc_serve.Wire.spec_to_string spec) ~max_level t
           with
-          | o, `Computed ->
-            let record =
-              match !committed with
-              | Some r -> r
-              | None -> fresh_record ~t ~task ~procs ~param ~max_level ~model:model_name o
-            in
-            finish ~source:"inline" record
-          | o, `Hit ->
-            let record =
-              match
-                Option.map
-                  (fun st ->
-                    Wfc_serve.Store.find st ~digest ~model:model_name ~max_level ~budget)
-                  store
-              with
-              | Some (Some r) -> r
-              | _ -> fresh_record ~t ~task ~procs ~param ~max_level ~model:model_name o
-            in
-            finish ~source:"store" record)
+          | Wfc_storage.Engine.Stored r -> finish ~source:"store" r
+          | Wfc_storage.Engine.Computed { record; _ } -> finish ~source:"inline" record)
       in
       if no_daemon then inline "daemon disabled (--no-daemon)"
       else
@@ -1208,7 +1146,7 @@ let store_cmd =
        output order is the manifest's sorted live view, deterministic
        whatever readdir would say. *)
     let run store_dir json =
-      let st = Wfc_serve.Store.open_store store_dir in
+      let st = Wfc_storage.Engine.open_store store_dir in
       let entries = Wfc_storage.Engine.ls st in
       let verdicts, skeletons =
         List.partition (fun e -> e.Wfc_storage.Manifest.kind = Wfc_storage.Manifest.Verdict) entries
@@ -1250,15 +1188,15 @@ let store_cmd =
   in
   let verify =
     let run store_dir json =
-      let st = Wfc_serve.Store.open_store store_dir in
-      let r = Wfc_serve.Store.verify st in
+      let st = Wfc_storage.Engine.open_store store_dir in
+      let r = Wfc_storage.Engine.verify st in
       if json then
         print_endline
           (Wfc_obs.Json.to_string
              (Wfc_obs.Json.Obj
                 [
                   ("schema", Wfc_obs.Json.String "wfc.store.verify.v1");
-                  ("valid", Wfc_obs.Json.Int r.Wfc_serve.Store.valid);
+                  ("valid", Wfc_obs.Json.Int r.Wfc_storage.Engine.valid);
                   ( "corrupt",
                     Wfc_obs.Json.Arr
                       (List.map
@@ -1268,35 +1206,35 @@ let store_cmd =
                                ("path", Wfc_obs.Json.String n);
                                ("error", Wfc_obs.Json.String e);
                              ])
-                         r.Wfc_serve.Store.corrupt) );
+                         r.Wfc_storage.Engine.corrupt) );
                   ( "mismatched",
                     Wfc_obs.Json.Arr
                       (List.map
                          (fun n -> Wfc_obs.Json.String n)
-                         r.Wfc_serve.Store.mismatched) );
-                  ("quarantined", Wfc_obs.Json.Int r.Wfc_serve.Store.quarantined);
-                  ("stray_tmp", Wfc_obs.Json.Int r.Wfc_serve.Store.stray_tmp);
-                  ("unindexed", Wfc_obs.Json.Int r.Wfc_serve.Store.unindexed);
-                  ("missing", Wfc_obs.Json.Int r.Wfc_serve.Store.missing);
+                         r.Wfc_storage.Engine.mismatched) );
+                  ("quarantined", Wfc_obs.Json.Int r.Wfc_storage.Engine.quarantined);
+                  ("stray_tmp", Wfc_obs.Json.Int r.Wfc_storage.Engine.stray_tmp);
+                  ("unindexed", Wfc_obs.Json.Int r.Wfc_storage.Engine.unindexed);
+                  ("missing", Wfc_obs.Json.Int r.Wfc_storage.Engine.missing);
                   ( "bad_manifest_lines",
-                    Wfc_obs.Json.Int r.Wfc_serve.Store.bad_manifest_lines );
+                    Wfc_obs.Json.Int r.Wfc_storage.Engine.bad_manifest_lines );
                 ]))
       else begin
-        Format.printf "valid: %d@." r.Wfc_serve.Store.valid;
+        Format.printf "valid: %d@." r.Wfc_storage.Engine.valid;
         List.iter
           (fun (name, e) -> Format.printf "corrupt: %s (%s)@." name e)
-          r.Wfc_serve.Store.corrupt;
+          r.Wfc_storage.Engine.corrupt;
         List.iter
           (fun name -> Format.printf "digest mismatch: %s@." name)
-          r.Wfc_serve.Store.mismatched;
-        Format.printf "quarantined: %d@." r.Wfc_serve.Store.quarantined;
-        Format.printf "stray tmp files: %d@." r.Wfc_serve.Store.stray_tmp;
-        Format.printf "unindexed files: %d@." r.Wfc_serve.Store.unindexed;
+          r.Wfc_storage.Engine.mismatched;
+        Format.printf "quarantined: %d@." r.Wfc_storage.Engine.quarantined;
+        Format.printf "stray tmp files: %d@." r.Wfc_storage.Engine.stray_tmp;
+        Format.printf "unindexed files: %d@." r.Wfc_storage.Engine.unindexed;
         Format.printf "missing files (live in manifest, gone on disk): %d@."
-          r.Wfc_serve.Store.missing;
-        Format.printf "torn manifest lines: %d@." r.Wfc_serve.Store.bad_manifest_lines
+          r.Wfc_storage.Engine.missing;
+        Format.printf "torn manifest lines: %d@." r.Wfc_storage.Engine.bad_manifest_lines
       end;
-      if r.Wfc_serve.Store.corrupt = [] && r.Wfc_serve.Store.mismatched = [] then 0 else 1
+      if r.Wfc_storage.Engine.corrupt = [] && r.Wfc_storage.Engine.mismatched = [] then 0 else 1
     in
     Cmd.v
       (Cmd.info "verify"
@@ -1313,9 +1251,9 @@ let store_cmd =
   in
   let gc =
     let run store_dir =
-      let st = Wfc_serve.Store.open_store store_dir in
+      let st = Wfc_storage.Engine.open_store store_dir in
       let removed = ref 0 in
-      Wfc_serve.Store.gc st ~removed;
+      Wfc_storage.Engine.gc st ~removed;
       Format.printf "removed %d quarantined/stray file(s); manifest compacted@." !removed;
       0
     in
@@ -1333,7 +1271,7 @@ let store_cmd =
         & info [ "count" ] ~docv:"N" ~doc:"Number of synthetic records to write.")
     in
     let run store_dir count =
-      let st = Wfc_serve.Store.open_store store_dir in
+      let st = Wfc_storage.Engine.open_store store_dir in
       Wfc_storage.Engine.seed st ~count;
       Format.printf "seeded %d synthetic record(s) into %s@." count store_dir;
       0
@@ -1347,7 +1285,7 @@ let store_cmd =
   in
   let rebuild =
     let run store_dir =
-      let st = Wfc_serve.Store.open_store store_dir in
+      let st = Wfc_storage.Engine.open_store store_dir in
       let n = Wfc_storage.Engine.rebuild_manifest st in
       Format.printf "manifest rebuilt: %d live entr%s@." n (if n = 1 then "y" else "ies");
       0
@@ -1539,19 +1477,19 @@ let check_json_cmd =
           | Error e ->
             Format.eprintf "%s: invalid trace (%s)@." file e;
             1)
-      | Some (Wfc_obs.Json.String s) when s = Wfc_serve.Store.schema_version ->
+      | Some (Wfc_obs.Json.String s) when s = Wfc_storage.Record.schema_version ->
         if scenario <> None then begin
           Format.eprintf "%s: --scenario only applies to %s reports@." file
             Wfc_obs.Report.schema_version;
           1
         end
         else (
-          match Wfc_serve.Store.record_of_json j with
+          match Wfc_storage.Record.record_of_json j with
           | Error e ->
             Format.eprintf "%s: invalid store record (%s)@." file e;
             1
           | Ok r ->
-            let o = r.Wfc_serve.Store.outcome in
+            let o = r.Wfc_storage.Record.outcome in
             let verdict_ok =
               match expect_verdict with
               | None -> true

@@ -346,16 +346,28 @@ wait $SEED_PID || true
 "$WFC" store verify --store "$ST" --json | grep -o '"unindexed": 0'
 rm -rf "$ST"
 
-# byte identity between a cold solve and a warm sharded store
+# byte identity between a cold solve and a warm sharded store: a second
+# `solve --store` and a `query --no-daemon` both answer from the record the
+# first solve filed, and an inline query on a fresh store solves again —
+# every --verdict-out file cmp-identical to the first solve's
 SB=ci_store_sharded
-rm -rf "$SB"
+SB_FRESH=ci_store_sharded_fresh
+rm -rf "$SB" "$SB_FRESH"
 "$WFC" solve --task set-consensus --procs 3 --param 2 --max-level 1 \
   --store "$SB" --verdict-out VERDICT_st_base.json > /dev/null
+"$WFC" solve --task set-consensus --procs 3 --param 2 --max-level 1 \
+  --store "$SB" --verdict-out VERDICT_st_hit.json | grep 'verdict from store'
 "$WFC" query --task set-consensus --procs 3 --param 2 --max-level 1 \
   --no-daemon --store "$SB" --verdict-out VERDICT_st_warm.json 2>/dev/null \
   | grep 'source=store'
+"$WFC" query --task set-consensus --procs 3 --param 2 --max-level 1 \
+  --no-daemon --store "$SB_FRESH" --verdict-out VERDICT_st_inline.json 2>/dev/null \
+  | grep 'source=inline'
+cmp VERDICT_st_base.json VERDICT_st_hit.json
 cmp VERDICT_st_base.json VERDICT_st_warm.json
-rm -rf "$SB" VERDICT_st_base.json VERDICT_st_warm.json
+cmp VERDICT_st_base.json VERDICT_st_inline.json
+rm -rf "$SB" "$SB_FRESH" VERDICT_st_base.json VERDICT_st_hit.json \
+  VERDICT_st_warm.json VERDICT_st_inline.json
 
 # the daemon's decoded-record LRU: repeated warm queries answer from
 # memory — the storage.cache.hit counter must be live in the stats report

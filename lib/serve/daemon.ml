@@ -47,11 +47,14 @@ let h_latency = Wfc_obs.Metrics.histogram "serve.latency.seconds"
 let h_depth = Wfc_obs.Metrics.histogram "serve.queue.depth"
 
 (* Stage histograms: the request lifecycle cut where it actually spends
-   time. decode = frame JSON -> typed request; admission = the store-lookup
-   / enqueue decision under the state mutex; queue_wait = admitted ->
-   picked by the solver; solve = the search itself; store_put = persisting
-   the fresh verdict; encode = response -> socket bytes. *)
+   time. decode = frame JSON -> typed request; task = model parse plus the
+   task build (its digest included); admission = the store-lookup /
+   enqueue decision under the state mutex; queue_wait = admitted -> picked
+   by the solver; solve = the search itself; store_put = persisting the
+   fresh verdict; encode = response -> socket bytes. *)
 let h_stage_decode = Wfc_obs.Metrics.histogram "serve.stage.decode.seconds"
+
+let h_stage_task = Wfc_obs.Metrics.histogram "serve.stage.task.seconds"
 
 let h_stage_admission = Wfc_obs.Metrics.histogram "serve.stage.admission.seconds"
 
@@ -92,16 +95,18 @@ let no_stages = { queue_wait_s = 0.; solve_s = 0.; store_s = 0. }
 (* One admitted question. A job is in [inflight] from admission until its
    result is published, and in [queue] only until the solver pops it —
    coalescing keys on [inflight], so a query arriving while its twin is
-   {e being solved} still attaches instead of recomputing. *)
+   {e being solved} still attaches instead of recomputing. [j_task] carries
+   its digest, so neither the solver nor the record renders it again. *)
 type job = {
   j_spec : Wire.spec;
   j_task : Wfc_tasks.Task.t;
-  j_digest : string;
   j_model : Wfc_tasks.Model.t;  (** parsed at admission; unknown names never enqueue *)
   j_req_id : string;  (** the admitting request's id, for solver-side log lines *)
   j_enqueued_at : float;
-  mutable j_result : (Store.record * stages, string) result option;
+  mutable j_result : (Wfc_storage.Record.record * stages, string) result option;
 }
+
+let job_digest job = Wfc_tasks.Task.digest job.j_task
 
 (* Solver introspection for [wfc stats]: what the solver thread is doing
    right now, mutated under the state mutex. *)
@@ -118,7 +123,7 @@ type solver_info = {
    bound); jobs being solved are tracked only through [inflight]. *)
 type state = {
   cfg : config;
-  store : Store.t;
+  store : Wfc_storage.Engine.t;
   started_at : float;
   log : Wfc_obs.Log.t option;
   m : Mutex.t;
@@ -157,13 +162,14 @@ let spec_fields (spec : Wire.spec) =
 (* ---- the solve scheduler ---- *)
 
 let enqueue_job st job =
-  (match Hashtbl.find_opt st.by_digest job.j_digest with
+  let digest = job_digest job in
+  (match Hashtbl.find_opt st.by_digest digest with
   | Some q -> Queue.push job q
   | None ->
     let q = Queue.create () in
     Queue.push job q;
-    Hashtbl.replace st.by_digest job.j_digest q;
-    Queue.push job.j_digest st.rotation);
+    Hashtbl.replace st.by_digest digest q;
+    Queue.push digest st.rotation);
   st.npending <- st.npending + 1
 
 (* Pop the next job round-robin over digests; caller holds [st.m] and has
@@ -181,57 +187,24 @@ let dequeue_job st =
   Wfc_obs.Metrics.observe h_depth (float_of_int st.npending);
   job
 
-(* The solve goes through the store hook even though admission already
-   missed: an inline [wfc query --store] process sharing the directory may
-   have filed the verdict while this job sat in the queue, and the hook's
-   lookup catches that for free. Exhausted outcomes are answered but never
-   persisted (see Solvability.solve_cached). *)
+(* [Engine.answer] looks the question up again before solving: an inline
+   [wfc query --store] process sharing the directory may have filed the
+   verdict while this job sat in the queue. *)
 let compute st (job : job) ~queue_wait_s =
-  (match st.cfg.gate with Some g -> g job.j_digest | None -> ());
-  let max_level = job.j_spec.Wire.max_level in
-  let model = job.j_spec.Wire.model in
-  let budget = Solvability.default_budget in
-  let find () = Store.find st.store ~digest:job.j_digest ~model ~max_level ~budget in
-  let fresh outcome =
-    Store.record ~task:job.j_task ~spec:(Wire.spec_to_string job.j_spec) ~model ~max_level
-      ~budget outcome
+  (match st.cfg.gate with Some g -> g (job_digest job) | None -> ());
+  let opts =
+    Solvability.options ~model:job.j_model ~symmetry:job.j_spec.Wire.symmetry
+      ~collapse:job.j_spec.Wire.collapse ()
   in
-  let committed = ref None in
-  let store_s = ref 0. in
-  let hook =
-    {
-      Solvability.lookup =
-        (fun () -> Option.map (fun r -> r.Store.outcome) (find ()));
-      commit =
-        (fun outcome ->
-          let r = fresh outcome in
-          let t0 = Wfc_obs.Metrics.now_s () in
-          Store.put st.store r;
-          store_s := !store_s +. (Wfc_obs.Metrics.now_s () -. t0);
-          committed := Some r);
-    }
-  in
-  let t0 = Wfc_obs.Metrics.now_s () in
-  let result =
-    Solvability.solve_cached
-      ~opts:
-        (Solvability.options ~budget ~model:job.j_model
-           ~symmetry:job.j_spec.Wire.symmetry ~collapse:job.j_spec.Wire.collapse ())
-      ~max_level ~store:hook job.j_task
-  in
-  (* the commit above runs inside solve_cached; subtract it back out so
-     solve_s is pure search time *)
-  let solve_s = max 0. (Wfc_obs.Metrics.now_s () -. t0 -. !store_s) in
-  let stages = { queue_wait_s; solve_s; store_s = !store_s } in
-  Wfc_obs.Metrics.observe h_stage_solve solve_s;
-  if !store_s > 0. then Wfc_obs.Metrics.observe h_stage_store_put !store_s;
-  match result with
-  | _, `Hit -> (
-    match find () with
-    | Some r -> Ok (r, stages)
-    | None -> Error "store record vanished mid-solve")
-  | outcome, `Computed -> (
-    match !committed with Some r -> Ok (r, stages) | None -> Ok (fresh outcome, stages))
+  match
+    Wfc_storage.Engine.answer (Some st.store) ~opts ~spec:(Wire.spec_to_string job.j_spec)
+      ~max_level:job.j_spec.Wire.max_level job.j_task
+  with
+  | Wfc_storage.Engine.Stored r -> (r, { no_stages with queue_wait_s })
+  | Wfc_storage.Engine.Computed { record; solve_s; put_s; _ } ->
+    Wfc_obs.Metrics.observe h_stage_solve solve_s;
+    if put_s > 0. then Wfc_obs.Metrics.observe h_stage_store_put put_s;
+    (record, { queue_wait_s; solve_s; store_s = put_s })
 
 (* The one solver thread loops here. On shutdown it keeps draining until
    no pending job is left — every admitted question gets its answer — and
@@ -247,7 +220,7 @@ let solver_loop st =
           if st.npending = 0 then None
           else begin
             let job = dequeue_job st in
-            info.s_state <- `Solving job.j_digest;
+            info.s_state <- `Solving (job_digest job);
             Some job
           end)
     in
@@ -259,7 +232,7 @@ let solver_loop st =
       in
       Wfc_obs.Metrics.observe h_stage_queue_wait queue_wait_s;
       let result =
-        try compute st job ~queue_wait_s
+        try Ok (compute st job ~queue_wait_s)
         with e -> Error (Printf.sprintf "solver failed: %s" (Printexc.to_string e))
       in
       (match result with
@@ -275,7 +248,7 @@ let solver_loop st =
           info.s_state <- `Idle;
           info.s_jobs <- info.s_jobs + 1;
           Hashtbl.remove st.inflight
-            (key_of ~digest:job.j_digest ~model:job.j_spec.Wire.model
+            (key_of ~digest:(job_digest job) ~model:job.j_spec.Wire.model
                ~max_level:job.j_spec.Wire.max_level);
           Condition.broadcast st.done_cv);
       next ()
@@ -304,7 +277,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
   in
   (* Every answered verdict funnels through here: one place observes the
      latency histograms, writes the query log line, and flags outliers. *)
-  let served ~source ~stages (record : Store.record) =
+  let served ~source ~stages (record : Wfc_storage.Record.record) =
     let total_s = Wfc_obs.Metrics.now_s () -. t0 in
     Wfc_obs.Metrics.observe h_latency total_s;
     Wfc_obs.Metrics.observe (h_latency_of_source source) total_s;
@@ -317,7 +290,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
         total_s;
       }
     in
-    let o = record.Store.outcome in
+    let o = record.Wfc_storage.Record.outcome in
     let outcome_fields =
       let open Wfc_obs.Json in
       [
@@ -353,12 +326,23 @@ let handle_query st ~req_id (spec : Wire.spec) =
     | _ -> ());
     Wire.Verdict { source; record; req_id = Some req_id; timing = Some timing }
   in
-  match Wfc_tasks.Model.of_string spec.Wire.model with
+  let task =
+    Wfc_obs.Metrics.time h_stage_task (fun () ->
+        match Wfc_tasks.Model.of_string spec.Wire.model with
+        | Error msg -> Error msg
+        | Ok model -> (
+          match
+            Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs
+              ~param:spec.Wire.param
+          with
+          | exception Invalid_argument msg -> Error msg
+          | task -> Ok (model, task)))
+  in
+  match task with
   | Error msg -> failed msg
-  | Ok model -> (
-  match Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs ~param:spec.Wire.param with
-  | exception Invalid_argument msg -> failed msg
-  | task -> (
+  | Ok (model, task) -> (
+    (* the record files under the model's canonical name *)
+    let spec = { spec with Wire.model = Wfc_tasks.Model.to_string model } in
     let digest = Wfc_tasks.Task.digest task in
     let key = key_of ~digest ~model:spec.Wire.model ~max_level:spec.Wire.max_level in
     let wait_for job =
@@ -383,7 +367,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
             | None -> (
               let t_find = Wfc_obs.Metrics.now_s () in
               match
-                Store.find st.store ~digest ~model:spec.Wire.model
+                Wfc_storage.Engine.find st.store ~digest ~model:spec.Wire.model
                   ~max_level:spec.Wire.max_level ~budget:Solvability.default_budget
               with
               | Some r ->
@@ -400,7 +384,6 @@ let handle_query st ~req_id (spec : Wire.spec) =
                     {
                       j_spec = spec;
                       j_task = task;
-                      j_digest = digest;
                       j_model = model;
                       j_req_id = req_id;
                       j_enqueued_at = Wfc_obs.Metrics.now_s ();
@@ -432,7 +415,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
     | `Own job -> (
       match wait_for job with
       | Ok (r, stages) -> served ~source:Wire.Computed ~stages r
-      | Error e -> failed e)))
+      | Error e -> failed e))
 
 (* ---- introspection ---- *)
 
@@ -542,9 +525,9 @@ let run cfg =
   (* a client vanishing mid-response must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let log = Option.map (Wfc_obs.Log.open_log ~level:cfg.log_level) cfg.log in
-  let store = Store.open_store cfg.store_dir in
+  let store = Wfc_storage.Engine.open_store cfg.store_dir in
   (* cold solves replay persisted SDS skeletons from this store *)
-  Store.attach_skeletons store;
+  Wfc_storage.Engine.attach_skeletons store;
   let st =
     {
       cfg;

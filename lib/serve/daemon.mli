@@ -1,6 +1,6 @@
 (** The long-running solvability daemon behind [wfc serve].
 
-    One process owns a {!Store.t} and a Unix-domain socket and answers
+    One process owns a {!Wfc_storage.Engine.t} and a Unix-domain socket and answers
     {!Wire} queries:
 
     - {b store hit} ([serve.hits]): the record is served without building a
@@ -10,8 +10,9 @@
       of re-entering the queue — N concurrent identical queries cost one
       search;
     - {b miss} ([serve.misses]): the question joins a bounded queue and is
-      picked up by the solver thread, which solves it and files the
-      verdict in the store before anyone is answered;
+      picked up by the solver thread, which answers it through
+      {!Wfc_storage.Engine.answer} — look up again, else solve and file
+      the verdict — before anyone is answered;
     - {b shed} ([serve.shed]): if the pending queue is full the daemon
       answers [shed] immediately — explicit backpressure; clients fall
       back to an inline solve or retry, the daemon never buffers
@@ -30,7 +31,8 @@
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
     on every log line of the request. The lifecycle is measured stage by
-    stage — [serve.stage.decode.seconds], [.admission.], [.queue_wait.],
+    stage — [serve.stage.decode.seconds], [.task.] (model parse and task
+    build, digest included), [.admission.], [.queue_wait.],
     [.solve.], [.store_put.], [.encode.] — alongside the end-to-end
     [serve.latency.seconds], its per-source splits
     ([serve.latency.store.seconds] / [.computed.] / [.coalesced.]) and
@@ -49,7 +51,7 @@
     report. SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — the solver drains the pending queue and finishes its
     in-flight job before the daemon exits; SIGKILL at any instant
-    leaves a loadable store ({!Store.put} is atomic). *)
+    leaves a loadable store ({!Wfc_storage.Engine.put} is atomic). *)
 
 val version : string
 (** The daemon's version string, reported in [pong] and [stats] responses

@@ -26,7 +26,7 @@ type timing = { queue_wait_s : float; solve_s : float; store_s : float; total_s 
 type response =
   | Verdict of {
       source : source;
-      record : Store.record;
+      record : Wfc_storage.Record.record;
       req_id : string option;
       timing : timing option;
     }
@@ -144,7 +144,7 @@ let response_to_json r =
       ([
          ("status", String "ok");
          ("source", String (source_name source));
-         ("record", Store.record_to_json record);
+         ("record", Wfc_storage.Record.record_to_json record);
        ]
       @ (match req_id with None -> [] | Some id -> [ ("req_id", String id) ])
       @ match timing with None -> [] | Some t -> [ ("timing", timing_to_json t) ])
@@ -197,7 +197,7 @@ let response_of_json j =
     match Wfc_obs.Json.member "record" j with
     | None -> Error "ok response without \"record\""
     | Some rj ->
-      let* record = Store.record_of_json rj in
+      let* record = Wfc_storage.Record.record_of_json rj in
       Ok (Verdict { source; record; req_id; timing }))
   | s -> Error (Printf.sprintf "unknown status %S" s)
 

@@ -85,7 +85,7 @@ type timing = { queue_wait_s : float; solve_s : float; store_s : float; total_s 
 type response =
   | Verdict of {
       source : source;
-      record : Store.record;
+      record : Wfc_storage.Record.record;
       req_id : string option;
       timing : timing option;
     }

@@ -183,6 +183,52 @@ let put t (r : Record.record) =
   Manifest.append t.manifest (manifest_put_entry ~rel r);
   with_cache t (fun c -> Lru.put c (cache_key ~digest ~model ~max_level) r)
 
+(* ---- answering a question ---- *)
+
+let c_store_hits = Wfc_obs.Metrics.counter "solvability.store.hits"
+
+let c_store_misses = Wfc_obs.Metrics.counter "solvability.store.misses"
+
+type answer =
+  | Stored of Record.record
+  | Computed of {
+      record : Record.record;
+      verdict : Wfc_core.Solvability.verdict;
+      solve_s : float;
+      put_s : float;
+    }
+
+(* The one owner of "find; else solve, then file unless Exhausted". The
+   find runs even when the caller already missed (the daemon, at
+   admission): another process sharing the directory may have filed the
+   verdict since. A budget overrun is a fact about the budget, not the
+   task, so an [Exhausted] verdict is answered but never filed. *)
+let answer store ~opts ~spec ~max_level task =
+  let module S = Wfc_core.Solvability in
+  let model = Wfc_tasks.Model.to_string opts.S.model and budget = opts.S.budget in
+  let digest = Wfc_tasks.Task.digest task in
+  match Option.bind store (fun t -> find t ~digest ~model ~max_level ~budget) with
+  | Some r ->
+    Wfc_obs.Metrics.incr c_store_hits;
+    Stored r
+  | None ->
+    if Option.is_some store then Wfc_obs.Metrics.incr c_store_misses;
+    let t0 = Wfc_obs.Metrics.now_s () in
+    let verdict = S.solve ~opts ~max_level task in
+    let solve_s = Wfc_obs.Metrics.now_s () -. t0 in
+    let record =
+      Record.make ~task ~spec ~model ~max_level ~budget (S.outcome_of_verdict verdict)
+    in
+    let put_s =
+      match (store, verdict) with
+      | Some t, (S.Solvable _ | S.Unsolvable_at _) ->
+        let t0 = Wfc_obs.Metrics.now_s () in
+        put t record;
+        Wfc_obs.Metrics.now_s () -. t0
+      | _, S.Exhausted _ | None, _ -> 0.
+    in
+    Computed { record; verdict; solve_s; put_s }
+
 (* ---- skeleton keyspace ---- *)
 
 let find_skeleton t ~digest ~level =
@@ -196,7 +242,21 @@ let put_skeleton t ~digest ~level ~created_at data =
   Layout.atomic_write (abs t rel) data;
   Manifest.append t.manifest (skeleton_entry ~rel ~digest ~level ~created_at)
 
-(* ---- scans: ls / entries / verify / rebuild / gc ----
+(* Point [Sds.iterate] at this store's skeleton keyspace: subdivision steps
+   of already-seen complexes replay from one artifact instead of re-running
+   the ordered-partition enumeration. Process-wide (the subdivision memo
+   is too); integrity checking lives in [Sds]. *)
+let attach_skeletons t =
+  Wfc_topology.Sds.set_skeleton_store
+    (Some
+       {
+         Wfc_topology.Sds.load = (fun ~digest ~level -> find_skeleton t ~digest ~level);
+         save =
+           (fun ~digest ~level data ->
+             put_skeleton t ~digest ~level ~created_at:(Unix.gettimeofday ()) data);
+       })
+
+(* ---- scans: ls / verify / rebuild / gc ----
 
    Everything below reads the manifest (one sequential file) or, for the
    reconciling scans (verify / rebuild / gc), walks the tree once.
@@ -205,21 +265,6 @@ let put_skeleton t ~digest ~level ~created_at data =
 let ls t =
   let { Manifest.entries; _ } = Manifest.load (manifest_path t.root) in
   Manifest.live entries
-
-let verdict_entries t =
-  List.filter (fun e -> e.Manifest.kind = Manifest.Verdict) (ls t)
-
-let entries t =
-  List.map
-    (fun e ->
-      let rel = e.Manifest.rel in
-      let r =
-        match read_record (abs t rel) with
-        | Ok r -> Ok r
-        | Error (`Unreadable e) | Error (`Corrupt e) -> Error e
-      in
-      (rel, r))
-    (verdict_entries t)
 
 (* A record file is well-named when it sits at the one path [find] reads
    for its own body's question. *)

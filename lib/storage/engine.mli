@@ -57,6 +57,34 @@ val put : t -> Record.record -> unit
 (** Atomic durable publish under the sharded path, then manifest append
     and cache fill. *)
 
+(** {1 Answering a question} *)
+
+type answer =
+  | Stored of Record.record  (** filed earlier; nothing was solved *)
+  | Computed of {
+      record : Record.record;
+      verdict : Wfc_core.Solvability.verdict;
+      solve_s : float;  (** {!Wfc_core.Solvability.solve} alone *)
+      put_s : float;  (** {!put}; [0.] when nothing was filed *)
+    }
+
+val answer :
+  t option ->
+  opts:Wfc_core.Solvability.options ->
+  spec:string ->
+  max_level:int ->
+  Wfc_tasks.Task.t ->
+  answer
+(** The one path from a question to its verdict record: {!find} under
+    [(Task.digest task, opts.model, max_level, opts.budget)]; on a miss,
+    {!Wfc_core.Solvability.solve} with [opts], build the record
+    ({!Record.make}, [spec] as its informational task string), and {!put}
+    it unless the verdict is [Exhausted] — a budget overrun is a fact
+    about the budget, not the task. With no store it only solves. Counts
+    [solvability.store.hits] / [.misses] when a store is given. *)
+
+(** {1 Skeleton keyspace} *)
+
 val find_skeleton : t -> digest:string -> level:int -> string option
 (** Raw bytes of the persisted [SDS^level] artifact for a base complex
     with this structural digest, if present. Integrity is the caller's
@@ -65,13 +93,17 @@ val find_skeleton : t -> digest:string -> level:int -> string option
 val put_skeleton :
   t -> digest:string -> level:int -> created_at:float -> string -> unit
 
+val attach_skeletons : t -> unit
+(** Installs this store's skeleton keyspace as the process-wide
+    {!Wfc_topology.Sds.skeleton_store}: cold solves against already-seen
+    subdivisions replay persisted [SDS] steps instead of re-enumerating
+    ([sds.skeleton.hits] / [sds.skeleton.misses]). *)
+
+(** {1 Scans} *)
+
 val ls : t -> Manifest.entry list
 (** The live manifest view (both keyspaces), sorted by path — one
     sequential read, no [readdir], no record opens. *)
-
-val entries : t -> (string * (Record.record, string) result) list
-(** Live verdict entries with each record file read back —
-    (relative path, parse result). Never quarantines. *)
 
 type verify_report = {
   valid : int;

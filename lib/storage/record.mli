@@ -29,8 +29,8 @@ val make :
   budget:int ->
   Wfc_core.Solvability.outcome ->
   record
-(** Builds a record for [outcome], computing the digest and stamping
-    [created_at] with the current time. [model] defaults to
+(** Builds a record for [outcome], taking the digest the task carries
+    and stamping [created_at] with the current time. [model] defaults to
     ["wait-free"]. *)
 
 val record_to_json : record -> Wfc_obs.Json.t

@@ -8,6 +8,7 @@ type t = {
   input_label : int -> string;
   output_label : int -> string;
   delta : Simplex.t -> Simplex.t list;
+  digest : string;
 }
 
 (* Enumerate all assignments of one value (from a per-process list) to each
@@ -17,6 +18,57 @@ let rec assignments values = function
   | p :: rest ->
     let tails = assignments values rest in
     List.concat_map (fun v -> List.map (fun tail -> (p, v) :: tail) tails) (values p)
+
+(* The canonical representation names every vertex by its content — the
+   (color, label) pair — so the digest is independent of arena vertex ids
+   and of every enumeration order that fed [of_relation]. Sorting happens at
+   three layers: vertices inside a simplex by color (proper coloring makes
+   colors distinct), simplices inside a complex / Δ-image by their rendered
+   canonical bytes, and Δ entries by their rendered input simplex. *)
+let canonical_json t =
+  let open Wfc_obs.Json in
+  let simplex_repr chroma label s =
+    let vs =
+      List.map (fun v -> (Chromatic.color chroma v, label v)) (Simplex.to_list s)
+    in
+    Arr (List.map (fun (c, l) -> Arr [ Int c; String l ]) (List.sort compare vs))
+  in
+  (* render each element once, sort on the rendering, then drop it *)
+  let sort_by_render l =
+    List.map (fun j -> (to_string j, j)) l
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  let complex_repr chroma label =
+    Complex.facets (Chromatic.complex chroma)
+    |> List.map (simplex_repr chroma label)
+    |> sort_by_render
+  in
+  let delta_repr =
+    Complex.simplices (Chromatic.complex t.input)
+    |> List.map (fun si ->
+           Arr
+             [
+               simplex_repr t.input t.input_label si;
+               Arr
+                 (sort_by_render
+                    (List.map (simplex_repr t.output t.output_label) (t.delta si)));
+             ])
+    |> sort_by_render
+  in
+  Obj
+    [
+      ("delta", Arr delta_repr);
+      ("input", Arr (complex_repr t.input t.input_label));
+      ("output", Arr (complex_repr t.output t.output_label));
+      ("procs", Int t.procs);
+    ]
+
+(* [of_relation] calls this once per task; it reads every field but
+   [digest], which it fills. *)
+let render_digest t = Digest.to_hex (Digest.string (Wfc_obs.Json.to_string (canonical_json t)))
+
+let digest t = t.digest
 
 let of_relation ~name ~procs ~inputs ~outputs ~legal =
   let all = List.init procs (fun i -> i) in
@@ -75,19 +127,23 @@ let of_relation ~name ~procs ~inputs ~outputs ~legal =
   let output_cx = Complex.of_simplices ~name:(name ^ "-out") !output_simplices in
   let color_of back v = fst (Hashtbl.find back v) in
   let label_of back v = snd (Hashtbl.find back v) in
-  {
-    name;
-    procs;
-    input = Chromatic.make input_cx ~color:(color_of back_in);
-    output = Chromatic.make output_cx ~color:(color_of back_out);
-    input_label = label_of back_in;
-    output_label = label_of back_out;
-    delta =
-      (fun si ->
-        match Simplex.Tbl.find_opt delta_tbl si with
-        | Some l -> l
-        | None -> invalid_arg "Task.delta: not an input simplex");
-  }
+  let t =
+    {
+      name;
+      procs;
+      input = Chromatic.make input_cx ~color:(color_of back_in);
+      output = Chromatic.make output_cx ~color:(color_of back_out);
+      input_label = label_of back_in;
+      output_label = label_of back_out;
+      delta =
+        (fun si ->
+          match Simplex.Tbl.find_opt delta_tbl si with
+          | Some l -> l
+          | None -> invalid_arg "Task.delta: not an input simplex");
+      digest = "";
+    }
+  in
+  { t with digest = render_digest t }
 
 let find_vertex chroma label_of ~proc ~value =
   List.find_opt
@@ -128,48 +184,6 @@ let well_formed t =
           sos)
     (Complex.simplices icx);
   match !errors with [] -> Ok () | errs -> Error (String.concat "; " (List.rev errs))
-
-(* The canonical representation names every vertex by its content — the
-   (color, label) pair — so the digest is independent of arena vertex ids
-   and of every enumeration order that fed [of_relation]. Sorting happens at
-   three layers: vertices inside a simplex by color (proper coloring makes
-   colors distinct), simplices inside a complex / Δ-image by their rendered
-   canonical bytes, and Δ entries by their rendered input simplex. *)
-let canonical_json t =
-  let open Wfc_obs.Json in
-  let simplex_repr chroma label s =
-    let vs =
-      List.map (fun v -> (Chromatic.color chroma v, label v)) (Simplex.to_list s)
-    in
-    Arr (List.map (fun (c, l) -> Arr [ Int c; String l ]) (List.sort compare vs))
-  in
-  let sort_by_render = List.sort (fun a b -> compare (to_string a) (to_string b)) in
-  let complex_repr chroma label =
-    Complex.facets (Chromatic.complex chroma)
-    |> List.map (simplex_repr chroma label)
-    |> sort_by_render
-  in
-  let delta_repr =
-    Complex.simplices (Chromatic.complex t.input)
-    |> List.map (fun si ->
-           Arr
-             [
-               simplex_repr t.input t.input_label si;
-               Arr
-                 (sort_by_render
-                    (List.map (simplex_repr t.output t.output_label) (t.delta si)));
-             ])
-    |> sort_by_render
-  in
-  Obj
-    [
-      ("delta", Arr delta_repr);
-      ("input", Arr (complex_repr t.input t.input_label));
-      ("output", Arr (complex_repr t.output t.output_label));
-      ("procs", Int t.procs);
-    ]
-
-let digest t = Digest.to_hex (Digest.string (Wfc_obs.Json.to_string (canonical_json t)))
 
 let pp_stats ppf t =
   Format.fprintf ppf "task %s: procs=%d@ input: %a@ output: %a" t.name t.procs

@@ -10,7 +10,7 @@
     {!of_relation} builds the complexes by enumerating tuples against a
     legality predicate. *)
 
-type t = {
+type t = private {
   name : string;
   procs : int;  (** n + 1 *)
   input : Wfc_topology.Chromatic.t;
@@ -19,7 +19,12 @@ type t = {
   output_label : int -> string;
   delta : Wfc_topology.Simplex.t -> Wfc_topology.Simplex.t list;
       (** maximal allowed output simplices for an input simplex *)
+  digest : string;
+      (** {!canonical_json}'s content digest, rendered once by
+          {!of_relation}; a plain field, so every thread reads it freely *)
 }
+(** Private: {!of_relation} is the one constructor, so [digest] always
+    matches the rest of the record. *)
 
 val of_relation :
   name:string ->
@@ -78,7 +83,8 @@ val canonical_json : t -> Wfc_obs.Json.t
 val digest : t -> string
 (** Hex digest of {!canonical_json}'s canonical bytes — the
     content-addressed key under which verdict stores ([wfc.store.v2]) file
-    this task. Stable across processes and task re-construction. *)
+    this task. Stable across processes and task re-construction. A field
+    read: {!of_relation} renders it once. *)
 
 val pp_stats : Format.formatter -> t -> unit
 

@@ -9,6 +9,7 @@ open Wfc_topology
 open Wfc_tasks
 open Wfc_core
 open Wfc_serve
+open Wfc_storage
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -204,45 +205,45 @@ let outcome_for ?(model = Model.wait_free) task =
     (Solvability.solve ~opts:(Solvability.options ~model ()) ~max_level:1 task)
 
 let test_store_model_key () =
-  let st = Store.open_store (temp_dir "wfc-affine-store") in
+  let st = Engine.open_store (temp_dir "wfc-affine-store") in
   let t = Instances.binary_consensus ~procs:2 in
   let digest = Task.digest t in
   let budget = Solvability.default_budget in
   let model = Model.k_set_affine ~k:2 in
   let r =
-    Store.record ~task:t ~spec:"consensus(procs=2,param=2)"
+    Record.make ~task:t ~spec:"consensus(procs=2,param=2)"
       ~model:(Model.to_string model) ~max_level:1 ~budget (outcome_for ~model t)
   in
-  Store.put st r;
+  Engine.put st r;
   checks "v2 filename embeds the model slug"
     (digest ^ ".k-set-2.L1.json")
-    (Filename.basename (Store.path_of st ~digest ~model:"k-set:2" ~max_level:1));
-  (match Store.find st ~digest ~model:"k-set:2" ~max_level:1 ~budget with
+    (Filename.basename (Engine.path_of st ~digest ~model:"k-set:2" ~max_level:1));
+  (match Engine.find st ~digest ~model:"k-set:2" ~max_level:1 ~budget with
   | Some r' ->
-    checks "record carries its model" "k-set:2" r'.Store.model;
-    checks "restricted verdict survives the disk" "solvable" r'.Store.outcome.Solvability.o_verdict
+    checks "record carries its model" "k-set:2" r'.Record.model;
+    checks "restricted verdict survives the disk" "solvable" r'.Record.outcome.Solvability.o_verdict
   | None -> Alcotest.fail "k-set:2 record not found after put");
   (* the same task under another model is a different question *)
   checkb "wait-free misses" true
-    (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
-  let report = Store.verify st in
-  checki "v2 record passes verify" 1 report.Store.valid;
-  checki "nothing mismatched" 0 (List.length report.Store.mismatched)
+    (Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
+  let report = Engine.verify st in
+  checki "v2 record passes verify" 1 report.Engine.valid;
+  checki "nothing mismatched" 0 (List.length report.Engine.mismatched)
 
 let test_store_flat_names_not_read () =
   let dir = temp_dir "wfc-affine-store" in
-  let st = Store.open_store dir in
+  let st = Engine.open_store dir in
   let t = Instances.binary_consensus ~procs:2 in
   let digest = Task.digest t in
   let budget = Solvability.default_budget in
   let r =
-    Store.record ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget (outcome_for t)
+    Record.make ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget (outcome_for t)
   in
-  Store.put st r;
+  Engine.put st r;
   (* copy the sharded record to the two names pre-sharding stores used at
      the root: flat v2 ([<digest>.wait-free.L1.json]) and pre-model v1
      ([<digest>.L1.json]) *)
-  let sharded = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
+  let sharded = Engine.path_of st ~digest ~model:"wait-free" ~max_level:1 in
   let body = In_channel.with_open_bin sharded In_channel.input_all in
   let flat_v2 = Filename.concat dir (Filename.basename sharded) in
   let flat_v1 = Filename.concat dir (digest ^ ".L1.json") in
@@ -251,7 +252,7 @@ let test_store_flat_names_not_read () =
     [ flat_v2; flat_v1 ];
   (* a fresh handle, so no answer can come from the put's LRU entry *)
   let find () =
-    Store.find (Store.open_store dir) ~digest ~model:"wait-free" ~max_level:1 ~budget
+    Engine.find (Engine.open_store dir) ~digest ~model:"wait-free" ~max_level:1 ~budget
   in
   Sys.rename sharded (sharded ^ ".aside");
   checkb "neither flat name is served" true (find () = None);
@@ -261,39 +262,39 @@ let test_store_flat_names_not_read () =
   (match find () with
   | Some r' ->
     checks "the sharded record still answers"
-      (Wfc_obs.Json.to_string (Store.verdict_json r))
-      (Wfc_obs.Json.to_string (Store.verdict_json r'))
+      (Wfc_obs.Json.to_string (Record.verdict_json r))
+      (Wfc_obs.Json.to_string (Record.verdict_json r'))
   | None -> Alcotest.fail "sharded record must answer its question");
-  let report = Store.verify st in
-  checki "only the sharded record is valid" 1 report.Store.valid;
+  let report = Engine.verify st in
+  checki "only the sharded record is valid" 1 report.Engine.valid;
   checks "both flat names are mismatched"
     (String.concat ","
        (List.sort compare (List.map Filename.basename [ flat_v2; flat_v1 ])))
-    (String.concat "," (List.sort compare report.Store.mismatched))
+    (String.concat "," (List.sort compare report.Engine.mismatched))
 
 let test_store_model_mismatch_quarantined () =
   let dir = temp_dir "wfc-affine-store" in
-  let st = Store.open_store dir in
+  let st = Engine.open_store dir in
   let t = Instances.binary_consensus ~procs:2 in
   let digest = Task.digest t in
   let budget = Solvability.default_budget in
   let model = Model.k_set_affine ~k:2 in
   let r =
-    Store.record ~task:t ~spec:"consensus(procs=2,param=2)"
+    Record.make ~task:t ~spec:"consensus(procs=2,param=2)"
       ~model:(Model.to_string model) ~max_level:1 ~budget (outcome_for ~model t)
   in
   (* file a k-set:2 body under the sharded wait-free path (as a bad actor
      or a botched copy would): served to a wait-free question it would be a
      wrong answer, so find must quarantine it *)
-  let path = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
+  let path = Engine.path_of st ~digest ~model:"wait-free" ~max_level:1 in
   Wfc_storage.Layout.mkdir_p (Filename.dirname path);
   let oc = open_out path in
-  output_string oc (Wfc_obs.Json.to_string (Store.record_to_json r));
+  output_string oc (Wfc_obs.Json.to_string (Record.record_to_json r));
   close_out oc;
   checkb "mismatched model is a miss" true
-    (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
+    (Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
   checkb "file moved out of the way" false (Sys.file_exists path);
-  checki "moved into quarantine" 1 (Store.verify st).Store.quarantined
+  checki "moved into quarantine" 1 (Engine.verify st).Engine.quarantined
 
 (* ------------------------------------------------------------------ *)
 (* Wire: the model field                                                *)
@@ -404,22 +405,22 @@ let test_daemon_two_models () =
       | Ok c ->
         (match query_exn c (spec "wait-free") with
         | Wire.Verdict { source = Wire.Computed; record; _ } ->
-          checks "wait-free verdict" "unsolvable" record.Store.outcome.Solvability.o_verdict;
-          checks "record model" "wait-free" record.Store.model
+          checks "wait-free verdict" "unsolvable" record.Record.outcome.Solvability.o_verdict;
+          checks "record model" "wait-free" record.Record.model
         | _ -> Alcotest.fail "expected a computed wait-free verdict");
         (match query_exn c (spec "k-set:2") with
         | Wire.Verdict { source = Wire.Computed; record; _ } ->
-          checks "k-set:2 verdict" "solvable" record.Store.outcome.Solvability.o_verdict;
-          checks "record model" "k-set:2" record.Store.model
+          checks "k-set:2 verdict" "solvable" record.Record.outcome.Solvability.o_verdict;
+          checks "record model" "k-set:2" record.Record.model
         | _ -> Alcotest.fail "expected a computed k-set:2 verdict");
         (* both verdicts now coexist in one store, each keyed by its model *)
         (match query_exn c (spec "wait-free") with
         | Wire.Verdict { source = Wire.From_store; record; _ } ->
-          checks "warm wait-free" "unsolvable" record.Store.outcome.Solvability.o_verdict
+          checks "warm wait-free" "unsolvable" record.Record.outcome.Solvability.o_verdict
         | _ -> Alcotest.fail "expected a wait-free store hit");
         (match query_exn c (spec "k-set:2") with
         | Wire.Verdict { source = Wire.From_store; record; _ } ->
-          checks "warm k-set:2" "solvable" record.Store.outcome.Solvability.o_verdict
+          checks "warm k-set:2" "solvable" record.Record.outcome.Solvability.o_verdict
         | _ -> Alcotest.fail "expected a k-set:2 store hit");
         (* an unparsable model is refused at admission, before any solving *)
         (match query_exn c (spec "no-such-model") with

@@ -9,6 +9,7 @@ open Wfc_topology
 open Wfc_tasks
 open Wfc_core
 open Wfc_serve
+open Wfc_storage
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -165,11 +166,11 @@ let models_under_test =
    must be independent of the reducers. *)
 let verdict_bytes task model max_level v =
   let r =
-    Store.record ~task ~spec:"spec" ~model:(Model.to_string model) ~max_level
+    Record.make ~task ~spec:"spec" ~model:(Model.to_string model) ~max_level
       ~budget:Solvability.default_budget
       (Solvability.outcome_of_verdict v)
   in
-  Wfc_obs.Json.to_string (Store.verdict_json r)
+  Wfc_obs.Json.to_string (Record.verdict_json r)
 
 let qcheck_reducers_preserve_verdicts =
   QCheck.Test.make ~count:60

@@ -5,6 +5,7 @@
 open Wfc_tasks
 open Wfc_core
 open Wfc_serve
+open Wfc_storage
 
 let checkb = Alcotest.check Alcotest.bool
 
@@ -38,8 +39,10 @@ let default_spec =
    verdict_json strips). *)
 let inline_record (spec : Wire.spec) =
   let t = Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs ~param:spec.Wire.param in
-  let outcome, _ = Solvability.solve_cached ~max_level:spec.Wire.max_level t in
-  Store.record ~task:t ~spec:(Wire.spec_to_string spec) ~max_level:spec.Wire.max_level
+  let outcome =
+    Solvability.outcome_of_verdict (Solvability.solve ~max_level:spec.Wire.max_level t)
+  in
+  Record.make ~task:t ~spec:(Wire.spec_to_string spec) ~max_level:spec.Wire.max_level
     ~budget:Solvability.default_budget outcome
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +136,7 @@ let wire_tests =
                [
                  ("status", Wfc_obs.Json.String "ok");
                  ("source", Wfc_obs.Json.String "computed");
-                 ("record", Store.record_to_json (inline_record default_spec));
+                 ("record", Record.record_to_json (inline_record default_spec));
                ])
         with
         | Ok (Wire.Verdict { req_id = None; timing = None; source = Wire.Computed; _ }) -> ()
@@ -185,37 +188,37 @@ let wire_tests =
 let store_tests =
   [
     Alcotest.test_case "put then find round-trips" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let r = inline_record default_spec in
-        Store.put st r;
-        (match Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget with
+        Engine.put st r;
+        (match Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget with
         | None -> Alcotest.fail "record not found after put"
         | Some r' ->
-          checks "verdict bytes survive the disk" (json_str (Store.verdict_json r))
-            (json_str (Store.verdict_json r')));
+          checks "verdict bytes survive the disk" (json_str (Record.verdict_json r))
+            (json_str (Record.verdict_json r')));
         checkb "record validates" true
-          (Store.validate_json (Store.record_to_json r) = Ok ()));
+          (Record.validate_json (Record.record_to_json r) = Ok ()));
     Alcotest.test_case "budget mismatch is a miss, not a wrong answer" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         checkb "other budget misses" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:(r.Store.budget + 1) = None);
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:(r.Record.budget + 1) = None);
         (* the record is kept: the original budget still hits *)
         checkb "original budget still hits" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget <> None));
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget <> None));
     Alcotest.test_case "levels are separate questions" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         checkb "level 2 misses" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:2 ~budget:r.Store.budget = None));
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:2 ~budget:r.Record.budget = None));
     Alcotest.test_case "torn record is quarantined on read" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
-        Store.put st r;
-        let path = Store.path_of st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 in
+        Engine.put st r;
+        let path = Engine.path_of st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 in
         (* truncate mid-object, as a crash during a non-atomic write would *)
         let oc = open_out path in
         output_string oc "{\"schema\": \"wfc.store.v1\", \"dig";
@@ -223,46 +226,46 @@ let store_tests =
         (* the handle that wrote it still answers from its cache tier —
            damage on disk cannot reach a warm answer *)
         checkb "warm cache still serves" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget <> None);
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget <> None);
         (* a cold process (fresh handle) must hit the disk: miss + quarantine *)
-        let cold = Store.open_store dir in
+        let cold = Engine.open_store dir in
         checkb "torn record misses" true
-          (Store.find cold ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget = None);
+          (Engine.find cold ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget = None);
         checkb "file moved out of the way" false (Sys.file_exists path);
-        let report = Store.verify cold in
-        checki "quarantined" 1 report.Store.quarantined;
-        checki "no in-place corruption left" 0 (List.length report.Store.corrupt);
+        let report = Engine.verify cold in
+        checki "quarantined" 1 report.Engine.quarantined;
+        checki "no in-place corruption left" 0 (List.length report.Engine.corrupt);
         (* the manifest stayed consistent: the quarantined record was
            de-indexed, so nothing live is missing its file *)
-        checki "no live manifest entry without a file" 0 report.Store.missing);
+        checki "no live manifest entry without a file" 0 report.Engine.missing);
     Alcotest.test_case "verify reports in-place damage without mutating" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         let bad = Filename.concat dir "not-a-record.json" in
         let oc = open_out bad in
         output_string oc "][";
         close_out oc;
-        let report = Store.verify st in
-        checki "valid" 1 report.Store.valid;
-        checki "corrupt" 1 (List.length report.Store.corrupt);
+        let report = Engine.verify st in
+        checki "valid" 1 report.Engine.valid;
+        checki "corrupt" 1 (List.length report.Engine.corrupt);
         checkb "verify left the file in place" true (Sys.file_exists bad));
     Alcotest.test_case "misfiled record is caught by verify" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
         let misfiled = Filename.concat dir (String.make 32 'f' ^ ".L1.json") in
         let oc = open_out misfiled in
-        output_string oc (json_str (Store.record_to_json r));
+        output_string oc (json_str (Record.record_to_json r));
         close_out oc;
-        let report = Store.verify st in
-        checki "mismatched" 1 (List.length report.Store.mismatched));
+        let report = Engine.verify st in
+        checki "mismatched" 1 (List.length report.Engine.mismatched));
     Alcotest.test_case "gc removes quarantine and stray tmp files only" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         (* a crash between open and rename leaves a .wtmp — named so that no
            scan can mistake it for a record, even though it sits beside them *)
         let oc = open_out (Filename.concat dir "interrupted.json.12345.0.wtmp") in
@@ -271,16 +274,16 @@ let store_tests =
         let oc = open_out (Filename.concat (Filename.concat dir "quarantine") "old.json") in
         output_string oc "][";
         close_out oc;
-        let report = Store.verify st in
-        checki "stray tmp seen" 1 report.Store.stray_tmp;
-        checki "quarantine seen" 1 report.Store.quarantined;
+        let report = Engine.verify st in
+        checki "stray tmp seen" 1 report.Engine.stray_tmp;
+        checki "quarantine seen" 1 report.Engine.quarantined;
         let removed = ref 0 in
-        Store.gc st ~removed;
+        Engine.gc st ~removed;
         checki "two files removed" 2 !removed;
-        let report = Store.verify st in
-        checki "clean" 0 (report.Store.stray_tmp + report.Store.quarantined);
+        let report = Engine.verify st in
+        checki "clean" 0 (report.Engine.stray_tmp + report.Engine.quarantined);
         checkb "the valid record survived gc" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget <> None));
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget <> None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -288,49 +291,45 @@ let store_tests =
 (* ------------------------------------------------------------------ *)
 
 let cached_tests =
+  let consensus = "consensus(procs=2,param=2)" in
   [
-    Alcotest.test_case "solve_cached commits on miss and hits after" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+    Alcotest.test_case "answer files on miss and hits after" `Quick (fun () ->
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let t = Instances.binary_consensus ~procs:2 in
-        let digest = Task.digest t in
-        let budget = Solvability.default_budget in
-        let hook =
-          {
-            Solvability.lookup =
-              (fun () ->
-                Option.map (fun r -> r.Store.outcome) (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget));
-            commit =
-              (fun o ->
-                Store.put st
-                  (Store.record ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget o));
-          }
+        let ask () =
+          Engine.answer (Some st) ~opts:(Solvability.options ()) ~spec:consensus ~max_level:1 t
         in
-        let o1, how1 = Solvability.solve_cached ~store:hook ~max_level:1 t in
-        checkb "first call computes" true (how1 = `Computed);
-        let o2, how2 = Solvability.solve_cached ~store:hook ~max_level:1 t in
-        checkb "second call hits" true (how2 = `Hit);
+        let r1 =
+          match ask () with
+          | Engine.Computed { record; _ } -> record
+          | Engine.Stored _ -> Alcotest.fail "first call computes"
+        in
+        let r2 =
+          match ask () with
+          | Engine.Stored r -> r
+          | Engine.Computed _ -> Alcotest.fail "second call hits"
+        in
+        let o1 = r1.Record.outcome and o2 = r2.Record.outcome in
         checks "same verdict" o1.Solvability.o_verdict o2.Solvability.o_verdict;
         checki "same nodes" o1.Solvability.o_nodes o2.Solvability.o_nodes);
     Alcotest.test_case "exhausted outcomes are never persisted" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let t = Instances.binary_consensus ~procs:2 in
-        let digest = Task.digest t in
-        let committed = ref 0 in
-        let hook =
-          {
-            Solvability.lookup =
-              (fun () ->
-                Option.map (fun r -> r.Store.outcome)
-                  (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget:1));
-            commit = (fun _ -> incr committed);
-          }
-        in
-        let o, how = Solvability.solve_cached
+        match
+          Engine.answer (Some st)
             ~opts:(Solvability.options ~budget:1 ())
-            ~store:hook ~max_level:1 t in
-        checkb "computed" true (how = `Computed);
-        checks "exhausted" "exhausted" o.Solvability.o_verdict;
-        checki "nothing committed" 0 !committed);
+            ~spec:consensus ~max_level:1 t
+        with
+        | Engine.Stored _ -> Alcotest.fail "computed"
+        | Engine.Computed { record; put_s; _ } ->
+          checks "exhausted" "exhausted" record.Record.outcome.Solvability.o_verdict;
+          checkb "nothing filed" true (put_s = 0.);
+          checkb "nothing on disk" false
+            (Sys.file_exists
+               (Engine.path_of st ~digest:(Task.digest t) ~model:"wait-free" ~max_level:1));
+          checkb "nothing found" true
+            (Engine.find st ~digest:(Task.digest t) ~model:"wait-free" ~max_level:1 ~budget:1
+            = None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -442,8 +441,8 @@ let check_verdict ?source name spec r =
     | Some want -> checks (name ^ " source") (Wire.source_name want) (Wire.source_name got)
     | None -> ());
     checks (name ^ " equals inline solve")
-      (json_str (Store.verdict_json (inline_record spec)))
-      (json_str (Store.verdict_json record))
+      (json_str (Record.verdict_json (inline_record spec)))
+      (json_str (Record.verdict_json record))
   | _ -> Alcotest.fail ("expected a verdict for " ^ name)
 
 let daemon_tests =
@@ -452,10 +451,10 @@ let daemon_tests =
         with_daemon (fun ~socket ~store_dir:_ ->
             let c = connect_exn socket in
             checkb "ping" true (Client.ping c);
-            let reference = json_str (Store.verdict_json (inline_record default_spec)) in
+            let reference = json_str (Record.verdict_json (inline_record default_spec)) in
             (match query_exn c default_spec with
             | Wire.Verdict { source = Wire.Computed; record; req_id; timing } ->
-              checks "cold equals inline solve" reference (json_str (Store.verdict_json record));
+              checks "cold equals inline solve" reference (json_str (Record.verdict_json record));
               checkb "daemon assigned a req_id" true (req_id <> None);
               (match timing with
               | None -> Alcotest.fail "expected a timing breakdown"
@@ -469,7 +468,7 @@ let daemon_tests =
             | _ -> Alcotest.fail "expected a computed verdict");
             (match query_exn c default_spec with
             | Wire.Verdict { source = Wire.From_store; record; timing; _ } ->
-              checks "warm equals inline solve" reference (json_str (Store.verdict_json record));
+              checks "warm equals inline solve" reference (json_str (Record.verdict_json record));
               (match timing with
               | None -> Alcotest.fail "expected a timing breakdown"
               | Some t ->
@@ -585,7 +584,7 @@ let daemon_tests =
         let coalesced0 = counter_value "serve.coalesced" in
         let misses0 = counter_value "serve.misses" in
         with_daemon ~gate (fun ~socket ~store_dir:_ ->
-            let reference = json_str (Store.verdict_json (inline_record default_spec)) in
+            let reference = json_str (Record.verdict_json (inline_record default_spec)) in
             let ask () =
               let c = connect_exn socket in
               let r = query_exn c default_spec in
@@ -611,7 +610,7 @@ let daemon_tests =
                 (function
                   | Wire.Verdict { source; record; _ } ->
                     checks "coalesced equals inline solve" reference
-                      (json_str (Store.verdict_json record));
+                      (json_str (Record.verdict_json record));
                     Wire.source_name source
                   | _ -> Alcotest.fail "expected verdicts")
                 results
@@ -629,8 +628,8 @@ let daemon_tests =
             | _ -> Alcotest.fail "expected shed with a zero-capacity queue");
             checki "shed counted" 1 (counter_value "serve.shed" - shed0);
             (* shedding is about work, not answers: a store hit still serves *)
-            let st = Store.open_store store_dir in
-            Store.put st (inline_record default_spec);
+            let st = Engine.open_store store_dir in
+            Engine.put st (inline_record default_spec);
             (match query_exn c default_spec with
             | Wire.Verdict { source = Wire.From_store; _ } -> ()
             | _ -> Alcotest.fail "expected a store hit despite the full queue");
@@ -746,13 +745,105 @@ let daemon_tests =
               store_dir)
         in
         (* daemon is gone; the record it filed outlives it *)
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = Option.get !captured in
-        match Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget with
+        match Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget with
         | Some r' ->
-          checks "same bytes after daemon death" (json_str (Store.verdict_json r))
-            (json_str (Store.verdict_json r'))
+          checks "same bytes after daemon death" (json_str (Record.verdict_json r))
+            (json_str (Record.verdict_json r'))
         | None -> Alcotest.fail "record did not survive the daemon");
+    Alcotest.test_case "a record filed while its job waits in the queue is served without a solve"
+      `Quick (fun () ->
+        (* Hold the solver inside the first question while a second one
+           waits queued; file the second one's record through another
+           handle (as an inline [wfc query --store] beside the daemon
+           would), then let the solver reach it — held once more, so the
+           counters are read after the first solve and before the second
+           lookup. *)
+        let first, entered_a, release_a = holding_gate () in
+        let second, entered_b, release_b = holding_gate () in
+        let gate digest = if Atomic.get entered_a then second digest else first digest in
+        with_daemon ~gate (fun ~socket ~store_dir ->
+            let ask spec out =
+              let c = connect_exn socket in
+              out := Some (query_exn c spec);
+              Client.close c
+            in
+            let ra = ref None and rb = ref None in
+            let a = Thread.create (fun () -> ask default_spec ra) () in
+            checkb "solver holds the first question" true
+              (eventually (fun () -> Atomic.get entered_a));
+            let b = Thread.create (fun () -> ask spec_b rb) () in
+            checkb "second question queued" true
+              (eventually (fun () -> server_int (server_block socket) "queue_depth" = 1));
+            let filed = inline_record spec_b in
+            Engine.put (Engine.open_store store_dir) filed;
+            release_a ();
+            Thread.join a;
+            checkb "solver reached the queued question" true
+              (eventually (fun () -> Atomic.get entered_b));
+            let nodes0 = counter_value "solvability.nodes"
+            and hits0 = counter_value "solvability.store.hits" in
+            release_b ();
+            Thread.join b;
+            (match !rb with
+            | Some (Wire.Verdict { record; _ }) ->
+              checks "verdict bytes are the filed record's"
+                (json_str (Record.verdict_json filed))
+                (json_str (Record.verdict_json record));
+              checks "the filed record itself, timestamps included"
+                (json_str (Record.record_to_json filed))
+                (json_str (Record.record_to_json record))
+            | _ -> Alcotest.fail "expected a verdict for the queued question");
+            checki "no search ran" 0 (counter_value "solvability.nodes" - nodes0);
+            checki "one store hit" 1 (counter_value "solvability.store.hits" - hits0)));
+    Alcotest.test_case "stage histograms add up to serve.latency" `Quick (fun () ->
+        (* [serve.latency] runs from the decoded request to the response
+           about to be encoded; the stages inside it are task, admission,
+           queue_wait, solve and store_put. What no stage covers (the
+           solver's re-lookup and record build, the handler's wake-up)
+           must stay under 10% of the latency plus 100 us. Scheduling
+           noise only ever widens the gap, so each kind of query gets the
+           best of three tries. *)
+        let stages = [ "task"; "admission"; "queue_wait"; "solve"; "store_put" ] in
+        let sums () =
+          let h = Wfc_obs.Metrics.histograms_now () in
+          fun name ->
+            match List.assoc_opt name h with
+            | Some s -> s.Wfc_obs.Metrics.sum
+            | None -> 0.
+        in
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let measure spec =
+              let before = sums () in
+              let c = connect_exn socket in
+              ignore (query_exn c spec);
+              Client.close c;
+              let after = sums () in
+              let delta name = after name -. before name in
+              let staged =
+                List.fold_left
+                  (fun acc stage -> acc +. delta ("serve.stage." ^ stage ^ ".seconds"))
+                  0. stages
+              in
+              (staged, delta "serve.latency.seconds")
+            in
+            let gap (staged, latency) = Float.abs (latency -. staged) -. (0.1 *. latency) in
+            let within name specs =
+              let tries = List.map measure specs in
+              let best = List.fold_left (fun acc t -> min acc (gap t)) infinity tries in
+              if best > 100e-6 then
+                Alcotest.failf "%s: stage sums %s miss serve.latency by more than the tolerance"
+                  name
+                  (String.concat "; "
+                     (List.map
+                        (fun (staged, latency) ->
+                          Printf.sprintf "%.0f us of %.0f us" (staged *. 1e6) (latency *. 1e6))
+                        tries))
+            in
+            let cold = List.map (fun l -> { default_spec with Wire.max_level = l }) [ 0; 1; 2 ] in
+            within "cold" cold;
+            within "warm" [ default_spec; default_spec; default_spec ]));
   ]
 
 let () =
