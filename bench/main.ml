@@ -752,11 +752,12 @@ let scenarios : (string * (unit -> int option * string option)) list =
   in
   (* Storage engine at scale: a store seeded with 10k records (500 under
      --quick), then per-op latency distributions for the three tiers of a
-     lookup (fresh put / cold disk read / LRU hit), a miss, and the
-     manifest-backed ls. The scenario's [seconds] is the whole timed loop;
-     p50/p95 of the individual ops ride in the extra fields. The seeded
-     store is built once and shared by the five scenarios (it is read-only
-     for the gets and ls; puts use fresh digests). *)
+     lookup (fresh put / cold disk read / LRU hit), a miss, and ls (one
+     walk of the tree, decoding every record). The scenario's [seconds] is
+     the whole timed loop; p50/p95 of the individual ops ride in the extra
+     fields. The seeded store is built once and shared by the five
+     scenarios (it is read-only for the gets and ls; puts use fresh
+     digests). *)
   let store_count () = if !quick_scenarios then 500 else 10_000 in
   let store_ops () = if !quick_scenarios then 100 else 1_000 in
   let seeded_store : Wfc_storage.Engine.t option ref = ref None in
@@ -854,7 +855,8 @@ let scenarios : (string * (unit -> int option * string option)) list =
     let eng = store_env () in
     let reps = if !quick_scenarios then 5 else 20 in
     timed_ops
-      ~extra:[ ("entries", Wfc_obs.Json.Int (List.length (Wfc_storage.Engine.ls eng))) ]
+      ~extra:
+        [ ("entries", Wfc_obs.Json.Int (List.length (Wfc_storage.Engine.ls eng).records)) ]
       reps
       (fun _ -> ignore (Wfc_storage.Engine.ls eng))
       ()
@@ -953,7 +955,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ("serve_warm_logged", serve ~log:true `Warm);
     ("serve_coalesced", serve `Coalesced);
     (* storage engine at 10k records: the three lookup tiers, the miss
-       and the manifest-backed ls, per-op p50/p95 in the extra fields *)
+       and the tree-walking ls, per-op p50/p95 in the extra fields *)
     ("store_put", store_put);
     ("store_get_cold", store_get `Cold);
     ("store_get_cached", store_get `Cached);

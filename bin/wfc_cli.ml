@@ -587,6 +587,24 @@ let spec_string ~task ~procs ~param ~max_level ~model =
       collapse = true;
     }
 
+let task_arg =
+  Arg.(
+    value
+    & opt string "consensus"
+    & info [ "task" ] ~docv:"TASK"
+        ~doc:
+          "One of consensus, set-consensus, renaming, approx, identity, tas, fai, loop-disk, \
+           loop-circle.")
+
+let param_arg =
+  Arg.(
+    value & opt int 2
+    & info [ "param" ] ~docv:"K"
+        ~doc:"Task parameter: k for set-consensus, names for renaming, grid for approx.")
+
+let max_level_arg =
+  Arg.(value & opt int 2 & info [ "max-level" ] ~docv:"B" ~doc:"Largest round count to try.")
+
 let solve_cmd =
   let run (task, procs, param, t) max_level model no_symmetry no_collapse validate
       search_trace store_dir verdict_out perfetto stats json =
@@ -677,22 +695,6 @@ let solve_cmd =
     emit_verdict record;
     code
   in
-  let task =
-    Arg.(
-      value
-      & opt string "consensus"
-      & info [ "task" ] ~docv:"TASK"
-          ~doc:"One of consensus, set-consensus, renaming, approx, identity, tas, fai, loop-disk, loop-circle.")
-  in
-  let param =
-    Arg.(
-      value & opt int 2
-      & info [ "param" ] ~docv:"K"
-          ~doc:"Task parameter: k for set-consensus, names for renaming, grid for approx.")
-  in
-  let max_level =
-    Arg.(value & opt int 2 & info [ "max-level" ] ~docv:"B" ~doc:"Largest round count to try.")
-  in
   let validate =
     Arg.(value & flag & info [ "validate" ] ~doc:"Run the found map as a distributed protocol.")
   in
@@ -725,30 +727,12 @@ let solve_cmd =
       $ term_result' ~usage:true
           (const (fun task procs param ->
                Result.map (fun t -> (task, procs, param, t)) (task_of task procs param))
-          $ task $ procs_arg $ param)
-      $ max_level $ model_arg
+          $ task_arg $ procs_arg $ param_arg)
+      $ max_level_arg $ model_arg
       $ no_symmetry_arg $ no_collapse_arg $ validate $ search_trace $ store_opt_arg
       $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
 
 (* ---------- serve / query / store ---------- *)
-
-let task_arg =
-  Arg.(
-    value
-    & opt string "consensus"
-    & info [ "task" ] ~docv:"TASK"
-        ~doc:
-          "One of consensus, set-consensus, renaming, approx, identity, tas, fai, loop-disk, \
-           loop-circle.")
-
-let param_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "param" ] ~docv:"K"
-        ~doc:"Task parameter: k for set-consensus, names for renaming, grid for approx.")
-
-let max_level_arg =
-  Arg.(value & opt int 2 & info [ "max-level" ] ~docv:"B" ~doc:"Largest round count to try.")
 
 let serve_cmd =
   let run socket store_dir queue json log log_level slow_ms stop =
@@ -1142,15 +1126,11 @@ let store_cmd =
           ~doc:"Machine output: one canonical JSON object on stdout instead of the table.")
   in
   let ls =
-    (* Listing reads the manifest — one sequential file — never the tree:
-       output order is the manifest's sorted live view, deterministic
-       whatever readdir would say. *)
+    (* Listing walks the tree and decodes each record; output order is
+       sorted by path, deterministic whatever readdir would say. *)
     let run store_dir json =
       let st = Wfc_storage.Engine.open_store store_dir in
-      let entries = Wfc_storage.Engine.ls st in
-      let verdicts, skeletons =
-        List.partition (fun e -> e.Wfc_storage.Manifest.kind = Wfc_storage.Manifest.Verdict) entries
-      in
+      let { Wfc_storage.Engine.records; skeletons } = Wfc_storage.Engine.ls st in
       if json then
         print_endline
           (Wfc_obs.Json.to_string
@@ -1158,32 +1138,44 @@ let store_cmd =
                 [
                   ("schema", Wfc_obs.Json.String "wfc.store.ls.v1");
                   ("store", Wfc_obs.Json.String store_dir);
-                  ("count", Wfc_obs.Json.Int (List.length verdicts));
-                  ("skeletons", Wfc_obs.Json.Int (List.length skeletons));
+                  ("count", Wfc_obs.Json.Int (List.length records));
+                  ("skeletons", Wfc_obs.Json.Int skeletons);
                   ( "records",
                     Wfc_obs.Json.Arr
-                      (List.map Wfc_storage.Manifest.entry_to_json verdicts) );
+                      (List.map
+                         (fun (rel, (r : Wfc_storage.Record.record)) ->
+                           Wfc_obs.Json.Obj
+                             [
+                               ("rel", Wfc_obs.Json.String rel);
+                               ("digest", Wfc_obs.Json.String r.digest);
+                               ("model", Wfc_obs.Json.String r.model);
+                               ("max_level", Wfc_obs.Json.Int r.max_level);
+                               ("budget", Wfc_obs.Json.Int r.budget);
+                               ("verdict", Wfc_obs.Json.String r.outcome.o_verdict);
+                               ("level", Wfc_obs.Json.Int r.outcome.o_level);
+                               ("created_at", Wfc_obs.Json.Float r.created_at);
+                             ])
+                         records) );
                 ]))
       else begin
         List.iter
-          (fun e ->
-            Format.printf "%-60s %-11s level=%d %s@."
-              e.Wfc_storage.Manifest.rel e.Wfc_storage.Manifest.verdict
-              e.Wfc_storage.Manifest.level e.Wfc_storage.Manifest.model)
-          verdicts;
-        Format.printf "%d record(s), %d skeleton(s) in %s@." (List.length verdicts)
-          (List.length skeletons) store_dir
+          (fun (rel, (r : Wfc_storage.Record.record)) ->
+            Format.printf "%-60s %-11s level=%d %s@." rel r.outcome.o_verdict
+              r.outcome.o_level r.model)
+          records;
+        Format.printf "%d record(s), %d skeleton(s) in %s@." (List.length records) skeletons
+          store_dir
       end;
       0
     in
     Cmd.v
       (Cmd.info "ls"
          ~doc:
-           "List the live records of a verdict store from its manifest (sorted, \
-            deterministic; no directory walk). $(b,--json) prints a wfc.store.ls.v1 \
-            object for machine consumption. Files the manifest lost are re-indexed by \
-            $(b,wfc store rebuild). Flat pre-sharding and wfc.store.v1 stores are not \
-            read; commit 26231c0 is the last that can convert one.")
+           "List the records of a verdict store: one walk of its directory tree, each \
+            record decoded, sorted by path. Files that do not decode are left out; \
+            $(b,wfc store verify) names them. $(b,--json) prints a wfc.store.ls.v1 \
+            object for machine consumption. Flat pre-sharding and wfc.store.v1 stores \
+            are not read; commit 26231c0 is the last that can convert one.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let verify =
@@ -1214,10 +1206,6 @@ let store_cmd =
                          r.Wfc_storage.Engine.mismatched) );
                   ("quarantined", Wfc_obs.Json.Int r.Wfc_storage.Engine.quarantined);
                   ("stray_tmp", Wfc_obs.Json.Int r.Wfc_storage.Engine.stray_tmp);
-                  ("unindexed", Wfc_obs.Json.Int r.Wfc_storage.Engine.unindexed);
-                  ("missing", Wfc_obs.Json.Int r.Wfc_storage.Engine.missing);
-                  ( "bad_manifest_lines",
-                    Wfc_obs.Json.Int r.Wfc_storage.Engine.bad_manifest_lines );
                 ]))
       else begin
         Format.printf "valid: %d@." r.Wfc_storage.Engine.valid;
@@ -1228,25 +1216,20 @@ let store_cmd =
           (fun name -> Format.printf "digest mismatch: %s@." name)
           r.Wfc_storage.Engine.mismatched;
         Format.printf "quarantined: %d@." r.Wfc_storage.Engine.quarantined;
-        Format.printf "stray tmp files: %d@." r.Wfc_storage.Engine.stray_tmp;
-        Format.printf "unindexed files: %d@." r.Wfc_storage.Engine.unindexed;
-        Format.printf "missing files (live in manifest, gone on disk): %d@."
-          r.Wfc_storage.Engine.missing;
-        Format.printf "torn manifest lines: %d@." r.Wfc_storage.Engine.bad_manifest_lines
+        Format.printf "stray tmp files: %d@." r.Wfc_storage.Engine.stray_tmp
       end;
       if r.Wfc_storage.Engine.corrupt = [] && r.Wfc_storage.Engine.mismatched = [] then 0 else 1
     in
     Cmd.v
       (Cmd.info "verify"
          ~doc:
-           "Reconcile a verdict store: every record checked against its filed path, the \
-            manifest cross-checked against the tree both ways. Exits non-zero if any \
-            in-place record is corrupt or misfiled; quarantined, stray-temp, unindexed \
-            and missing files are reported but do not fail (contained or index-only \
-            damage — clean with $(b,wfc store gc) / re-index with $(b,wfc store \
-            rebuild)). Flat pre-sharding records are listed as mismatched and \
-            wfc.store.v1 records as corrupt: neither is served; commit 26231c0 is the \
-            last that can convert them.")
+           "Check a verdict store: one walk of its directory tree, every record decoded \
+            and checked against the path it is filed under. Exits non-zero if any \
+            in-place record is corrupt or misfiled; quarantined and stray-temp files \
+            are reported but do not fail (contained damage — clean with $(b,wfc store \
+            gc)). Flat pre-sharding records are listed as mismatched and wfc.store.v1 \
+            records as corrupt: neither is served; commit 26231c0 is the last that can \
+            convert them.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let gc =
@@ -1254,14 +1237,14 @@ let store_cmd =
       let st = Wfc_storage.Engine.open_store store_dir in
       let removed = ref 0 in
       Wfc_storage.Engine.gc st ~removed;
-      Format.printf "removed %d quarantined/stray file(s); manifest compacted@." !removed;
+      Format.printf "removed %d quarantined/stray file(s)@." !removed;
       0
     in
     Cmd.v
       (Cmd.info "gc"
          ~doc:
-           "Delete quarantined records and interrupted-write temp files from a store, \
-            then compact the manifest to exactly the live record set.")
+           "Delete quarantined records and interrupted-write temp files from a store. \
+            Records and skeletons are untouched.")
       Term.(const run $ store_req_arg)
   in
   let seed =
@@ -1283,30 +1266,14 @@ let store_cmd =
             runs — not real verdicts).")
       Term.(const run $ store_req_arg $ count)
   in
-  let rebuild =
-    let run store_dir =
-      let st = Wfc_storage.Engine.open_store store_dir in
-      let n = Wfc_storage.Engine.rebuild_manifest st in
-      Format.printf "manifest rebuilt: %d live entr%s@." n (if n = 1 then "y" else "ies");
-      0
-    in
-    Cmd.v
-      (Cmd.info "rebuild"
-         ~doc:
-           "Regenerate MANIFEST.jsonl from a directory walk, re-indexing every file the \
-            manifest lost — the recovery path proving the manifest is derived state. \
-            Equivalent to the index a crash-free history would have left (modulo \
-            compaction).")
-      Term.(const run $ store_req_arg)
-  in
   Cmd.group
     (Cmd.info "store"
        ~doc:
-         "Inspect and maintain verdict stores: sharded wfc.store.v2 records under a \
-          MANIFEST.jsonl index, with a skeletons keyspace. $(b,wfc store rebuild) \
-          re-indexes the tree. Flat pre-sharding and wfc.store.v1 stores are not read; \
-          commit 26231c0 is the last that can convert one.")
-    [ ls; verify; gc; seed; rebuild ]
+         "Inspect and maintain verdict stores: sharded wfc.store.v2 records and a \
+          skeletons keyspace, indexed by nothing but the directory tree. Flat \
+          pre-sharding and wfc.store.v1 stores are not read; commit 26231c0 is the last \
+          that can convert one.")
+    [ ls; verify; gc; seed ]
 
 (* ---------- models ---------- *)
 

@@ -219,19 +219,26 @@ let write_frame fd j =
   really_write fd header 0 4;
   really_write fd payload 0 n
 
+let read_chunk = 64 * 1024
+
 (* [Ok buf] or [Error `Eof] (clean close at a frame boundary) / [Error `Short]
-   (peer died mid-frame). *)
+   (peer died mid-frame). The buffer starts at one [read_chunk] at most and
+   doubles, capped at [len], only once the bytes already read fill it: a
+   header claiming [max_frame] bytes costs one chunk until the peer sends
+   them. *)
 let really_read fd len =
-  let buf = Bytes.create len in
-  let rec go off =
+  let rec go buf off =
     if off = len then Ok buf
     else
-      match Unix.read fd buf off (len - off) with
+      let buf =
+        if off < Bytes.length buf then buf else Bytes.extend buf 0 (min off (len - off))
+      in
+      match Unix.read fd buf off (Bytes.length buf - off) with
       | 0 -> if off = 0 then Error `Eof else Error `Short
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | n -> go buf (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go buf off
   in
-  go 0
+  go (Bytes.create (min len read_chunk)) 0
 
 let read_frame fd =
   match really_read fd 4 with

@@ -3,10 +3,11 @@
 
     Framing: each message is a 4-byte big-endian payload length followed by
     that many bytes of JSON. Frames above {!max_frame} are rejected before
-    allocation, so a garbled peer cannot make the other side allocate
-    gigabytes. The protocol is strict request/response: the client writes
-    one request frame and reads exactly one response frame, any number of
-    times per connection.
+    allocation, and a frame's buffer grows only as its bytes arrive, so a
+    garbled or lying length prefix cannot make the other side allocate
+    much more than the peer actually sent. The protocol is strict
+    request/response: the client writes one request frame and reads
+    exactly one response frame, any number of times per connection.
 
     Requests ([op] tag): {v
       {"op": "query", "task": NAME, "procs": P, "param": K, "max_level": B,

@@ -1,4 +1,4 @@
-(** The sharded, manifest-indexed, cache-tiered store (v3 layout).
+(** The sharded, cache-tiered store (v3 layout).
 
     One engine instance serves two keyspaces under one root:
 
@@ -8,15 +8,15 @@
     - {b skeletons} — [skeletons/ab/cd/<digest>.L<b>.json], a persisted
       [SDS^b] subdivision keyed by the structural digest of its base.
 
-    Every mutation appends a fsync'd line to [MANIFEST.jsonl]
-    ({!Manifest}); [ls]/[verify]/[gc] answer from that one sequential file.
-    The {e serving} path never consults the manifest: {!find} goes LRU →
-    one [open] of the question's sharded path, so concurrent writers in
-    other processes are visible immediately and manifest staleness can
-    only mis-report, never mis-answer. Flat pre-sharding records (v1/v2 in
-    the store root) and [wfc.store.v1] bodies are not read by any of this
-    module's operations; {!verify} reports such files as mismatched or
-    corrupt.
+    The directory tree is the store's only index. Every durable file is
+    one atomic write; [ls]/[verify]/[gc] walk the tree. The {e serving}
+    path never walks: {!find} goes LRU → one [open] of the question's
+    sharded path, so writers in other processes are visible immediately.
+    Flat pre-sharding records (v1/v2 in the store root) and [wfc.store.v1]
+    bodies are not read by any of this module's operations; {!verify}
+    reports such files as mismatched or corrupt. A file that does not end
+    in [.json] (such as the index file older builds kept at the root) is
+    ignored by every scan.
 
     Counters: [serve.store.{reads,puts,quarantined}] (disk tier, the
     pre-engine names) and [storage.cache.{hit,miss,evict}] (memory
@@ -34,8 +34,8 @@ val open_store : ?cache_cap:int -> string -> t
 val dir : t -> string
 
 val close : t -> unit
-(** Releases the manifest append handle. The store stays usable — the
-    handle reopens lazily. *)
+(** Empties the decoded-record cache ({!cache_clear}); the engine holds
+    no file descriptor between calls. The store stays usable. *)
 
 val path_of : t -> digest:string -> model:string -> max_level:int -> string
 (** The sharded path {!put} writes and {!find} reads for this question. *)
@@ -48,14 +48,14 @@ val find :
   budget:int ->
   Record.record option
 (** The stored verdict, or [None] on: no record, a different-budget record
-    (which stays), or a corrupt/misfiled record (quarantined on the way
-    out, with a manifest [Del]). Hits fill and consult the LRU; a cache hit
+    (which stays), or a corrupt/misfiled record (renamed into quarantine
+    on the way out). Hits fill and consult the LRU; a cache hit
     makes no syscall, and a cache miss makes one [open] of {!path_of} — a
     file that is not there is a miss. *)
 
 val put : t -> Record.record -> unit
-(** Atomic durable publish under the sharded path, then manifest append
-    and cache fill. *)
+(** Atomic durable publish under the sharded path (temp, fsync, rename),
+    then cache fill. *)
 
 (** {1 Answering a question} *)
 
@@ -90,8 +90,8 @@ val find_skeleton : t -> digest:string -> level:int -> string option
     with this structural digest, if present. Integrity is the caller's
     check (the artifact embeds its own digest). *)
 
-val put_skeleton :
-  t -> digest:string -> level:int -> created_at:float -> string -> unit
+val put_skeleton : t -> digest:string -> level:int -> string -> unit
+(** Atomic durable publish of the artifact at its skeleton path. *)
 
 val attach_skeletons : t -> unit
 (** Installs this store's skeleton keyspace as the process-wide
@@ -101,9 +101,17 @@ val attach_skeletons : t -> unit
 
 (** {1 Scans} *)
 
-val ls : t -> Manifest.entry list
-(** The live manifest view (both keyspaces), sorted by path — one
-    sequential read, no [readdir], no record opens. *)
+type listing = {
+  records : (string * Record.record) list;
+      (** store-relative path and decoded body of every verdict file that
+          decodes, sorted by path *)
+  skeletons : int;  (** files in the skeleton keyspace *)
+}
+
+val ls : t -> listing
+(** One walk of the tree, decoding each verdict file. Files that fail to
+    decode are left out ({!verify} names them); temps and quarantined
+    files are skipped. *)
 
 type verify_report = {
   valid : int;
@@ -111,24 +119,15 @@ type verify_report = {
   mismatched : string list;  (** body disagrees with filed path *)
   quarantined : int;  (** files already in quarantine/ *)
   stray_tmp : int;  (** interrupted atomic writes ([*.wtmp]) *)
-  unindexed : int;  (** files on disk with no live manifest line *)
-  missing : int;  (** live manifest lines whose file is gone *)
-  bad_manifest_lines : int;  (** unparseable (torn) manifest lines *)
 }
 
 val verify : t -> verify_report
-(** Full reconciliation: one manifest read + one tree walk, cross-checked
-    both ways. Read-only. *)
-
-val rebuild_manifest : t -> int
-(** Regenerates [MANIFEST.jsonl] from nothing but a tree walk, atomically
-    replacing the log; returns the live-entry count. The recovery proof
-    that the manifest is derived state. *)
+(** One walk of the tree: every record decoded and checked against the
+    path it is filed under. Read-only. *)
 
 val gc : t -> removed:int ref -> unit
-(** Reaps quarantined files and stray [.wtmp] temps (counting into
-    [removed]), then compacts the manifest to exactly the live,
-    still-on-disk set. *)
+(** Reaps quarantined files and stray [.wtmp] temps, counting into
+    [removed]. Records and skeletons are untouched. *)
 
 val seed : t -> count:int -> unit
 (** Populates deterministic synthetic records (bench / CI scale runs). *)

@@ -5,7 +5,8 @@
    the digest bounds any directory at ~1/65536 of the population, and the
    digest is uniformly distributed, so the split is even by construction.
    Shards are created lazily on first write — an empty store is one
-   directory and a manifest, not 65k empty subdirectories. *)
+   directory and its quarantine pen, not 65k empty subdirectories. The
+   tree is the store's only index: ls/verify/gc walk it. *)
 
 let shard_of_digest digest =
   if String.length digest < 4 then invalid_arg "Layout.shard_of_digest";
@@ -36,8 +37,6 @@ let skeleton_rel ~digest ~level =
     (rel_of_basename ~digest (skeleton_basename ~digest ~level))
 
 let quarantine_root = "quarantine"
-
-let manifest_basename = "MANIFEST.jsonl"
 
 (* Temp files use an extension no scan ever treats as a record, so a crash
    between create and rename can only leave debris that ls/verify report and
@@ -91,7 +90,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Recursive walk of a store root, yielding paths relative to it. Only used
-   by rebuild/verify/gc — the serving path never walks. *)
+   by ls/verify/gc — the serving path never walks. *)
 let walk root ~f =
   let rec go rel =
     let abs = if rel = "" then root else Filename.concat root rel in

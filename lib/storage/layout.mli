@@ -2,7 +2,7 @@
     shards ([ab/cd/<digest>...]) created lazily, a [skeletons/] keyspace
     beside the verdict shards, a [quarantine/] pen, and the atomic-write
     discipline (unique [.wtmp] temp + fsync + rename) every durable file
-    goes through. *)
+    goes through. The tree is the store's only index. *)
 
 val shard_of_digest : string -> string * string
 (** First and second hex-pair of the digest — the two directory levels. *)
@@ -19,8 +19,6 @@ val skeleton_rel : digest:string -> level:int -> string
     structural digest of the base complex. *)
 
 val quarantine_root : string
-
-val manifest_basename : string
 
 val tmp_ext : string
 (** [".wtmp"] — the extension of in-flight atomic-write temps. Scans skip
@@ -43,4 +41,4 @@ val read_file : string -> string
 
 val walk : string -> f:(string -> unit) -> unit
 (** Depth-first walk yielding store-relative file paths in sorted order.
-    Only rebuild/verify/gc walk; the serving path never does. *)
+    Only ls/verify/gc walk; the serving path never does. *)

@@ -1,6 +1,6 @@
-(* Tests for the storage engine: LRU mechanics, record round-trips, manifest
-   durability and rebuild, quarantine-on-damage, concurrent writers, and
-   persisted SDS skeletons replaying bit-for-bit. *)
+(* Tests for the storage engine: LRU mechanics, record round-trips, the
+   tree as the store's only index, quarantine-on-damage, concurrent
+   writers, and persisted SDS skeletons replaying bit-for-bit. *)
 
 open Wfc_core
 open Wfc_storage
@@ -155,105 +155,11 @@ let record_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Manifest                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let manifest_tests =
-  [
-    Alcotest.test_case "torn trailing line is tolerated and counted" `Quick (fun () ->
-        let dir = temp_dir "wfc-manifest" in
-        let path = Filename.concat dir "MANIFEST.jsonl" in
-        let m = Manifest.create path in
-        let e =
-          {
-            Manifest.op = Manifest.Put;
-            kind = Manifest.Verdict;
-            rel = "ab/cd/x.json";
-            digest = String.make 32 'a';
-            model = "wait-free";
-            max_level = 1;
-            budget = 5;
-            verdict = "unsolvable";
-            level = 1;
-            codec = "json";
-            created_at = 1.5;
-          }
-        in
-        Manifest.append m e;
-        Manifest.close m;
-        (* a crash mid-append leaves a prefix of a line *)
-        let oc = open_out_gen [ Open_append ] 0o644 path in
-        output_string oc "{\"schema\": \"wfc.mani";
-        close_out oc;
-        let { Manifest.entries; bad_lines } = Manifest.load path in
-        checki "entries" 1 (List.length entries);
-        checki "bad lines" 1 bad_lines;
-        (* appending after the torn line still yields parseable lines: every
-           append starts fresh content, and load drops only the torn one *)
-        let m = Manifest.create path in
-        Manifest.append m { e with rel = "ab/cd/y.json" };
-        Manifest.close m;
-        let { Manifest.entries; bad_lines = _ } = Manifest.load path in
-        checki "both live" 2 (List.length (Manifest.live entries)));
-    Alcotest.test_case "live replays puts and dels in order" `Quick (fun () ->
-        let base rel op =
-          {
-            Manifest.op;
-            kind = Manifest.Verdict;
-            rel;
-            digest = String.make 32 'b';
-            model = "wait-free";
-            max_level = 1;
-            budget = 5;
-            verdict = "solvable";
-            level = 1;
-            codec = "json";
-            created_at = 0.;
-          }
-        in
-        let log =
-          [
-            base "x" Manifest.Put;
-            base "y" Manifest.Put;
-            base "x" Manifest.Del;
-            base "z" Manifest.Put;
-            base "y" Manifest.Put;
-          ]
-        in
-        let live = Manifest.live log in
-        checks "sorted live set" "y,z"
-          (String.concat "," (List.map (fun e -> e.Manifest.rel) live)));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let engine_tests =
   [
-    Alcotest.test_case "manifest rebuild is equivalent to the directory walk" `Quick
-      (fun () ->
-        let dir = temp_dir "wfc-engine" in
-        let eng = Engine.open_store dir in
-        Engine.seed eng ~count:25;
-        (* rebuild stamps skeleton entries created_at = 0., so write ours
-           the same way and the full views must match byte-for-byte *)
-        Engine.put_skeleton eng ~digest:(String.make 32 'c') ~level:2 ~created_at:0.
-          "{\"fake\": true}";
-        let render () =
-          String.concat "\n"
-            (List.map (fun e -> Wfc_obs.Json.to_line (Manifest.entry_to_json e))
-               (Engine.ls eng))
-        in
-        let before = render () in
-        checki "seeded" 26 (List.length (Engine.ls eng));
-        (* lose the index entirely; the tree rebuilds it *)
-        Engine.close eng;
-        Sys.remove (Filename.concat dir "MANIFEST.jsonl");
-        checki "index gone" 0 (List.length (Engine.ls eng));
-        let n = Engine.rebuild_manifest eng in
-        checki "all entries recovered" 26 n;
-        checks "identical live view" before (render ()));
     Alcotest.test_case "cache tier: hits skip the disk, eviction is counted" `Quick
       (fun () ->
         let dir = temp_dir "wfc-engine" in
@@ -281,7 +187,7 @@ let engine_tests =
         let reads0 = counter_value "serve.store.reads" in
         checkb "evicted record still found" true (find r1 <> None);
         checkb "that lookup hit the disk" true (counter_value "serve.store.reads" > reads0));
-    Alcotest.test_case "truncated record: quarantine keeps manifest consistent" `Quick
+    Alcotest.test_case "truncated record: quarantine moves it off the serving path" `Quick
       (fun () ->
         let dir = temp_dir "wfc-engine" in
         let eng = Engine.open_store dir in
@@ -304,8 +210,7 @@ let engine_tests =
         checkb "moved aside" false (Sys.file_exists path);
         let v = Engine.verify cold in
         checki "quarantined" 1 v.Engine.quarantined;
-        checki "corrupt in place" 0 (List.length v.Engine.corrupt);
-        checki "manifest consistent: nothing live is missing" 0 v.Engine.missing);
+        checki "corrupt in place" 0 (List.length v.Engine.corrupt));
     Alcotest.test_case "crash-orphaned temp files: reported by verify, reaped by gc" `Quick
       (fun () ->
         let dir = temp_dir "wfc-engine" in
@@ -356,17 +261,65 @@ let engine_tests =
             (Wfc_obs.Json.to_string (Record.verdict_json r')));
         let v = Engine.verify eng in
         checki "one whole record" 1 v.Engine.valid;
-        checki "no torn files" 0 (List.length v.Engine.corrupt);
-        checki "no manifest entry without a file" 0 v.Engine.missing;
-        checki "no file without a manifest entry" 0 v.Engine.unindexed);
+        checki "no torn files" 0 (List.length v.Engine.corrupt));
     Alcotest.test_case "ls is deterministic and sorted" `Quick (fun () ->
         let dir = temp_dir "wfc-engine" in
         let eng = Engine.open_store dir in
         Engine.seed eng ~count:12;
-        let rels () = List.map (fun e -> e.Manifest.rel) (Engine.ls eng) in
+        let rels () = List.map fst (Engine.ls eng).Engine.records in
         let a = rels () in
         checkb "sorted" true (a = List.sort compare a);
         checkb "stable across calls" true (a = rels ()));
+    Alcotest.test_case "the tree is the index: a leftover MANIFEST.jsonl is inert" `Quick
+      (fun () ->
+        let dir = temp_dir "wfc-engine" in
+        let eng = Engine.open_store dir in
+        let r1 = record_of_params ~seed:31 ~kind:0 ~ndecide:4 ~level:1 in
+        let r2 = record_of_params ~seed:32 ~kind:1 ~ndecide:0 ~level:2 in
+        Engine.put eng r1;
+        Engine.put eng r2;
+        (* the index file an older build kept at the root, torn line and all *)
+        Out_channel.with_open_bin (Filename.concat dir "MANIFEST.jsonl") (fun oc ->
+            output_string oc "{\"schema\": \"wfc.manifest.v1\", \"op\": \"put\"}\n{\"torn");
+        let rel (r : Record.record) =
+          Layout.verdict_rel ~digest:r.Record.digest ~model:r.Record.model
+            ~max_level:r.Record.max_level
+        in
+        let body r = Wfc_obs.Json.to_string (Record.record_to_json r) in
+        let by_rel = List.sort (fun a b -> compare (rel a) (rel b)) [ r1; r2 ] in
+        let { Engine.records; skeletons } = Engine.ls eng in
+        checks "exactly the two records, sorted"
+          (String.concat "," (List.map rel by_rel))
+          (String.concat "," (List.map fst records));
+        checks "decoded bodies"
+          (String.concat "," (List.map body by_rel))
+          (String.concat "," (List.map (fun (_, r) -> body r) records));
+        checki "no skeletons" 0 skeletons;
+        let v = Engine.verify eng in
+        checki "both valid" 2 v.Engine.valid;
+        checki "nothing corrupt" 0 (List.length v.Engine.corrupt);
+        checki "nothing misfiled" 0 (List.length v.Engine.mismatched);
+        let cold = Engine.open_store dir in
+        List.iter
+          (fun (r : Record.record) ->
+            match
+              Engine.find cold ~digest:r.Record.digest ~model:r.Record.model
+                ~max_level:r.Record.max_level ~budget:r.Record.budget
+            with
+            | None -> Alcotest.fail "record not served"
+            | Some r' -> checks "served bytes" (body r) (body r'))
+          [ r1; r2 ];
+        (* one durable file per put, nothing beside it in its shard *)
+        let shard r = Filename.dirname (rel r) in
+        let in_shards =
+          List.sort_uniq compare [ shard r1; shard r2 ]
+          |> List.concat_map (fun d ->
+                 List.map (Filename.concat d)
+                   (Array.to_list (Sys.readdir (Filename.concat dir d))))
+        in
+        checks "shard contents"
+          (String.concat "," (List.map rel by_rel))
+          (String.concat "," (List.sort compare in_shards)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -385,7 +338,7 @@ let skeleton_tests =
                Sds.load = (fun ~digest ~level -> Engine.find_skeleton eng ~digest ~level);
                save =
                  (fun ~digest ~level data ->
-                   Engine.put_skeleton eng ~digest ~level ~created_at:0. data);
+                   Engine.put_skeleton eng ~digest ~level data);
              });
         Fun.protect
           ~finally:(fun () -> Sds.set_skeleton_store None)
@@ -410,7 +363,7 @@ let skeleton_tests =
             let skel_digest =
               Sds.structural_digest (Chromatic.standard_simplex 2)
             in
-            Engine.put_skeleton eng ~digest:skel_digest ~level:1 ~created_at:0.
+            Engine.put_skeleton eng ~digest:skel_digest ~level:1
               "{\"not\": \"a skeleton\"}";
             Sds.clear_cache ();
             let m0 = counter_value "sds.skeleton.misses" in
@@ -427,7 +380,6 @@ let () =
     [
       ("lru", lru_tests);
       ("record", record_tests);
-      ("manifest", manifest_tests);
       ("engine", engine_tests);
       ("skeleton", skeleton_tests);
     ]
