@@ -9,7 +9,7 @@
      dune exec bench/main.exe                    # experiments + micro-benchmarks
      dune exec bench/main.exe -- quick           # experiments only
      dune exec bench/main.exe -- --json FILE     # timed scenarios -> wfc.obs.v1
-     dune exec bench/main.exe -- --only serve    # just one scenario family
+     dune exec bench/main.exe -- --only store    # just one scenario family
 
    Any other argument is a usage error (exit 2) before anything runs. *)
 
@@ -606,14 +606,11 @@ let emulation_sweep ~sink () =
    Timed cold: every per-run cache that survives across calls is cleared
    first so the JSON numbers track the representation, not the memo. *)
 
-(* A scenario whose thunk repeats its hot section and wants the report to
-   carry a noise-robust statistic (a median of repeats, excluding setup)
-   rather than the single external wall-clock sets this from inside the
-   thunk; run_scenarios consumes and clears it around every scenario. The
-   serve warm pair uses it: serve_warm_logged carries a <=5% overhead
-   budget relative to serve_warm, which a one-shot measurement on a busy
-   single-core container cannot resolve — one scheduling spike inside
-   either run reads as a 30% swing. *)
+(* A scenario whose thunk times only its hot section (excluding setup)
+   sets this from inside the thunk, and the report carries it instead of
+   the external wall-clock; run_scenarios consumes and clears it around
+   every scenario. The storage scenarios time their op loop without the
+   seeding, and sds_skeleton_reuse times the replay alone. *)
 let self_timed : float option ref = ref None
 
 (* Extra per-scenario JSON fields (latency percentiles, op counts) set from
@@ -644,111 +641,6 @@ let scenarios : (string * (unit -> int option * string option)) list =
     let v = ref (Solvability.solve_at ~opts task level) in
     for _ = 2 to reps do v := Solvability.solve_at ~opts task level done;
     solved !v
-  in
-  (* Daemon round-trips: cold is one store-miss query (solve + persist +
-     wire, lifecycle included), warm is the best of five fresh-daemon
-     200-request store-hit loops (self-timed — startup and the priming
-     query excluded), coalesced is 8 concurrent identical queries of which
-     exactly one may compute.
-
-     Why best-of-five across daemon *restarts* for the warm pair: on a
-     busy single-core container a daemon's whole lifetime can land in a
-     degraded scheduling mode (~2 ms extra per round-trip, persisting
-     until the threads are torn down), so repeats inside one daemon all
-     inherit the same weather and a median cannot escape it. The minimum
-     over independent daemons estimates the cost of the code path itself,
-     which is what serve_warm_logged's <=5% overhead budget is about. *)
-  let serve ?(log = false) mode = fun () ->
-    let spec =
-      {
-        Wfc_serve.Wire.task = "set-consensus";
-        procs = 3;
-        param = 2;
-        max_level = 1;
-        model = "wait-free";
-        symmetry = true;
-        collapse = true;
-      }
-    in
-    (* one daemon lifecycle: set up socket/store/log, run [f ask], tear
-       everything down; with [log], a full event log at debug level — the
-       serve_warm_logged / serve_warm pair measures what telemetry
-       writing costs per request *)
-    let with_daemon f =
-      let socket = Filename.temp_file "wfc-bench" ".sock" in
-      Sys.remove socket;
-      let store_dir = Filename.temp_file "wfc-bench-store" "" in
-      Sys.remove store_dir;
-      Unix.mkdir store_dir 0o755;
-      let log_file = if log then Some (Filename.temp_file "wfc-bench" ".log") else None in
-      let ready = Atomic.make false in
-      let cfg =
-        {
-          (Wfc_serve.Daemon.config ?log:log_file ~log_level:Wfc_obs.Log.Debug ~socket
-             ~store_dir ())
-          with
-          Wfc_serve.Daemon.on_ready = Some (fun () -> Atomic.set ready true);
-        }
-      in
-      let daemon = Thread.create Wfc_serve.Daemon.run cfg in
-      while not (Atomic.get ready) do
-        Thread.yield ()
-      done;
-      let ask () =
-        match Wfc_serve.Client.connect ~socket with
-        | Error e -> failwith e
-        | Ok c ->
-          let r = Wfc_serve.Client.query c spec in
-          Wfc_serve.Client.close c;
-          (match r with
-          | Ok (Wfc_serve.Wire.Verdict { record; _ }) -> record
-          | _ -> failwith "bench query did not return a verdict")
-      in
-      let result = f ask in
-      (match Wfc_serve.Client.connect ~socket with
-      | Ok c ->
-        ignore (Wfc_serve.Client.shutdown c);
-        Wfc_serve.Client.close c
-      | Error _ -> ());
-      Thread.join daemon;
-      (match log_file with Some f -> (try Sys.remove f with Sys_error _ -> ()) | None -> ());
-      result
-    in
-    let record =
-      match mode with
-      | `Cold -> with_daemon (fun ask -> ask ())
-      | `Warm ->
-        let one_daemon () =
-          (* every repeat starts from an identical GC state: with the live
-             heap earlier scenarios accumulated, the incremental major cycle
-             otherwise falls behind across repeats (promotion debt), and
-             whichever scenario of the warm pair runs later inherits the
-             bigger heap and reads slower for reasons that have nothing to
-             do with logging *)
-          Gc.compact ();
-          with_daemon (fun ask ->
-              let r = ref (ask ()) in
-              let t0 = Wfc_obs.Metrics.now_s () in
-              for _ = 1 to 200 do
-                r := ask ()
-              done;
-              (Wfc_obs.Metrics.now_s () -. t0, !r))
-        in
-        let reps = if !quick_scenarios then 2 else 5 in
-        let runs = List.init reps (fun _ -> one_daemon ()) in
-        self_timed := Some (List.fold_left (fun acc (s, _) -> min acc s) infinity runs);
-        snd (List.hd runs)
-      | `Coalesced ->
-        with_daemon (fun ask ->
-            let results = Array.make 8 None in
-            let ts =
-              Array.init 8 (fun i -> Thread.create (fun i -> results.(i) <- Some (ask ())) i)
-            in
-            Array.iter Thread.join ts;
-            Option.get results.(0))
-    in
-    let o = record.Wfc_storage.Record.outcome in
-    (Some o.Solvability.o_nodes, Some o.Solvability.o_verdict)
   in
   (* Storage engine at scale: a store seeded with 10k records (500 under
      --quick), then per-op latency distributions for the three tiers of a
@@ -921,8 +813,6 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ("emulation_trace_off", plain (fun () -> emulation_sweep ~sink:Runtime.Off ()));
     ("emulation_trace_ring", plain (fun () -> emulation_sweep ~sink:(Runtime.Ring 4096) ()));
     ("emulation_trace_full", plain (fun () -> emulation_sweep ~sink:Runtime.Full ()));
-    (* the sequential search baseline (the name predates the single engine) *)
-    ("solve_domains_1", solve_rep ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1);
     (* model-restricted solving: the k-set affine task of the same workload.
        The restriction filters facets before the instance is built, so this
        tracks both the predicate cost and the smaller search space. *)
@@ -947,13 +837,6 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ( "solve_both",
       solve_rep ~symmetry:true ~collapse:true ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    (* verdict daemon: cold miss vs warm store hits vs coalesced burst;
-       serve_warm_logged is serve_warm with the debug event log on — the
-       pair bounds the per-request cost of telemetry writing *)
-    ("serve_cold", serve `Cold);
-    ("serve_warm", serve `Warm);
-    ("serve_warm_logged", serve ~log:true `Warm);
-    ("serve_coalesced", serve `Coalesced);
     (* storage engine at 10k records: the three lookup tiers, the miss
        and the tree-walking ls, per-op p50/p95 in the extra fields *)
     ("store_put", store_put);

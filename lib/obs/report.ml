@@ -41,9 +41,9 @@ let to_json ?machine ?snapshot scenarios =
   in
   Json.Obj (base @ metrics)
 
-(* Machine provenance for committed timing artifacts: wall-clock ratios
-   between domain-count scenarios or ladder rungs are meaningless without
-   knowing how many cores backed the run and which commit produced it. *)
+(* Machine provenance for committed timing artifacts: a wall-clock
+   number is meaningless without knowing how many cores backed the run
+   and which commit produced it. *)
 let machine_facts () =
   let recommended = Domain.recommended_domain_count () in
   let git_sha =

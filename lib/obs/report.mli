@@ -46,9 +46,8 @@ val to_json :
 val machine_facts : unit -> (string * Json.t) list
 (** The standard [~machine] stamp: [recommended_domain_count], [git_sha]
     (via [git rev-parse HEAD], ["unknown"] outside a checkout) and
-    [single_core_container]. Shared by [bench/main.exe] and
-    [bench/ladder.exe] so every committed timing artifact carries the same
-    provenance fields. *)
+    [single_core_container]. Shared by [bench/main.exe] and [perfbench]
+    so every timing artifact carries the same provenance fields. *)
 
 val write_file : string -> Json.t -> unit
 (** Writes {!Json.to_string} (canonical form) to the path, truncating. *)

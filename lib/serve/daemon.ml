@@ -66,11 +66,14 @@ let h_stage_store_put = Wfc_obs.Metrics.histogram "serve.stage.store_put.seconds
 
 let h_stage_encode = Wfc_obs.Metrics.histogram "serve.stage.encode.seconds"
 
-(* Latency split by how the answer was produced and by what model was
-   asked: a warm store-hit population and a cold search population do not
-   belong in one histogram, and per-model curves show which restriction is
-   expensive. Source handles are pre-resolved; model handles go through the
-   registry's get-or-create (mutexed, cheap against a solve). *)
+(* Latency split by how the answer was produced and by what model family
+   was asked: a warm store-hit population and a cold search population do
+   not belong in one histogram, and per-family curves show which
+   restriction is expensive. The family, not the full model name, keys the
+   histogram: a name built from a client's parameter would grow the
+   registry (and every [stats] reply) with each new value asked. Source
+   handles are pre-resolved; family handles go through the registry's
+   get-or-create (mutexed, cheap against a solve). *)
 let h_latency_store = Wfc_obs.Metrics.histogram "serve.latency.store.seconds"
 
 let h_latency_computed = Wfc_obs.Metrics.histogram "serve.latency.computed.seconds"
@@ -82,9 +85,9 @@ let h_latency_of_source = function
   | Wire.Computed -> h_latency_computed
   | Wire.Coalesced -> h_latency_coalesced
 
-let h_latency_of_model model_name =
+let h_latency_of_model model =
   Wfc_obs.Metrics.histogram
-    ("serve.latency.model." ^ Wfc_tasks.Model.slug_of_name model_name ^ ".seconds")
+    ("serve.latency.model." ^ Wfc_tasks.Model.family model ^ ".seconds")
 
 (* Solver-side stage costs of one computation; the handler adds its own
    wait into [total_s] when it builds the wire timing. *)
@@ -134,7 +137,7 @@ type state = {
   mutable npending : int;
   inflight : (string, job) Hashtbl.t;
   solver : solver_info;
-  req_seq : int Atomic.t;  (** daemon-assigned request ids for old clients *)
+  req_seq : int Atomic.t;  (** ids for requests that carry no [req_id] *)
   stopping : bool Atomic.t;
 }
 
@@ -277,11 +280,11 @@ let handle_query st ~req_id (spec : Wire.spec) =
   in
   (* Every answered verdict funnels through here: one place observes the
      latency histograms, writes the query log line, and flags outliers. *)
-  let served ~source ~stages (record : Wfc_storage.Record.record) =
+  let served ~model ~source ~stages (record : Wfc_storage.Record.record) =
     let total_s = Wfc_obs.Metrics.now_s () -. t0 in
     Wfc_obs.Metrics.observe h_latency total_s;
     Wfc_obs.Metrics.observe (h_latency_of_source source) total_s;
-    Wfc_obs.Metrics.observe (h_latency_of_model spec.Wire.model) total_s;
+    Wfc_obs.Metrics.observe (h_latency_of_model model) total_s;
     let timing =
       {
         Wire.queue_wait_s = stages.queue_wait_s;
@@ -402,7 +405,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
     match decision with
     | `Refuse -> failed "daemon is shutting down"
     | `Hit (r, find_s) ->
-      served ~source:Wire.From_store ~stages:{ no_stages with store_s = find_s } r
+      served ~model ~source:Wire.From_store ~stages:{ no_stages with store_s = find_s } r
     | `Shed ->
       log_event st Wfc_obs.Log.Warn "shed"
         (("req_id", Wfc_obs.Json.String req_id) :: spec_fields spec);
@@ -410,11 +413,11 @@ let handle_query st ~req_id (spec : Wire.spec) =
       Wire.Shed
     | `Join job -> (
       match wait_for job with
-      | Ok (r, stages) -> served ~source:Wire.Coalesced ~stages r
+      | Ok (r, stages) -> served ~model ~source:Wire.Coalesced ~stages r
       | Error e -> failed e)
     | `Own job -> (
       match wait_for job with
-      | Ok (r, stages) -> served ~source:Wire.Computed ~stages r
+      | Ok (r, stages) -> served ~model ~source:Wire.Computed ~stages r
       | Error e -> failed e))
 
 (* ---- introspection ---- *)

@@ -36,7 +36,8 @@
     [.solve.], [.store_put.], [.encode.] — alongside the end-to-end
     [serve.latency.seconds], its per-source splits
     ([serve.latency.store.seconds] / [.computed.] / [.coalesced.]) and
-    per-model splits ([serve.latency.model.<slug>.seconds]).
+    per-model-family splits ([serve.latency.model.<family>.seconds], where
+    the family is [wait-free], [t-resilient] or [k-set]).
     [serve.queue.depth] is sampled on both enqueue and dequeue, so the
     histogram sees drains as well as arrival bursts. With [log] set the
     daemon appends one [wfc.log.v1] line per event ({!Wfc_obs.Log}):

@@ -97,7 +97,8 @@ let of_string s =
 
 let slug_of_name name = String.map (function ':' -> '-' | c -> c) name
 
-let slug m = slug_of_name m.name
+let family m =
+  match String.index_opt m.name ':' with Some i -> String.sub m.name 0 i | None -> m.name
 
 let builtins =
   [

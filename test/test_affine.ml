@@ -41,9 +41,12 @@ let test_model_codec () =
   checks "wait-free name" "wait-free" (Model.to_string Model.wait_free);
   checks "k-set name" "k-set:2" (Model.to_string (Model.k_set_affine ~k:2));
   checks "t-resilient name" "t-resilient:1" (Model.to_string (Model.t_resilient ~t:1));
-  checks "slug is filename-safe" "k-set-2" (Model.slug (Model.k_set_affine ~k:2));
-  checks "slug of wait-free" "wait-free" (Model.slug Model.wait_free);
+  checks "slug is filename-safe" "k-set-2" (Model.slug_of_name "k-set:2");
+  checks "slug of wait-free" "wait-free" (Model.slug_of_name "wait-free");
   checks "slug_of_name" "t-resilient-1" (Model.slug_of_name "t-resilient:1");
+  checks "family drops the parameter" "k-set" (Model.family (Model.k_set_affine ~k:7));
+  checks "family of t-resilient" "t-resilient" (Model.family (Model.t_resilient ~t:2));
+  checks "family of wait-free" "wait-free" (Model.family Model.wait_free);
   List.iter
     (fun bad ->
       checkb (Printf.sprintf "%S is rejected" bad) true
@@ -173,7 +176,7 @@ let qcheck_wait_free_solve_sweep =
       && decide_table seed = decide_table wf)
 
 let test_per_model_counter () =
-  let name = "solvability.model.k-set-3" in
+  let name = "solvability.model.k-set" in
   let before = Wfc_obs.Metrics.value (Wfc_obs.Metrics.counter name) in
   ignore (solve_m (Model.k_set_affine ~k:3) (Instances.binary_consensus ~procs:2) 0);
   let after = Wfc_obs.Metrics.value (Wfc_obs.Metrics.counter name) in

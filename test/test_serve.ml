@@ -858,6 +858,32 @@ let daemon_tests =
             let cold = List.map (fun l -> { default_spec with Wire.max_level = l }) [ 0; 1; 2 ] in
             within "cold" cold;
             within "warm" [ default_spec; default_spec; default_spec ]));
+    Alcotest.test_case "model parameters do not mint metric names" `Quick (fun () ->
+        (* a client picks the model's parameter: 20 of them must not grow
+           the registry (and every stats reply) by 20 names each *)
+        let names prefix =
+          let with_prefix l =
+            List.filter (fun n -> String.starts_with ~prefix n) (List.map fst l)
+          in
+          List.length
+            (with_prefix (Wfc_obs.Metrics.histograms_now ())
+            @ with_prefix (Wfc_obs.Metrics.counters_now ()))
+        in
+        let latency = "serve.latency.model." and solves = "solvability.model." in
+        let latency0 = names latency and solves0 = names solves in
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let c = connect_exn socket in
+            for k = 1 to 20 do
+              let spec =
+                { default_spec with Wire.max_level = 0; model = Printf.sprintf "k-set:%d" k }
+              in
+              match query_exn c spec with
+              | Wire.Verdict _ -> ()
+              | _ -> Alcotest.failf "expected a verdict for k-set:%d" k
+            done;
+            Client.close c);
+        checkb "at most one new latency histogram" true (names latency - latency0 <= 1);
+        checkb "at most one new solve counter" true (names solves - solves0 <= 1));
   ]
 
 let () =
