@@ -756,8 +756,10 @@ let scenarios : (string * (unit -> int option * string option)) list =
   (* Persisted-skeleton reuse: SDS^3(s^2) built cold from nothing vs cold
      from the skeleton keyspace (memo cleared both times — "cold" means a
      new process, not a new store). The replay skips the enumeration
-     search and should win by an integer factor; both times ride in the
-     extra fields, [seconds] is the replay. *)
+     search, yet it measures slower than the cold build (BENCH_wfc.json:
+     22.0 ms against 26.8 ms), which is why no daemon or CLI store
+     attaches the keyspace. Both times ride in the extra fields,
+     [seconds] is the replay. *)
   let sds_skeleton_reuse = fun () ->
     let dir = Filename.temp_file "wfc-bench-skel" "" in
     Sys.remove dir;

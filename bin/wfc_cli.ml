@@ -517,14 +517,6 @@ let store_req_arg =
     value & opt string ".wfc-store"
     & info [ "store" ] ~docv:"DIR" ~doc:"The wfc.store.v2 verdict store directory.")
 
-(* Opening a store for solving also points Sds.iterate at its skeleton
-   keyspace, so cold solves against already-seen subdivisions replay
-   persisted SDS steps instead of re-enumerating. *)
-let open_solving_store dir =
-  let st = Wfc_storage.Engine.open_store dir in
-  Wfc_storage.Engine.attach_skeletons st;
-  st
-
 let verdict_out_arg =
   Arg.(
     value
@@ -616,7 +608,7 @@ let solve_cmd =
     Format.printf "%a@." Task.pp_stats t;
     if not (Model.equal model Model.wait_free) then
       Format.printf "model: %s@." model_name;
-    let store = Option.map open_solving_store store_dir in
+    let store = Option.map Wfc_storage.Engine.open_store store_dir in
     let emit_verdict record =
       match verdict_out with
       | Some path -> write_json_to path (Wfc_storage.Record.verdict_json record)
@@ -735,7 +727,7 @@ let solve_cmd =
 (* ---------- serve / query / store ---------- *)
 
 let serve_cmd =
-  let run socket store_dir queue json log log_level slow_ms stop =
+  let run socket store_dir queue log log_level slow_ms stop =
     if stop then (
       match Wfc_serve.Client.connect ~socket with
       | Error e ->
@@ -759,12 +751,8 @@ let serve_cmd =
         1
       | Ok log_level -> (
         let cfg =
-          {
-            (Wfc_serve.Daemon.config ~queue_capacity:queue ?log ~log_level ?slow_ms
-               ~socket ~store_dir ())
-            with
-            Wfc_serve.Daemon.report = json;
-          }
+          Wfc_serve.Daemon.config ~queue_capacity:queue ?log ~log_level ?slow_ms ~socket
+            ~store_dir ()
         in
         match Wfc_serve.Daemon.run cfg with
         | () -> 0
@@ -813,12 +801,12 @@ let serve_cmd =
        ~doc:
          "Run the solvability daemon: a persistent verdict store plus in-flight dedup behind \
           a Unix-domain socket. Answers $(b,wfc query) traffic; one solver thread works \
-          through cold questions round-robin across task digests. Request lifecycles are measured stage by stage (see $(b,wfc \
-          stats)) and optionally logged with $(b,--log). Shut down with $(b,--stop), SIGINT \
-          or SIGTERM; survives SIGKILL with a loadable store.")
+          through cold questions round-robin across task digests. Request lifecycles are \
+          measured stage by stage and optionally logged with $(b,--log); read the live \
+          metrics with $(b,wfc stats), whose $(b,--json) writes the wfc.obs.v1 report. Shut \
+          down with $(b,--stop), SIGINT or SIGTERM; survives SIGKILL with a loadable store.")
     Term.(
-      const run $ socket_arg $ store_req_arg $ queue $ Output.json_arg
-      $ log $ log_level $ slow_ms $ stop)
+      const run $ socket_arg $ store_req_arg $ queue $ log $ log_level $ slow_ms $ stop)
 
 let query_cmd =
   let run task procs param max_level model no_symmetry no_collapse socket store_dir
@@ -899,7 +887,7 @@ let query_cmd =
         | t -> (
           match
             Wfc_storage.Engine.answer
-              (Option.map open_solving_store store_dir)
+              (Option.map Wfc_storage.Engine.open_store store_dir)
               ~opts:(Solvability.options ~model ~symmetry ~collapse ())
               ~spec:(Wfc_serve.Wire.spec_to_string spec) ~max_level t
           with
@@ -956,152 +944,73 @@ let query_cmd =
 
 let stats_cmd =
   let run socket prometheus json =
-    match Wfc_serve.Client.connect ~socket with
+    let open Wfc_obs in
+    let reply =
+      match Wfc_serve.Client.connect ~socket with
+      | Error e -> Error e
+      | Ok c ->
+        let r = Wfc_serve.Client.stats c in
+        Wfc_serve.Client.close c;
+        Result.bind r (fun (metrics, server) ->
+            match Snapshot.of_json metrics with
+            | Ok snap -> Ok (snap, server)
+            | Error e -> Error ("unreadable stats reply: " ^ e))
+    in
+    match reply with
     | Error e ->
       Format.eprintf "%s@." e;
       1
-    | Ok c -> (
-      let r = Wfc_serve.Client.stats c in
-      Wfc_serve.Client.close c;
-      match r with
-      | Error e ->
-        Format.eprintf "%s@." e;
-        1
-      | Ok (metrics, server) ->
-        let obj_fields = function Wfc_obs.Json.Obj f -> f | _ -> [] in
-        let num = function
-          | Wfc_obs.Json.Float f -> Some f
-          | Wfc_obs.Json.Int i -> Some (float_of_int i)
-          | _ -> None
-        in
-        let counters =
-          List.filter_map
-            (function n, Wfc_obs.Json.Int v -> Some (n, v) | _ -> None)
-            (match Wfc_obs.Json.member "counters" metrics with
-            | Some o -> obj_fields o
-            | None -> [])
-        in
-        let histograms =
-          List.map
-            (fun (n, h) ->
-              let field k = Option.bind (Wfc_obs.Json.member k h) num in
-              (n, field "count", field "sum", field "mean", field "min", field "max"))
-            (match Wfc_obs.Json.member "histograms" metrics with
-            | Some o -> obj_fields o
-            | None -> [])
-        in
-        let server_num k =
-          Option.bind server (fun s -> Option.bind (Wfc_obs.Json.member k s) num)
-        in
-        if prometheus then begin
-          (* text exposition: dots (and any other non-identifier byte) in
-             metric names become underscores, wfc_ prefixed *)
-          let mangle n =
-            "wfc_"
-            ^ String.map
-                (fun c ->
-                  match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_')
-                n
-          in
-          List.iter
-            (fun (n, v) ->
-              let n = mangle n in
-              Format.printf "# TYPE %s counter@.%s %d@." n n v)
-            counters;
-          List.iter
-            (fun (n, count, sum, _, _, _) ->
-              let n = mangle n in
-              Format.printf "# TYPE %s summary@." n;
-              (match count with
-              | Some c -> Format.printf "%s_count %.0f@." n c
-              | None -> ());
-              match sum with Some s -> Format.printf "%s_sum %.6f@." n s | None -> ())
-            histograms;
-          (match server_num "uptime_s" with
-          | Some u -> Format.printf "# TYPE wfc_uptime_seconds gauge@.wfc_uptime_seconds %.6f@." u
-          | None -> ());
-          List.iter
-            (fun (key, metric) ->
-              match server_num key with
-              | Some v -> Format.printf "# TYPE %s gauge@.%s %.0f@." metric metric v
-              | None -> ())
-            [ ("inflight", "wfc_inflight"); ("queue_depth", "wfc_queue_depth") ]
-        end
-        else begin
-          (match server with
-          | Some s ->
-            let str k =
-              match Wfc_obs.Json.member k s with
-              | Some (Wfc_obs.Json.String v) -> v
-              | _ -> "?"
-            in
-            let int k = match server_num k with Some v -> int_of_float v | None -> 0 in
-            Format.printf "daemon: version=%s uptime=%.1fs inflight=%d queue=%d/%d@."
-              (str "version")
-              (Option.value ~default:0. (server_num "uptime_s"))
-              (int "inflight") (int "queue_depth") (int "queue_capacity");
-            (match Wfc_obs.Json.member "solver" s with
-            | Some solver ->
-              let f k =
-                match Wfc_obs.Json.member k solver with
-                | Some (Wfc_obs.Json.Int i) -> string_of_int i
-                | Some (Wfc_obs.Json.String v) -> v
-                | _ -> "?"
-              in
-              Format.printf "solver: %s%s (%s job%s)@." (f "state")
-                (match Wfc_obs.Json.member "digest" solver with
-                | Some (Wfc_obs.Json.String d) -> " " ^ d
-                | None | Some _ -> "")
-                (f "jobs")
-                (if f "jobs" = "1" then "" else "s")
+    | Ok (snap, server) ->
+      let field ?(o = server) k = Option.bind o (Json.member k) in
+      let num k =
+        match field k with
+        | Some (Json.Float f) -> Some f
+        | Some (Json.Int i) -> Some (float_of_int i)
+        | _ -> None
+      in
+      let text ?o k =
+        match field ?o k with
+        | Some (Json.String v) -> v
+        | Some (Json.Int i) -> string_of_int i
+        | _ -> "?"
+      in
+      let uptime = Option.value ~default:0. (num "uptime_s") in
+      if prometheus then begin
+        print_string (Snapshot.to_prometheus snap);
+        List.iter
+          (fun (key, metric, digits) ->
+            match num key with
+            | Some v -> Printf.printf "# TYPE %s gauge\n%s %.*f\n" metric metric digits v
             | None -> ())
-          | None -> Format.printf "daemon: (pre-telemetry daemon — no server block)@.");
-          if counters <> [] then begin
-            Format.printf "counters@.";
-            let w = List.fold_left (fun w (n, _) -> max w (String.length n)) 0 counters in
-            List.iter (fun (n, v) -> Format.printf "  %-*s %12d@." w n v) counters
-          end;
-          let timed = List.filter (fun (_, c, _, _, _, _) -> c <> Some 0.) histograms in
-          if timed <> [] then begin
-            Format.printf "timers@.";
-            let w =
-              List.fold_left (fun w (n, _, _, _, _, _) -> max w (String.length n)) 0 timed
-            in
-            List.iter
-              (fun (n, count, _, mean, min_, max_) ->
-                let g = Option.value ~default:0. in
-                Format.printf "  %-*s count=%-6.0f mean=%.6f min=%.6f max=%.6f@." w n
-                  (g count) (g mean) (g min_) (g max_))
-              timed
-          end
-        end;
-        (match json with
-        | Some path ->
-          (* a wfc.obs.v1 report (validated by wfc check-json): the daemon's
-             uptime as the single scenario, metrics sections and the server
-             block merged at top level *)
-          let report =
-            Wfc_obs.Json.Obj
-              ([
-                 ("schema", Wfc_obs.Json.String Wfc_obs.Report.schema_version);
-                 ( "scenarios",
-                   Wfc_obs.Json.Arr
-                     [
-                       Wfc_obs.Json.Obj
-                         [
-                           ("name", Wfc_obs.Json.String "stats");
-                           ( "seconds",
-                             Wfc_obs.Json.Float
-                               (Option.value ~default:0. (server_num "uptime_s")) );
-                         ];
-                     ] );
-               ]
-              @ obj_fields metrics
-              @ match server with Some s -> [ ("server", s) ] | None -> [])
-          in
-          write_json_to path report
+          [ ("uptime_s", "wfc_uptime_seconds", 6); ("inflight", "wfc_inflight", 0);
+            ("queue_depth", "wfc_queue_depth", 0) ]
+      end
+      else begin
+        if server = None then print_endline "daemon: (pre-telemetry daemon — no server block)"
+        else
+          Printf.printf "daemon: version=%s uptime=%.1fs inflight=%s queue=%s/%s\n"
+            (text "version") uptime (text "inflight") (text "queue_depth")
+            (text "queue_capacity");
+        (match field "solver" with
+        | Some _ as o ->
+          Printf.printf "solver: %s%s (%s job%s)\n" (text ~o "state")
+            (match field ~o "digest" with Some (Json.String d) -> " " ^ d | _ -> "")
+            (text ~o "jobs")
+            (if text ~o "jobs" = "1" then "" else "s")
         | None -> ());
-        0)
+        print_string (Snapshot.to_text snap)
+      end;
+      (match json with
+      | Some path -> (
+        (* a wfc.obs.v1 report (validated by wfc check-json): the daemon's
+           uptime as the single scenario, with the server block appended *)
+        match Report.to_json ~snapshot:snap [ Report.scenario "stats" uptime ] with
+        | Json.Obj fields ->
+          write_json_to path
+            (Json.Obj (fields @ match server with Some s -> [ ("server", s) ] | None -> []))
+        | _ -> assert false)
+      | None -> ());
+      0
   in
   let prometheus =
     Arg.(
@@ -1113,9 +1022,9 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Live introspection of a running solvability daemon: version, uptime, in-flight \
-          queries, queue depth, the solver's state, and every serve.* counter and stage/latency \
-          histogram. Output as a human table (default), $(b,--json) wfc.obs.v1 report, or \
-          $(b,--prometheus) text exposition.")
+          queries, queue depth, the solver's state, then every counter, stage/latency histogram \
+          and solver span, laid out as any subcommand's $(b,--stats) prints them. \
+          $(b,--prometheus) prints text exposition instead; $(b,--json) writes a wfc.obs.v1 report.")
     Term.(const run $ socket_arg $ prometheus $ Output.json_arg)
 
 let store_cmd =

@@ -10,8 +10,9 @@
 # require the replayed canonical trace to be byte-identical to the
 # recording. Bad arguments must end in a usage error, never a crash or a
 # silently started run: an unknown `wfc solve --task`, the deleted
-# `--solvers` and `--domains` options, the deleted `store migrate` and
-# `store rebuild` subcommands and an unknown bench flag are all checked.
+# `--solvers`, `--domains` and `serve --json` options, the deleted
+# `store migrate` and `store rebuild` subcommands and an unknown bench
+# flag are all checked.
 # Last, the serving smoke: a daemon's cold and warm answers must be
 # byte-identical to an inline solve's canonical verdict, a SIGKILLed
 # daemon must leave a store that verifies clean and a stale socket the
@@ -41,9 +42,11 @@ rm -f SOLVE_ci.json
 
 # usage errors: an unknown task is a cmdliner usage error (non-zero, not
 # the 125 of an uncaught exception, no "internal error"), so are the
-# deleted `serve --solvers`, `solve --domains`, `store migrate` and
-# `store rebuild` (none of them may create the store), and an unknown
-# bench flag exits 2 before any experiment starts
+# deleted `serve --solvers`, `serve --json` (the shutdown report; `wfc
+# stats --json` writes the same wfc.obs.v1 report live), `solve
+# --domains`, `store migrate` and `store rebuild` (none of them may create
+# the store or the socket), and an unknown bench flag exits 2 before any
+# experiment starts
 RC=0
 ./_build/default/bin/wfc_cli.exe solve --task bogus --procs 2 > USAGE_ci.txt 2>&1 || RC=$?
 test "$RC" -ne 0
@@ -51,6 +54,7 @@ test "$RC" -ne 125
 if grep -q 'internal error' USAGE_ci.txt; then exit 1; fi
 grep -q 'consensus' USAGE_ci.txt
 for ARGS in "serve --socket ci_usage.sock --store ci_usage_store --solvers 2" \
+  "serve --socket ci_usage.sock --store ci_usage_store --json X.json" \
   "solve --task consensus --procs 2 --domains 2" \
   "store migrate --store ci_usage_store" \
   "store rebuild --store ci_usage_store"; do
@@ -261,7 +265,10 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE3" VERDICT_wf.json VERDICT_kset.json \
 # cold/warm/coalesced traffic through it, and require (a) the verdict bytes
 # stay identical to an inline solve — telemetry rides the envelope, never
 # the record — (b) the JSONL event log and `wfc stats --json` both validate
-# through check-json, (c) the Prometheus exposition renders.
+# through check-json, (c) the human `wfc stats` view is the daemon header
+# plus the counters/timers/spans layout of every `--stats`, the solver's
+# span tree included, and (d) the Prometheus exposition renders counters
+# and histogram summaries.
 SERVE_STORE4=ci_serve_store4
 SERVE_LOG=ci_serve_log.jsonl
 rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG"
@@ -299,10 +306,17 @@ grep -E 'source=(computed|coalesced|store)' QUERY_tel_a.txt
 grep -E 'source=(computed|coalesced|store)' QUERY_tel_b.txt
 cmp VERDICT_tel_a.json VERDICT_tel_b.json
 # live introspection: human table, validated JSON report, Prometheus text
-"$WFC" stats --socket "$SERVE_SOCK" | grep 'daemon: version='
+"$WFC" stats --socket "$SERVE_SOCK" > STATS_ci.txt
+grep 'daemon: version=' STATS_ci.txt
+grep '^counters$' STATS_ci.txt
+grep '^timers$' STATS_ci.txt
+grep '^spans$' STATS_ci.txt
 "$WFC" stats --socket "$SERVE_SOCK" --json STATS_ci.json > /dev/null
 "$WFC" check-json STATS_ci.json
-"$WFC" stats --socket "$SERVE_SOCK" --prometheus | grep '^wfc_serve_requests '
+"$WFC" stats --socket "$SERVE_SOCK" --prometheus > STATS_ci.prom
+grep '^wfc_serve_requests ' STATS_ci.prom
+grep '^# TYPE wfc_serve_latency_seconds summary$' STATS_ci.prom
+grep '^wfc_serve_latency_seconds_count ' STATS_ci.prom
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
 # the event log is a valid wfc.log.v1 stream with the lifecycle on record
@@ -311,7 +325,7 @@ grep '"event":"serve.start"' "$SERVE_LOG" > /dev/null
 grep '"event":"query"' "$SERVE_LOG" > /dev/null
 grep '"event":"slow_query"' "$SERVE_LOG" > /dev/null
 grep '"event":"serve.stop"' "$SERVE_LOG" > /dev/null
-rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG" STATS_ci.json \
+rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG" STATS_ci.json STATS_ci.txt STATS_ci.prom \
   VERDICT_tel_inline.json VERDICT_tel_cold.json VERDICT_tel_warm.json \
   VERDICT_tel_a.json VERDICT_tel_b.json QUERY_tel_cold.txt QUERY_tel_a.txt \
   QUERY_tel_b.txt

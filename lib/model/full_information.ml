@@ -45,10 +45,6 @@ let proc_of_iview = function
   | Iinit { proc; _ } -> proc
   | Inode { proc; _ } -> proc
 
-let proc_of_view = function
-  | Vinit { proc; _ } -> proc
-  | Vsnap { proc; _ } -> proc
-
 let rec canonical_iview enc = function
   | Iinit { proc; input } ->
     ignore proc;

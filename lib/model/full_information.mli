@@ -51,5 +51,3 @@ val iview_procs_seen : 'v iview -> int list
     own process. *)
 
 val proc_of_iview : 'v iview -> int
-
-val proc_of_view : 'v view -> int

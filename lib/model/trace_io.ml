@@ -213,21 +213,6 @@ let string_of_value = function
   | _ -> Error "value is not a string"
 
 (* ------------------------------------------------------------------ *)
-(* files                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let load_file path =
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.parse contents with
-  | Error e -> Error (Printf.sprintf "%s: not valid JSON (%s)" path e)
-  | Ok j -> Ok j
-
-(* ------------------------------------------------------------------ *)
 (* deterministic replay                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -252,8 +237,6 @@ let replay decisions =
     | d :: tl ->
       rest := tl;
       d
-
-let replay_of_trace trace = replay (decisions_of trace)
 
 (* ------------------------------------------------------------------ *)
 (* Perfetto export                                                      *)

@@ -49,8 +49,6 @@ val string_of_value : Wfc_obs.Json.t -> (string, string) result
 (** Value codec for [string Trace.t], the rendered form all built-in
     protocols serialize as. *)
 
-val load_file : string -> (Wfc_obs.Json.t, string) result
-
 (** {1 Deterministic replay} *)
 
 val decisions_of : 'v Trace.t -> Runtime.decision list
@@ -62,9 +60,6 @@ val decisions_of : 'v Trace.t -> Runtime.decision list
 val replay : Runtime.decision list -> Runtime.strategy
 (** Consumes the recorded decisions in order; [Halt]s when exhausted. The
     returned strategy is single-use (it owns a cursor). *)
-
-val replay_of_trace : 'v Trace.t -> Runtime.strategy
-(** [replay (decisions_of t)]. *)
 
 (** {1 Perfetto export} *)
 

@@ -79,6 +79,53 @@ let to_json t =
       ("spans", Json.Arr (List.map span_json t.spans));
     ]
 
+(* Every field [to_json] writes except a histogram's [mean], which is
+   derived from [sum] and [count] on the way out. *)
+let of_json j =
+  let exception Malformed of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
+  let int = function Json.Int i -> Some i | _ -> None in
+  let num = function Json.Float f -> Some f | Json.Int i -> Some (float_of_int i) | _ -> None in
+  let obj = function Json.Obj fields -> Some fields | _ -> None in
+  let arr = function Json.Arr l -> Some l | _ -> None in
+  let str = function Json.String s -> Some s | _ -> None in
+  let get what conv key o =
+    match Option.bind (Json.member key o) conv with
+    | Some v -> v
+    | None -> bad "%s: %S is missing or malformed" what key
+  in
+  let section conv key =
+    match Json.member key j with None -> [] | Some _ -> get "metrics" conv key j
+  in
+  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  let rec span s =
+    let get conv key = get "span" conv key s in
+    {
+      Metrics.span_name = get str "name";
+      calls = get int "calls";
+      total_s = get num "seconds";
+      children = List.map span (get arr "children");
+    }
+  in
+  match
+    if Option.is_none (obj j) then bad "metrics snapshot is not an object";
+    let counter (name, v) =
+      match int v with Some v -> (name, v) | None -> bad "counter %S is not an int" name
+    in
+    let histogram (name, h) =
+      let get conv key = get (Printf.sprintf "histogram %S" name) conv key h in
+      let count = get int "count" and sum = get num "sum" in
+      (name, { Metrics.count; sum; min = get num "min"; max = get num "max" })
+    in
+    {
+      counters = List.map counter (by_name (section obj "counters"));
+      histograms = List.map histogram (by_name (section obj "histograms"));
+      spans = List.map span (section arr "spans");
+    }
+  with
+  | t -> Ok t
+  | exception Malformed m -> Error m
+
 let to_text t =
   let counters = live_counters t in
   let buf = Buffer.create 256 in
@@ -120,3 +167,23 @@ let to_text t =
     List.iter (walk 0) t.spans
   end;
   if Buffer.length buf = 0 then "(no metrics recorded)\n" else Buffer.contents buf
+
+(* Counters are printed as given, zeros included; a histogram is a
+   summary with no quantiles. *)
+let to_prometheus t =
+  let mangle name =
+    "wfc_"
+    ^ String.map (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9') as c -> c | _ -> '_') name
+  in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (name, v) ->
+      let n = mangle name in
+      Printf.bprintf buf "# TYPE %s counter\n%s %d\n" n n v)
+    t.counters;
+  List.iter
+    (fun (name, (h : Metrics.histo_stats)) ->
+      let n = mangle name in
+      Printf.bprintf buf "# TYPE %s summary\n%s_count %d\n%s_sum %.6f\n" n n h.count n h.sum)
+    t.histograms;
+  Buffer.contents buf

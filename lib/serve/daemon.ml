@@ -6,7 +6,6 @@ type config = {
   socket : string;
   store_dir : string;
   queue_capacity : int;
-  report : string option;
   on_ready : (unit -> unit) option;
   gate : (string -> unit) option;
   log : string option;
@@ -20,7 +19,6 @@ let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms 
     socket;
     store_dir;
     queue_capacity;
-    report = None;
     on_ready = None;
     gate = None;
     log;
@@ -269,7 +267,7 @@ let fresh_req_id st =
 let handle_query st ~req_id (spec : Wire.spec) =
   Wfc_obs.Metrics.incr c_requests;
   let t0 = Wfc_obs.Metrics.now_s () in
-  let failed msg =
+  let failed spec msg =
     Wfc_obs.Metrics.incr c_errors;
     Wfc_obs.Metrics.observe h_latency (Wfc_obs.Metrics.now_s () -. t0);
     log_event st Wfc_obs.Log.Error "query.error"
@@ -279,8 +277,9 @@ let handle_query st ~req_id (spec : Wire.spec) =
     Wire.Failed msg
   in
   (* Every answered verdict funnels through here: one place observes the
-     latency histograms, writes the query log line, and flags outliers. *)
-  let served ~model ~source ~stages (record : Wfc_storage.Record.record) =
+     latency histograms, writes the query log line, and flags outliers. It
+     logs the spec it is given: the canonical one once the model parses. *)
+  let served spec ~model ~source ~stages (record : Wfc_storage.Record.record) =
     let total_s = Wfc_obs.Metrics.now_s () -. t0 in
     Wfc_obs.Metrics.observe h_latency total_s;
     Wfc_obs.Metrics.observe (h_latency_of_source source) total_s;
@@ -342,7 +341,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
           | task -> Ok (model, task)))
   in
   match task with
-  | Error msg -> failed msg
+  | Error msg -> failed spec msg
   | Ok (model, task) -> (
     (* the record files under the model's canonical name *)
     let spec = { spec with Wire.model = Wfc_tasks.Model.to_string model } in
@@ -403,9 +402,9 @@ let handle_query st ~req_id (spec : Wire.spec) =
     Wfc_obs.Metrics.observe h_stage_admission
       (Wfc_obs.Metrics.now_s () -. t_admission);
     match decision with
-    | `Refuse -> failed "daemon is shutting down"
+    | `Refuse -> failed spec "daemon is shutting down"
     | `Hit (r, find_s) ->
-      served ~model ~source:Wire.From_store ~stages:{ no_stages with store_s = find_s } r
+      served spec ~model ~source:Wire.From_store ~stages:{ no_stages with store_s = find_s } r
     | `Shed ->
       log_event st Wfc_obs.Log.Warn "shed"
         (("req_id", Wfc_obs.Json.String req_id) :: spec_fields spec);
@@ -413,12 +412,12 @@ let handle_query st ~req_id (spec : Wire.spec) =
       Wire.Shed
     | `Join job -> (
       match wait_for job with
-      | Ok (r, stages) -> served ~model ~source:Wire.Coalesced ~stages r
-      | Error e -> failed e)
+      | Ok (r, stages) -> served spec ~model ~source:Wire.Coalesced ~stages r
+      | Error e -> failed spec e)
     | `Own job -> (
       match wait_for job with
-      | Ok (r, stages) -> served ~model ~source:Wire.Computed ~stages r
-      | Error e -> failed e))
+      | Ok (r, stages) -> served spec ~model ~source:Wire.Computed ~stages r
+      | Error e -> failed spec e))
 
 (* ---- introspection ---- *)
 
@@ -529,8 +528,6 @@ let run cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let log = Option.map (Wfc_obs.Log.open_log ~level:cfg.log_level) cfg.log in
   let store = Wfc_storage.Engine.open_store cfg.store_dir in
-  (* cold solves replay persisted SDS skeletons from this store *)
-  Wfc_storage.Engine.attach_skeletons store;
   let st =
     {
       cfg;
@@ -602,12 +599,4 @@ let run cfg =
   Printf.eprintf
     "wfc serve: %d request(s) — %d hit(s), %d computed, %d coalesced, %d shed, %d error(s)\n%!"
     (v "serve.requests") (v "serve.hits") (v "serve.misses") (v "serve.coalesced")
-    (v "serve.shed") (v "serve.errors");
-  match cfg.report with
-  | None -> ()
-  | Some path ->
-    Wfc_obs.Report.write_file path
-      (Wfc_obs.Report.to_json
-         ~snapshot:(Wfc_obs.Snapshot.take ())
-         [ Wfc_obs.Report.scenario "serve" 0.0 ]);
-    Printf.eprintf "wfc serve: wrote %s\n%!" path
+    (v "serve.shed") (v "serve.errors")

@@ -47,9 +47,8 @@
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
     a [server] block: version, uptime, in-flight count, queue depth and
-    the solver's state. On shutdown the daemon prints a traffic summary and,
-    with [report], writes the final metrics snapshot as a [wfc.obs.v1]
-    report. SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
+    the solver's state. On shutdown the daemon prints a traffic summary.
+    SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — the solver drains the pending queue and finishes its
     in-flight job before the daemon exits; SIGKILL at any instant
     leaves a loadable store ({!Wfc_storage.Engine.put} is atomic). *)
@@ -62,7 +61,6 @@ type config = {
   socket : string;  (** Unix-domain socket path *)
   store_dir : string;
   queue_capacity : int;  (** pending (not yet solving) questions admitted *)
-  report : string option;  (** write a wfc.obs.v1 report here on shutdown *)
   on_ready : (unit -> unit) option;  (** called once the socket accepts *)
   gate : (string -> unit) option;
       (** test/bench instrumentation: the solver thread calls this with
@@ -84,7 +82,7 @@ val config :
   store_dir:string ->
   unit ->
   config
-(** Defaults: queue capacity 64, no report, no hooks, no event log (level
+(** Defaults: queue capacity 64, no hooks, no event log (level
     [Info] once one is given), no slow-query threshold. *)
 
 val run : config -> unit

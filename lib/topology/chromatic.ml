@@ -36,10 +36,6 @@ let num_colors t = List.length (colors t)
 
 let simplex_colors t s = Simplex.of_list (List.map (color t) (Simplex.to_list s))
 
-let vertices_of_color t c =
-  Hashtbl.fold (fun v c' acc -> if c' = c then v :: acc else acc) t.table []
-  |> List.sort Stdlib.compare
-
 let vertex_with_color t s c = List.find_opt (fun v -> color t v = c) (Simplex.to_list s)
 
 let restrict_colors t cs =

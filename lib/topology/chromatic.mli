@@ -35,8 +35,6 @@ val simplex_colors : t -> Simplex.t -> Simplex.t
 (** The set of colors of a simplex, as a simplex of the color space
     ([X(C)] in the paper). *)
 
-val vertices_of_color : t -> int -> int list
-
 val vertex_with_color : t -> Simplex.t -> int -> int option
 (** The unique vertex of the given color inside a simplex, if any. *)
 

@@ -114,6 +114,103 @@ let test_snapshot_text () =
   checkb "mentions the counter" true (contains ~needle:"test.snap.text" txt);
   checkb "has a counters section" true (contains ~needle:"counters" txt)
 
+(* The codec [wfc stats] reads a daemon's reply with: [of_json] must give
+   back what [to_json] wrote, up to the 6-digit float format. *)
+let snapshot_fixture =
+  {
+    Snapshot.counters = [ ("serve.hits", 3); ("solvability.nodes", 1140) ];
+    histograms =
+      [
+        ("serve.latency.seconds", { Metrics.count = 4; sum = 0.0123456; min = 0.001; max = 0.0071234 });
+        ("serve.queue.depth", { Metrics.count = 2; sum = 3.; min = 1.; max = 2. });
+      ];
+    spans =
+      [
+        {
+          Metrics.span_name = "solvability.solve";
+          calls = 2;
+          total_s = 0.25;
+          children =
+            [
+              {
+                Metrics.span_name = "solvability.level.1";
+                calls = 2;
+                total_s = 0.1234567;
+                children =
+                  [ { Metrics.span_name = "sds.subdivide"; calls = 1; total_s = 0.05; children = [] } ];
+              };
+              { Metrics.span_name = "solvability.level.0"; calls = 2; total_s = 0.01; children = [] };
+            ];
+        };
+        { Metrics.span_name = "automorphism"; calls = 1; total_s = 0.002; children = [] };
+      ];
+  }
+
+let close_float a b = Float.abs (a -. b) <= 1e-6
+
+let rec span_equal (a : Metrics.span_node) (b : Metrics.span_node) =
+  a.span_name = b.span_name && a.calls = b.calls && close_float a.total_s b.total_s
+  && List.length a.children = List.length b.children
+  && List.for_all2 span_equal a.children b.children
+
+let test_snapshot_codec_roundtrip () =
+  let s = snapshot_fixture in
+  match Json.parse (Json.to_string (Snapshot.to_json s)) with
+  | Error e -> Alcotest.failf "to_json output did not parse: %s" e
+  | Ok j -> (
+    match Snapshot.of_json j with
+    | Error e -> Alcotest.failf "of_json rejected to_json output: %s" e
+    | Ok s' ->
+      checkb "same counters" true (s'.Snapshot.counters = s.Snapshot.counters);
+      checkb "same histogram names" true
+        (List.map fst s'.Snapshot.histograms = List.map fst s.Snapshot.histograms);
+      List.iter2
+        (fun (name, (h : Metrics.histo_stats)) (_, (h' : Metrics.histo_stats)) ->
+          checki (name ^ " count") h.count h'.count;
+          checkb (name ^ " sum/min/max") true
+            (close_float h.sum h'.sum && close_float h.min h'.min && close_float h.max h'.max))
+        s.Snapshot.histograms s'.Snapshot.histograms;
+      checkb "same span tree" true
+        (List.length s.Snapshot.spans = List.length s'.Snapshot.spans
+        && List.for_all2 span_equal s.Snapshot.spans s'.Snapshot.spans))
+
+let test_snapshot_codec_rejects () =
+  let parse_exn text =
+    match Json.parse text with Ok j -> j | Error e -> Alcotest.failf "bad fixture: %s" e
+  in
+  List.iter
+    (fun (what, text) ->
+      checkb what true (Result.is_error (Snapshot.of_json (parse_exn text))))
+    [
+      ("a non-object", "[1, 2]");
+      ("a non-int counter", {|{"counters": {"serve.hits": 1.5}}|});
+      ( "a histogram with no count",
+        {|{"histograms": {"serve.latency.seconds": {"sum": 0.1, "mean": 0.1, "min": 0.1, "max": 0.1}}}|}
+      );
+    ]
+
+(* The exposition [wfc stats --prometheus] printed for this payload before
+   the renderer moved out of the CLI; the bytes must not change. *)
+let test_snapshot_prometheus_golden () =
+  let payload =
+    {|{"counters": {"serve.hits": 3, "solvability.model.k-set": 12},
+       "histograms": {"serve.latency.seconds":
+         {"count": 4, "sum": 0.0105, "mean": 0.002625, "min": 0.001, "max": 0.005}},
+       "spans": []}|}
+  in
+  let expected =
+    "# TYPE wfc_serve_hits counter\n\
+     wfc_serve_hits 3\n\
+     # TYPE wfc_solvability_model_k_set counter\n\
+     wfc_solvability_model_k_set 12\n\
+     # TYPE wfc_serve_latency_seconds summary\n\
+     wfc_serve_latency_seconds_count 4\n\
+     wfc_serve_latency_seconds_sum 0.010500\n"
+  in
+  match Result.bind (Json.parse payload) Snapshot.of_json with
+  | Ok s -> checks "exposition bytes" expected (Snapshot.to_prometheus s)
+  | Error e -> Alcotest.failf "payload rejected: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* Json                                                                *)
 
@@ -446,6 +543,10 @@ let () =
           Alcotest.test_case "diff isolates a region" `Quick test_snapshot_diff;
           Alcotest.test_case "text rendering" `Quick test_snapshot_text;
           Alcotest.test_case "snapshots under two domains" `Quick test_snapshot_under_domains;
+          Alcotest.test_case "of_json inverts to_json" `Quick test_snapshot_codec_roundtrip;
+          Alcotest.test_case "of_json rejects malformed input" `Quick test_snapshot_codec_rejects;
+          Alcotest.test_case "prometheus exposition is pinned" `Quick
+            test_snapshot_prometheus_golden;
         ] );
       ( "json",
         [

@@ -553,6 +553,13 @@ let daemon_tests =
         (match Client.query ~req_id:"log-test-1" c default_spec with
         | Ok (Wire.Verdict _) -> ()
         | _ -> Alcotest.fail "expected a verdict");
+        (* a raw model name: the log must carry the canonical one the
+           record files under, not the client's bytes *)
+        (match
+           Client.query ~req_id:"log-test-2" c { default_spec with Wire.model = "  k-set:2  " }
+         with
+        | Ok (Wire.Verdict _) -> ()
+        | _ -> Alcotest.fail "expected a verdict for the raw model name");
         Client.close c;
         (match Client.connect ~socket with
         | Ok c ->
@@ -574,7 +581,37 @@ let daemon_tests =
             checkb (event ^ " logged") true (has (Printf.sprintf "\"event\":\"%s\"" event)))
           [ "serve.start"; "query"; "slow_query"; "serve.stop" ];
         checkb "req_id stamped" true (has "\"req_id\":\"log-test-1\"");
+        let models_logged event =
+          List.filter_map
+            (fun line ->
+              match Wfc_obs.Json.parse line with
+              | Ok j
+                when Wfc_obs.Json.member "event" j = Some (Wfc_obs.Json.String event)
+                     && Wfc_obs.Json.member "req_id" j
+                        = Some (Wfc_obs.Json.String "log-test-2") ->
+                Some (Wfc_obs.Json.member "model" j)
+              | _ -> None)
+            (String.split_on_char '\n' contents)
+        in
+        List.iter
+          (fun event ->
+            checkb (event ^ " logs the canonical model") true
+              (models_logged event = [ Some (Wfc_obs.Json.String "k-set:2") ]))
+          [ "query"; "slow_query" ];
         Sys.remove log_file);
+    Alcotest.test_case "a cold solve writes no SDS skeleton files" `Quick (fun () ->
+        (* a fresh subdivision, not an in-process memo hit: a daemon that
+           persisted skeletons would file one for level 1 here *)
+        Wfc_topology.Sds.clear_cache ();
+        with_daemon (fun ~socket ~store_dir ->
+            let c = connect_exn socket in
+            (match query_exn c default_spec with
+            | Wire.Verdict { source = Wire.Computed; _ } -> ()
+            | _ -> Alcotest.fail "expected a computed verdict");
+            Client.close c;
+            let { Engine.records; skeletons } = Engine.ls (Engine.open_store store_dir) in
+            checki "one record" 1 (List.length records);
+            checki "no skeletons" 0 skeletons));
     Alcotest.test_case "unknown task names come back as errors" `Quick (fun () ->
         with_daemon (fun ~socket ~store_dir:_ ->
             let c = connect_exn socket in
