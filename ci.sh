@@ -77,8 +77,9 @@ rm -f USAGE_ci.txt
 # task four ways — both reducers (the default), each alone, neither (the
 # seed engine) — and cmp every verdict file; then require the reducers to
 # have actually run: the pruned refutation must cost at most half the seed
-# engine's nodes, and the three wfc.obs.v1 reducer counters must be present
-# in the --stats --json report.
+# engine's nodes, and the three wfc.obs.v1 reducer counters and the
+# solvability.autos phase span must be present in the --stats --json
+# report.
 PRUNE_ARGS="--task set-consensus --procs 3 --param 2 --max-level 1"
 # shellcheck disable=SC2086
 dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS \
@@ -99,6 +100,8 @@ dune exec bin/wfc_cli.exe -- check-json PRUNE_on.json
 grep '"solvability.symmetry.orbits"' PRUNE_on.json
 grep '"solvability.symmetry.pruned"' PRUNE_on.json
 grep '"solvability.collapse.schedule_len"' PRUNE_on.json
+# the phases of the solve are spans under solvability.level.<b>
+grep '"solvability.autos"' PRUNE_on.json
 NODES_ON=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_on.json | grep -o '[0-9]*$')
 NODES_OFF=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_off.json | grep -o '[0-9]*$')
 test "$((NODES_ON * 2))" -le "$NODES_OFF"

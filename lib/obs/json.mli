@@ -31,7 +31,12 @@ val to_line : t -> string
 val parse : string -> (t, string) result
 (** Standard JSON parser (objects, arrays, strings with escapes, numbers —
     an integer literal parses to [Int], anything with [./e/E] to [Float] —
-    booleans, null). Errors carry a character offset. *)
+    booleans, null). Errors carry a character offset. Arrays and objects
+    nest at most {!max_depth} deep: a deeper document is an [Error], so a
+    hostile input cannot drive the parser's recursion arbitrarily deep. *)
+
+val max_depth : int
+(** 512. *)
 
 val member : string -> t -> t option
 (** [member key j] is the value bound to [key] if [j] is an object. *)

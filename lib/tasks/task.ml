@@ -267,12 +267,15 @@ let automorphisms ?(limit = 32) t =
         | exception Invalid_argument _ -> false)
       input_simplices
   in
+  (* the per-complex tables are built once, for every color permutation *)
+  let input_autos = Automorphism.automorphisms t.input in
+  let output_autos = Automorphism.automorphisms t.output in
   let found = ref [] and n = ref 0 in
   List.iter
     (fun perm ->
       if !n < limit then
-        let ins = Automorphism.automorphisms t.input ~perm in
-        let outs = Automorphism.automorphisms t.output ~perm in
+        let ins = input_autos ~perm in
+        let outs = output_autos ~perm in
         List.iter
           (fun a_input ->
             List.iter

@@ -17,103 +17,135 @@ let color_permutations colors =
       fun c -> List.assoc c assoc)
     (permutations colors)
 
-(* Same vertex invariants as Iso.signature, minus the color (handled by the
-   [perm] constraint directly). *)
-let signature c v =
-  let facet_dims =
-    List.filter_map
-      (fun f -> if Simplex.mem v f then Some (Simplex.dim f) else None)
-      (Complex.facets c)
-    |> List.sort Stdlib.compare
-  in
-  let membership =
-    List.length (List.filter (fun s -> Simplex.mem v s) (Complex.simplices c))
-  in
-  (facet_dims, membership)
+(* Vertex sets as bit sets over the dense vertex indices [0, V) of one
+   complex, in ⌈V / Sys.int_size⌉ words: the search below builds, probes
+   and edits them in place, and never interns one as a [Simplex.t]. *)
+module Bits = Hashtbl.Make (struct
+  type t = int array
 
-let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma ~perm =
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    n = Array.length b && go 0
+
+  (* multiply, then fold the high bits down: the table indexes buckets by
+     the low bits, and a bit set's low bits are only its first vertices *)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      let x = (!h lxor a.(i)) * 0x2545F4914F6CDD1D in
+      h := x lxor (x lsr 29)
+    done;
+    !h land max_int
+end)
+
+let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma =
   let c = Chromatic.complex chroma in
   let color = Chromatic.color chroma in
-  let vs = Complex.vertices c in
-  let sigs = List.map (fun v -> (v, signature c v)) vs in
-  let candidates v =
-    let s = List.assoc v sigs in
-    let cv = perm (color v) in
-    List.filter_map
-      (fun (w, s') -> if s = s' && color w = cv then Some w else None)
-      sigs
+  let vs = Array.of_list (Complex.vertices c) in
+  let nv = Array.length vs in
+  let index = Hashtbl.create nv in
+  Array.iteri (fun i v -> Hashtbl.replace index v i) vs;
+  let words = (nv + Sys.int_size - 1) / Sys.int_size in
+  let bits_of s =
+    let b = Array.make words 0 in
+    Simplex.iter
+      (fun v ->
+        let i = Hashtbl.find index v in
+        b.(i / Sys.int_size) <- b.(i / Sys.int_size) lor (1 lsl (i mod Sys.int_size)))
+      s;
+    b
   in
-  let cand = List.map (fun v -> (v, candidates v)) vs in
-  if List.exists (fun (_, cs) -> cs = []) cand then []
-  else begin
-    let order =
-      List.stable_sort
-        (fun (_, c1) (_, c2) -> compare (List.length c1) (List.length c2))
-        cand
+  let facets = Array.of_list (Complex.facets c) in
+  let simplices = Complex.simplices c in
+  (* the vertex invariants of Iso.signature minus the color (the [perm]
+     constraint handles it): sorted dims of the facets at the vertex, and
+     the number of closure simplices containing it *)
+  let facet_dims = Array.make nv [] and membership = Array.make nv 0 in
+  (* facets_at.(i): the facets containing vertex i. Assigning i only
+     changes the images of those facets, so consistency is re-checked
+     there alone — every other facet's image is exactly as it was when its
+     own last vertex was assigned. *)
+  let facets_at = Array.make nv [] in
+  Array.iteri
+    (fun fi f ->
+      Simplex.iter
+        (fun v ->
+          let i = Hashtbl.find index v in
+          facet_dims.(i) <- Simplex.dim f :: facet_dims.(i);
+          facets_at.(i) <- fi :: facets_at.(i))
+        f)
+    facets;
+  let closure = Bits.create (List.length simplices) in
+  List.iter
+    (fun s ->
+      Simplex.iter
+        (fun v ->
+          let i = Hashtbl.find index v in
+          membership.(i) <- membership.(i) + 1)
+        s;
+      Bits.replace closure (bits_of s) ())
+    simplices;
+  let facet_set = Bits.create (Array.length facets) in
+  Array.iter (fun f -> Bits.replace facet_set (bits_of f) ()) facets;
+  let sigs =
+    Array.init nv (fun i -> (List.sort Stdlib.compare facet_dims.(i), membership.(i)))
+  in
+  let colors = Array.map color vs in
+  let facets_at = Array.map Array.of_list facets_at in
+  let indices = List.init nv Fun.id in
+  fun ~perm ->
+    let candidates i =
+      let cv = perm colors.(i) in
+      List.filter (fun j -> sigs.(j) = sigs.(i) && colors.(j) = cv) indices
     in
-    let mapping : vertex_map = Hashtbl.create (List.length vs) in
-    let used = Hashtbl.create (List.length vs) in
-    let facets = Complex.facets c in
-    (* facets indexed by vertex: assigning v only changes the mapped image
-       of facets containing v, so consistency is re-checked incrementally —
-       every other facet's image is exactly as it was when its own last
-       vertex was assigned. The final [full_check] still certifies the
-       complete bijection facet-set-onto. *)
-    let facets_at = Hashtbl.create (List.length vs) in
-    List.iter
-      (fun f ->
-        List.iter
-          (fun v ->
-            let prev = try Hashtbl.find facets_at v with Not_found -> [] in
-            Hashtbl.replace facets_at v (f :: prev))
-          (Simplex.to_list f))
-      facets;
-    let consistent v =
-      List.for_all
-        (fun f ->
-          let img =
-            List.filter_map (fun u -> Hashtbl.find_opt mapping u) (Simplex.to_list f)
-          in
-          match img with
-          | [] -> true
-          | img ->
-            let s = Simplex.of_list img in
-            Simplex.card s = List.length img && Complex.mem s c)
-        (try Hashtbl.find facets_at v with Not_found -> [])
-    in
-    let full_check () =
-      let images =
-        List.map
-          (fun f ->
-            Simplex.of_list (List.map (fun v -> Hashtbl.find mapping v) (Simplex.to_list f)))
-          facets
-        |> List.sort_uniq Simplex.compare
+    let cand = List.map (fun i -> (i, candidates i)) indices in
+    if List.exists (fun (_, cs) -> cs = []) cand then []
+    else begin
+      let order =
+        List.stable_sort
+          (fun (_, c1) (_, c2) -> compare (List.length c1) (List.length c2))
+          cand
       in
-      List.equal Simplex.equal images facets
-    in
-    let found = ref [] and nfound = ref 0 in
-    let fuel = ref fuel in
-    let rec search = function
-      | [] -> if full_check () then begin
-          found := Hashtbl.copy mapping :: !found;
-          incr nfound
-        end
-      | (v, cs) :: rest ->
-        List.iter
-          (fun w ->
-            if !nfound < limit && !fuel > 0 && not (Hashtbl.mem used w) then begin
-              decr fuel;
-              Hashtbl.replace mapping v w;
-              Hashtbl.replace used w ();
-              if consistent v then search rest;
-              Hashtbl.remove mapping v;
-              Hashtbl.remove used w
-            end)
-          cs
-    in
-    search order;
-    List.rev !found
-  end
+      (* mapping.(i): the image index of vertex i, read only at a leaf *)
+      let mapping = Array.make nv (-1) and used = Array.make nv false in
+      (* image.(f): the bit set of the images of f's mapped vertices *)
+      let image = Array.map (fun _ -> Array.make words 0) facets in
+      (* the map is injective ([used]), so the images of the facets are
+         pairwise distinct, and they are the facet set exactly when each one
+         is a facet *)
+      let to_map () =
+        let m : vertex_map = Hashtbl.create nv in
+        List.iter (fun (i, _) -> Hashtbl.replace m vs.(i) vs.(mapping.(i))) order;
+        m
+      in
+      let found = ref [] and nfound = ref 0 in
+      let fuel = ref fuel in
+      let rec search = function
+        | [] ->
+          if Array.for_all (fun b -> Bits.mem facet_set b) image then begin
+            found := to_map () :: !found;
+            incr nfound
+          end
+        | (i, cs) :: rest ->
+          List.iter
+            (fun j ->
+              if !nfound < limit && !fuel > 0 && not used.(j) then begin
+                decr fuel;
+                mapping.(i) <- j;
+                used.(j) <- true;
+                let w = j / Sys.int_size and bit = 1 lsl (j mod Sys.int_size) in
+                let at = facets_at.(i) in
+                Array.iter (fun f -> image.(f).(w) <- image.(f).(w) lor bit) at;
+                if Array.for_all (fun f -> Bits.mem closure image.(f)) at then search rest;
+                Array.iter (fun f -> image.(f).(w) <- image.(f).(w) land lnot bit) at;
+                used.(j) <- false
+              end)
+            cs
+      in
+      search order;
+      List.rev !found
+    end
 
 let rec lift sds (base_map : vertex_map) =
   match Sds.prev sds with

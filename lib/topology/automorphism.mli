@@ -28,7 +28,27 @@ val automorphisms :
     at most [limit] maps are returned (default 64) and the search gives up
     after [fuel] branch nodes (default 200_000), so pathological complexes
     degrade to a {e subset} of the group — always sound for orbit pruning,
-    which only needs each returned map to be a genuine automorphism. *)
+    which only needs each returned map to be a genuine automorphism.
+
+    Representation: the search runs on dense vertex indices [0, V). The
+    closure and the facet set are hash sets of bit sets over those
+    indices, each one [int array] of ⌈V / [Sys.int_size]⌉ words, so any
+    vertex count takes the same path. Each facet carries the bit set of
+    its mapped vertices' images, set on assign and cleared on backtrack: a
+    node is consistent when every facet at the assigned vertex has its
+    image in the closure, and a complete map is accepted when every
+    facet's image is a facet. Nothing is interned into the {!Simplex}
+    arena.
+
+    Contract: the visit order (vertices by ascending candidate count,
+    candidates in vertex order), the points where [fuel] is spent (one
+    unit per candidate tried) and the [limit] cut-off are fixed, so the
+    same maps come back in the same order for the same arguments.
+
+    The signatures, both sets and the per-vertex facet index depend only
+    on the complex: they are built once the complex is applied, so
+    [let enum = automorphisms c in List.map (fun perm -> enum ~perm) perms]
+    builds them once for every permutation. *)
 
 val lift : Sds.t -> vertex_map -> vertex_map option
 (** Lift a base-complex automorphism level-by-level through an iterated

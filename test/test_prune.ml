@@ -77,6 +77,219 @@ let test_task_automorphisms () =
   let sc = Instances.set_consensus ~procs:3 ~k:2 in
   checkb "set-consensus-3-2 has task symmetries" true (Task.automorphisms sc <> [])
 
+(* The interning search [Automorphism.automorphisms] used before it moved
+   to bit sets, kept here verbatim as the reference the bit-set search is
+   compared against: the same maps, in the same order, under the same
+   [limit] and [fuel] cut-offs. *)
+let reference_automorphisms ?(limit = 64) ?(fuel = 200_000) chroma ~perm =
+  let c = Chromatic.complex chroma in
+  let color = Chromatic.color chroma in
+  let vs = Complex.vertices c in
+  let signature v =
+    let facet_dims =
+      List.filter_map
+        (fun f -> if Simplex.mem v f then Some (Simplex.dim f) else None)
+        (Complex.facets c)
+      |> List.sort Stdlib.compare
+    in
+    let membership =
+      List.length (List.filter (fun s -> Simplex.mem v s) (Complex.simplices c))
+    in
+    (facet_dims, membership)
+  in
+  let sigs = List.map (fun v -> (v, signature v)) vs in
+  let candidates v =
+    let s = List.assoc v sigs in
+    let cv = perm (color v) in
+    List.filter_map
+      (fun (w, s') -> if s = s' && color w = cv then Some w else None)
+      sigs
+  in
+  let cand = List.map (fun v -> (v, candidates v)) vs in
+  if List.exists (fun (_, cs) -> cs = []) cand then []
+  else begin
+    let order =
+      List.stable_sort
+        (fun (_, c1) (_, c2) -> compare (List.length c1) (List.length c2))
+        cand
+    in
+    let mapping : Automorphism.vertex_map = Hashtbl.create (List.length vs) in
+    let used = Hashtbl.create (List.length vs) in
+    let facets = Complex.facets c in
+    let facets_at = Hashtbl.create (List.length vs) in
+    List.iter
+      (fun f ->
+        List.iter
+          (fun v ->
+            let prev = try Hashtbl.find facets_at v with Not_found -> [] in
+            Hashtbl.replace facets_at v (f :: prev))
+          (Simplex.to_list f))
+      facets;
+    let consistent v =
+      List.for_all
+        (fun f ->
+          let img =
+            List.filter_map (fun u -> Hashtbl.find_opt mapping u) (Simplex.to_list f)
+          in
+          match img with
+          | [] -> true
+          | img ->
+            let s = Simplex.of_list img in
+            Simplex.card s = List.length img && Complex.mem s c)
+        (try Hashtbl.find facets_at v with Not_found -> [])
+    in
+    let full_check () =
+      let images =
+        List.map
+          (fun f ->
+            Simplex.of_list (List.map (fun v -> Hashtbl.find mapping v) (Simplex.to_list f)))
+          facets
+        |> List.sort_uniq Simplex.compare
+      in
+      List.equal Simplex.equal images facets
+    in
+    let found = ref [] and nfound = ref 0 in
+    let fuel = ref fuel in
+    let rec search = function
+      | [] -> if full_check () then begin
+          found := Hashtbl.copy mapping :: !found;
+          incr nfound
+        end
+      | (v, cs) :: rest ->
+        List.iter
+          (fun w ->
+            if !nfound < limit && !fuel > 0 && not (Hashtbl.mem used w) then begin
+              decr fuel;
+              Hashtbl.replace mapping v w;
+              Hashtbl.replace used w ();
+              if consistent v then search rest;
+              Hashtbl.remove mapping v;
+              Hashtbl.remove used w
+            end)
+          cs
+    in
+    search order;
+    List.rev !found
+  end
+
+(* [Task.automorphisms] over [reference_automorphisms]: the pair search and
+   Δ-equivariance filter, with each complex's maps enumerated afresh per
+   color permutation. *)
+let reference_task_automorphisms ?(limit = 32) (t : Task.t) =
+  let map_simplex tbl s =
+    Simplex.of_list (List.map (fun v -> Hashtbl.find tbl v) (Simplex.to_list s))
+  in
+  let is_identity tbl = Hashtbl.fold (fun k v acc -> acc && k = v) tbl true in
+  let sorted = List.sort Simplex.compare in
+  let equivariant a_input a_output =
+    List.for_all
+      (fun si ->
+        match t.Task.delta (map_simplex a_input si) with
+        | lhs ->
+          List.equal Simplex.equal (sorted lhs)
+            (sorted (List.map (map_simplex a_output) (t.Task.delta si)))
+        | exception Invalid_argument _ -> false)
+      (Complex.simplices (Chromatic.complex t.Task.input))
+  in
+  let found = ref [] and n = ref 0 in
+  List.iter
+    (fun perm ->
+      if !n < limit then
+        let ins = reference_automorphisms t.Task.input ~perm in
+        let outs = reference_automorphisms t.Task.output ~perm in
+        List.iter
+          (fun a_input ->
+            List.iter
+              (fun a_output ->
+                if
+                  !n < limit
+                  && not (is_identity a_input && is_identity a_output)
+                  && equivariant a_input a_output
+                then begin
+                  found := { Task.a_input; a_output } :: !found;
+                  incr n
+                end)
+              outs)
+          ins)
+    (Automorphism.color_permutations (Chromatic.colors t.Task.input));
+  List.rev !found
+
+(* A map's bindings in the table's own iteration order: equal lists mean
+   equal maps built by the same insertions. *)
+let bindings (m : Automorphism.vertex_map) = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []
+
+(* The (task, procs, param) instances of the serving catalogue, plus
+   approx 2/70 (142 output vertices: bit sets of three words on 64-bit
+   hosts) and 4-process consensus (24 color permutations). *)
+let reference_instances =
+  [
+    ("consensus", 2, 2); ("consensus", 3, 2); ("set-consensus", 2, 1);
+    ("set-consensus", 2, 2); ("set-consensus", 3, 1); ("set-consensus", 3, 2);
+    ("set-consensus", 3, 3); ("renaming", 2, 2); ("renaming", 2, 3);
+    ("renaming", 3, 3); ("renaming", 3, 4); ("renaming", 3, 6); ("approx", 2, 2);
+    ("approx", 2, 3); ("approx", 2, 4); ("approx", 3, 2); ("identity", 2, 2);
+    ("identity", 3, 2); ("tas", 2, 1); ("tas", 2, 2); ("tas", 3, 1); ("tas", 3, 2);
+    ("fai", 2, 2); ("fai", 3, 2); ("loop-disk", 3, 2); ("loop-circle", 3, 2);
+    ("approx", 2, 70); ("consensus", 4, 2);
+  ]
+
+let test_automorphisms_match_reference () =
+  List.iter
+    (fun (name, procs, param) ->
+      let t = Instances.by_name ~name ~procs ~param in
+      let label = Printf.sprintf "%s %d/%d" name procs param in
+      List.iter
+        (fun (side, chroma) ->
+          let enumerate = Automorphism.automorphisms chroma in
+          List.iteri
+            (fun k perm ->
+              checkb
+                (Printf.sprintf "%s %s, permutation %d" label side k)
+                true
+                (List.map bindings (enumerate ~perm)
+                = List.map bindings (reference_automorphisms chroma ~perm)))
+            (Automorphism.color_permutations (Chromatic.colors chroma)))
+        [ ("input", t.Task.input); ("output", t.Task.output) ];
+      let pairs autos =
+        List.map (fun a -> (bindings a.Task.a_input, bindings a.Task.a_output)) autos
+      in
+      checkb (label ^ ": task automorphisms") true
+        (pairs (Task.automorphisms t) = pairs (reference_task_automorphisms t)))
+    reference_instances
+
+(* Both cut-offs of the search: [limit] stops at the third map found, and
+   [fuel] stops after 100 branch nodes, part-way through the group. *)
+let test_automorphism_cutoffs () =
+  let t = Instances.adaptive_renaming ~procs:3 ~names:6 in
+  List.iter
+    (fun (label, limit, fuel) ->
+      List.iteri
+        (fun k perm ->
+          let got = Automorphism.automorphisms ?limit ?fuel t.Task.output ~perm in
+          let want = reference_automorphisms ?limit ?fuel t.Task.output ~perm in
+          checkb (Printf.sprintf "%s, permutation %d" label k) true
+            (List.map bindings got = List.map bindings want))
+        (Automorphism.color_permutations (Chromatic.colors t.Task.output)))
+    [ ("limit 3", Some 3, None); ("fuel 100", None, Some 100) ];
+  checki "limit 3 truncates" 3
+    (List.length (Automorphism.automorphisms ~limit:3 t.Task.output ~perm:Fun.id));
+  (* the identity permutation's group is cut at the limit, 64 maps; 100
+     nodes of fuel reach only a few of them *)
+  checki "fuel 100 truncates" 3
+    (List.length (Automorphism.automorphisms ~fuel:100 t.Task.output ~perm:Fun.id))
+
+(* The search interns nothing: with both complexes' closures already in
+   the arena, enumerating the task symmetries files no new simplex. The
+   reference search does intern its partial images, so this test is
+   registered before the tests that run it. *)
+let test_automorphisms_intern_nothing () =
+  let t = Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 in
+  ignore (Complex.simplices (Chromatic.complex t.Task.input));
+  ignore (Complex.simplices (Chromatic.complex t.Task.output));
+  let before = Simplex.arena_size () in
+  ignore (Task.automorphisms t);
+  checki "arena growth across Task.automorphisms" 0 (Simplex.arena_size () - before)
+
 (* ------------------------------------------------------------------ *)
 (* Sds.iterate memo key                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -364,6 +577,36 @@ let test_trace_is_plain_engine () =
   checkb "traced decision map = default decision map" true
     (decide_table traced <> None && decide_table traced = decide_table default)
 
+(* Each phase of a level is its own span under solvability.level.<b>, so
+   `wfc stats` shows where a cold solve spends its time. A refutation never
+   reruns; a Sat found under the collapse order does. *)
+let test_phase_spans () =
+  let open Wfc_obs.Metrics in
+  let level_children name =
+    let rec find = function
+      | [] -> None
+      | n :: rest -> (
+        if n.span_name = name then Some n
+        else match find n.children with Some n -> Some n | None -> find rest)
+    in
+    match find (spans_now ()) with
+    | Some n -> List.map (fun c -> c.span_name) n.children
+    | None -> Alcotest.failf "no %s span" name
+  in
+  let has names phase = List.mem ("solvability." ^ phase) names in
+  reset ();
+  ignore (Solvability.solve ~max_level:1 (Instances.set_consensus ~procs:3 ~k:2));
+  let names = level_children "solvability.level.1" in
+  List.iter
+    (fun phase -> checkb ("refutation has " ^ phase) true (has names phase))
+    [ "build"; "autos"; "collapse"; "search" ];
+  checkb "refutation has no rerun" false (has names "rerun");
+  reset ();
+  (match Solvability.solve_at (Instances.adaptive_renaming ~procs:2 ~names:3) 1 with
+  | Solvability.Solvable _ -> ()
+  | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v));
+  checkb "reduced Sat has rerun" true (has (level_children "solvability.level.1") "rerun")
+
 let test_budget_zero_exhausts () =
   match
     Solvability.solve ~opts:(Solvability.options ~budget:0 ()) ~max_level:3
@@ -388,6 +631,12 @@ let () =
           Alcotest.test_case "color permutations" `Quick test_color_permutations;
           Alcotest.test_case "task automorphisms exist and lift" `Quick
             test_task_automorphisms;
+          Alcotest.test_case "enumeration interns no simplex" `Quick
+            test_automorphisms_intern_nothing;
+          Alcotest.test_case "bit-set search matches the interning reference" `Quick
+            test_automorphisms_match_reference;
+          Alcotest.test_case "limit and fuel cut off where the reference does" `Quick
+            test_automorphism_cutoffs;
         ] );
       ( "sds-memo",
         [
@@ -412,5 +661,6 @@ let () =
           Alcotest.test_case "budget caps a single level" `Quick test_budget_caps_level;
           Alcotest.test_case "trace runs the plain engine" `Quick test_trace_is_plain_engine;
           Alcotest.test_case "budget 0 exhausts immediately" `Quick test_budget_zero_exhausts;
+          Alcotest.test_case "solve phases are spans" `Quick test_phase_spans;
         ] );
     ]
