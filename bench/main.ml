@@ -882,11 +882,15 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ("sds_skeleton_reuse", sds_skeleton_reuse);
   ]
 
-let run_scenarios ?only () =
+(* Under --json every scenario runs [runs] times and reports the median
+   as [seconds], with the fastest and slowest run beside it: one sample
+   per side cannot tell a change from scheduler noise. Search node counts
+   are deterministic, so runs that disagree on them stop the bench. *)
+let run_scenarios ?only ~runs () =
   section "timed scenarios";
   (* metrics restart here so the report's counters cover exactly these runs *)
   Wfc_obs.Metrics.reset ();
-  Printf.printf "%-36s %12s %12s\n" "scenario" "seconds" "nodes";
+  Printf.printf "%-36s %12s %12s %12s %12s\n" "scenario" "seconds" "min" "max" "nodes";
   let selected =
     match only with
     | None -> scenarios
@@ -901,21 +905,42 @@ let run_scenarios ?only () =
   in
   List.map
     (fun (sname, thunk) ->
-      Sds.clear_cache ();
-      (* heap state inherited from earlier scenarios otherwise dominates the
-         small ones: a major slice landing inside a 3 ms scenario reads as a
-         2x swing. [Gc.compact] first, so every scenario starts from the
-         same GC phase. *)
-      Gc.compact ();
-      self_timed := None;
-      self_extra := [];
-      let t0 = Wfc_obs.Metrics.now_s () in
-      let nodes, verdict = thunk () in
-      let external_s = Wfc_obs.Metrics.now_s () -. t0 in
-      let seconds = match !self_timed with Some s -> s | None -> external_s in
-      Printf.printf "%-36s %12.4f %12s\n%!" sname seconds
+      let run () =
+        Sds.clear_cache ();
+        Solvability.clear_cache ();
+        (* heap state inherited from earlier scenarios otherwise dominates
+           the small ones: a major slice landing inside a 3 ms scenario
+           reads as a 2x swing. [Gc.compact] first, so every run starts
+           from the same GC phase. *)
+        Gc.compact ();
+        self_timed := None;
+        self_extra := [];
+        let t0 = Wfc_obs.Metrics.now_s () in
+        let nodes, verdict = thunk () in
+        let external_s = Wfc_obs.Metrics.now_s () -. t0 in
+        let seconds = match !self_timed with Some s -> s | None -> external_s in
+        (seconds, nodes, verdict, !self_extra)
+      in
+      let samples = List.sort compare (List.init runs (fun _ -> run ())) in
+      (match List.sort_uniq compare (List.map (fun (_, nodes, _, _) -> nodes) samples) with
+      | [ _ ] -> ()
+      | _ ->
+        Printf.eprintf "bench: %s: search node counts differ between runs\n" sname;
+        exit 1);
+      let seconds, nodes, verdict, extra = List.nth samples (runs / 2) in
+      let min_s, _, _, _ = List.hd samples and max_s, _, _, _ = List.nth samples (runs - 1) in
+      Printf.printf "%-36s %12.4f %12.4f %12.4f %12s\n%!" sname seconds min_s max_s
         (match nodes with Some n -> string_of_int n | None -> "-");
-      Wfc_obs.Report.scenario ?nodes ?verdict ~extra:!self_extra sname seconds)
+      let spread =
+        if runs = 1 then []
+        else
+          [
+            ("runs", Wfc_obs.Json.Int runs);
+            ("seconds_min", Wfc_obs.Json.Float min_s);
+            ("seconds_max", Wfc_obs.Json.Float max_s);
+          ]
+      in
+      Wfc_obs.Report.scenario ?nodes ?verdict ~extra:(extra @ spread) sname seconds)
     selected
 
 let write_json file results =
@@ -979,8 +1004,8 @@ let () =
     e16 ()
   end;
   (match (json_file, only) with
-  | Some file, _ -> write_json file (run_scenarios ?only ())
-  | None, Some _ -> ignore (run_scenarios ?only ())
+  | Some file, _ -> write_json file (run_scenarios ?only ~runs:5 ())
+  | None, Some _ -> ignore (run_scenarios ?only ~runs:1 ())
   | None, None -> ());
   if (not quick) && json_file = None && only = None then micro ();
   print_endline "\nall experiments complete."

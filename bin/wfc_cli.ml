@@ -975,22 +975,31 @@ let stats_cmd =
         | _ -> "?"
       in
       let uptime = Option.value ~default:0. (num "uptime_s") in
+      let memo = field "task_memo" in
+      let memo_size =
+        match field ~o:memo "size" with Some (Json.Int i) -> Some (float_of_int i) | _ -> None
+      in
       if prometheus then begin
         print_string (Snapshot.to_prometheus snap);
         List.iter
-          (fun (key, metric, digits) ->
-            match num key with
+          (fun (value, metric, digits) ->
+            match value with
             | Some v -> Printf.printf "# TYPE %s gauge\n%s %.*f\n" metric metric digits v
             | None -> ())
-          [ ("uptime_s", "wfc_uptime_seconds", 6); ("inflight", "wfc_inflight", 0);
-            ("queue_depth", "wfc_queue_depth", 0) ]
+          [ (num "uptime_s", "wfc_uptime_seconds", 6); (num "inflight", "wfc_inflight", 0);
+            (num "queue_depth", "wfc_queue_depth", 0);
+            (memo_size, "wfc_task_memo_size", 0) ]
       end
       else begin
         if server = None then print_endline "daemon: (pre-telemetry daemon — no server block)"
         else
-          Printf.printf "daemon: version=%s uptime=%.1fs inflight=%s queue=%s/%s\n"
+          Printf.printf "daemon: version=%s uptime=%.1fs inflight=%s queue=%s/%s%s\n"
             (text "version") uptime (text "inflight") (text "queue_depth")
-            (text "queue_capacity");
+            (text "queue_capacity")
+            (match memo with
+            | Some _ as o ->
+              Printf.sprintf " task_memo=%s/%s" (text ~o "size") (text ~o "capacity")
+            | None -> "");
         (match field "solver" with
         | Some _ as o ->
           Printf.printf "solver: %s%s (%s job%s)\n" (text ~o "state")
@@ -1022,8 +1031,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Live introspection of a running solvability daemon: version, uptime, in-flight \
-          queries, queue depth, the solver's state, then every counter, stage/latency histogram \
-          and solver span, laid out as any subcommand's $(b,--stats) prints them. \
+          queries, queue depth, the task memo's size, the solver's state, then every \
+          counter, stage/latency histogram and solver span, laid out as any subcommand's $(b,--stats) prints them. \
           $(b,--prometheus) prints text exposition instead; $(b,--json) writes a wfc.obs.v1 report.")
     Term.(const run $ socket_arg $ prometheus $ Output.json_arg)
 

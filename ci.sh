@@ -271,7 +271,9 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE3" VERDICT_wf.json VERDICT_kset.json \
 # through check-json, (c) the human `wfc stats` view is the daemon header
 # plus the counters/timers/spans layout of every `--stats`, the solver's
 # span tree included, and (d) the Prometheus exposition renders counters
-# and histogram summaries.
+# and histogram summaries. The warm query must have reused the task the
+# cold one built: `serve.task_memo.hits` is at least 1, and the header and
+# the exposition both carry the task memo's size.
 SERVE_STORE4=ci_serve_store4
 SERVE_LOG=ci_serve_log.jsonl
 rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG"
@@ -310,7 +312,9 @@ grep -E 'source=(computed|coalesced|store)' QUERY_tel_b.txt
 cmp VERDICT_tel_a.json VERDICT_tel_b.json
 # live introspection: human table, validated JSON report, Prometheus text
 "$WFC" stats --socket "$SERVE_SOCK" > STATS_ci.txt
-grep 'daemon: version=' STATS_ci.txt
+grep 'daemon: version=.* task_memo=[0-9]*/[0-9]*$' STATS_ci.txt
+# the warm query above reused the task the cold one built
+grep -E '^ +serve\.task_memo\.hits +[1-9]' STATS_ci.txt
 grep '^counters$' STATS_ci.txt
 grep '^timers$' STATS_ci.txt
 grep '^spans$' STATS_ci.txt
@@ -320,6 +324,7 @@ grep '^spans$' STATS_ci.txt
 grep '^wfc_serve_requests ' STATS_ci.prom
 grep '^# TYPE wfc_serve_latency_seconds summary$' STATS_ci.prom
 grep '^wfc_serve_latency_seconds_count ' STATS_ci.prom
+grep '^wfc_task_memo_size [0-9]' STATS_ci.prom
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
 # the event log is a valid wfc.log.v1 stream with the lifecycle on record

@@ -523,6 +523,11 @@ let collapse_positions_memo ~model ~level task sds verts inst =
     Hashtbl.add collapse_cache key r;
     r
 
+let clear_cache () =
+  Hashtbl.reset task_autos_cache;
+  Hashtbl.reset autos_cache;
+  Hashtbl.reset collapse_cache
+
 (* ------------------------------------------------------------------ *)
 (* the search                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -127,6 +127,11 @@ val default_budget : int
     cached verdicts are only reusable under the budget they were computed
     with, so stores key on it. *)
 
+val clear_cache : unit -> unit
+(** Drops the search-reducer memos (task automorphisms, their per-level
+    lifts and the collapse schedules), so that benchmarks can time cold
+    solves. Verdicts and stats do not depend on them. *)
+
 val solve_at : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
 (** Decide level [b] exactly (up to [opts.budget] search nodes), under
     [opts.model]'s affine restriction. Stats cover this level only. Each

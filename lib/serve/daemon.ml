@@ -40,13 +40,18 @@ let c_errors = Wfc_obs.Metrics.counter "serve.errors"
 
 let c_slow = Wfc_obs.Metrics.counter "serve.slow"
 
+let c_memo_hits = Wfc_obs.Metrics.counter "serve.task_memo.hits"
+
+let c_memo_misses = Wfc_obs.Metrics.counter "serve.task_memo.misses"
+
 let h_latency = Wfc_obs.Metrics.histogram "serve.latency.seconds"
 
 let h_depth = Wfc_obs.Metrics.histogram "serve.queue.depth"
 
 (* Stage histograms: the request lifecycle cut where it actually spends
    time. decode = frame JSON -> typed request; task = model parse plus the
-   task build (its digest included); admission = the store-lookup /
+   task-memo lookup, and on a memo miss the task build (its digest
+   included); admission = the store-lookup /
    enqueue decision under the state mutex; queue_wait = admitted -> picked
    by the solver; solve = the search itself; store_put = persisting the
    fresh verdict; encode = response -> socket bytes. *)
@@ -125,6 +130,7 @@ type solver_info = {
 type state = {
   cfg : config;
   store : Wfc_storage.Engine.t;
+  tasks : Wfc_tasks.Task.t Wfc_storage.Lru.t;  (** the task memo, under [m] *)
   started_at : float;
   log : Wfc_obs.Log.t option;
   m : Mutex.t;
@@ -140,6 +146,16 @@ type state = {
 }
 
 let key_of ~digest ~model ~max_level = Printf.sprintf "%s:%s:L%d" digest model max_level
+
+(* Built tasks, keyed by exactly what [Instances.by_name] reads: the
+   catalogue has 26 instances, so 64 keeps every one a client asks for and
+   still bounds a client that sweeps parameters. A hit answers from here
+   with no task build; only the digest and, for a queued miss, the solver
+   thread read a memoized task. *)
+let task_memo_capacity = 64
+
+let memo_key (spec : Wire.spec) =
+  Printf.sprintf "%s/%d/%d" spec.Wire.task spec.Wire.procs spec.Wire.param
 
 let locked st f =
   Mutex.lock st.m;
@@ -258,6 +274,25 @@ let solver_loop st =
 
 (* ---- per-connection handler ---- *)
 
+(* The build runs outside the lock: two handlers that miss on one key both
+   build and both put, which is harmless because the two tasks have the
+   same digest. A build that raises is never memoized, so a bad question
+   costs its build every time and cannot evict a good task. *)
+let memo_task st (spec : Wire.spec) =
+  let key = memo_key spec in
+  match locked st (fun () -> Wfc_storage.Lru.find st.tasks key) with
+  | Some task ->
+    Wfc_obs.Metrics.incr c_memo_hits;
+    task
+  | None ->
+    Wfc_obs.Metrics.incr c_memo_misses;
+    let task =
+      Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs
+        ~param:spec.Wire.param
+    in
+    locked st (fun () -> Wfc_storage.Lru.put st.tasks key task);
+    task
+
 let fresh_req_id st =
   Printf.sprintf "wfc-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add st.req_seq 1)
 
@@ -333,10 +368,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
         match Wfc_tasks.Model.of_string spec.Wire.model with
         | Error msg -> Error msg
         | Ok model -> (
-          match
-            Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs
-              ~param:spec.Wire.param
-          with
+          match memo_task st spec with
           | exception Invalid_argument msg -> Error msg
           | task -> Ok (model, task)))
   in
@@ -425,10 +457,11 @@ let uptime_s st = Wfc_obs.Metrics.now_s () -. st.started_at
 
 let server_json st =
   let open Wfc_obs.Json in
-  let inflight, depth, solver =
+  let inflight, depth, memo_size, solver =
     locked st (fun () ->
         ( Hashtbl.length st.inflight,
           st.npending,
+          Wfc_storage.Lru.size st.tasks,
           Obj
             ((match st.solver.s_state with
              | `Idle -> [ ("state", String "idle") ]
@@ -442,6 +475,7 @@ let server_json st =
       ("inflight", Int inflight);
       ("queue_depth", Int depth);
       ("queue_capacity", Int st.cfg.queue_capacity);
+      ("task_memo", Obj [ ("size", Int memo_size); ("capacity", Int task_memo_capacity) ]);
       ("solver", solver);
     ]
 
@@ -532,6 +566,7 @@ let run cfg =
     {
       cfg;
       store;
+      tasks = Wfc_storage.Lru.create task_memo_capacity;
       started_at = Wfc_obs.Metrics.now_s ();
       log;
       m = Mutex.create ();

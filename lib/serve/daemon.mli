@@ -4,7 +4,10 @@
     {!Wire} queries:
 
     - {b store hit} ([serve.hits]): the record is served without building a
-      single subdivision;
+      single subdivision, and, once the daemon has seen the instance, without
+      building the task either: built tasks stay in a task memo, an LRU of
+      64 keyed by (task, procs, param) ([serve.task_memo.hits] /
+      [.misses]; a build that fails is never memoized);
     - {b in-flight dedup} ([serve.coalesced]): a query whose question is
       already queued or being solved attaches to that computation instead
       of re-entering the queue — N concurrent identical queries cost one
@@ -31,8 +34,8 @@
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
     on every log line of the request. The lifecycle is measured stage by
-    stage — [serve.stage.decode.seconds], [.task.] (model parse and task
-    build, digest included), [.admission.], [.queue_wait.],
+    stage — [serve.stage.decode.seconds], [.task.] (model parse and
+    task-memo lookup, plus the task build on a memo miss), [.admission.], [.queue_wait.],
     [.solve.], [.store_put.], [.encode.] — alongside the end-to-end
     [serve.latency.seconds], its per-source splits
     ([serve.latency.store.seconds] / [.computed.] / [.coalesced.]) and
@@ -46,8 +49,8 @@
     with [slow_ms] set, any query slower than the threshold additionally
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
-    a [server] block: version, uptime, in-flight count, queue depth and
-    the solver's state. On shutdown the daemon prints a traffic summary.
+    a [server] block: version, uptime, in-flight count, queue depth, the
+    task memo's size and capacity, and the solver's state. On shutdown the daemon prints a traffic summary.
     SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — the solver drains the pending queue and finishes its
     in-flight job before the daemon exits; SIGKILL at any instant

@@ -405,6 +405,11 @@ let server_int s k =
   | Some (Wfc_obs.Json.Int i) -> i
   | _ -> Alcotest.failf "server block without %s" k
 
+let memo_field s k =
+  match Option.bind (Wfc_obs.Json.member "task_memo" s) (Wfc_obs.Json.member k) with
+  | Some (Wfc_obs.Json.Int i) -> i
+  | _ -> Alcotest.failf "server block without task_memo.%s" k
+
 let solver_field s k =
   match Wfc_obs.Json.member "solver" s with
   | Some solver -> Wfc_obs.Json.member k solver
@@ -619,6 +624,57 @@ let daemon_tests =
             | Wire.Failed _ -> ()
             | _ -> Alcotest.fail "expected an error response");
             Client.close c));
+    Alcotest.test_case "a repeated question reuses the memoized task" `Quick (fun () ->
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let hits0 = counter_value "serve.task_memo.hits" in
+            let c = connect_exn socket in
+            let verdict () =
+              match query_exn c default_spec with
+              | Wire.Verdict { record; _ } -> json_str (Record.verdict_json record)
+              | _ -> Alcotest.fail "expected a verdict"
+            in
+            let cold = verdict () in
+            let warm = verdict () in
+            Client.close c;
+            checks "same verdict bytes" cold warm;
+            checki "one memo hit" (hits0 + 1) (counter_value "serve.task_memo.hits");
+            checki "one task memoized" 1 (memo_field (server_block socket) "size")));
+    Alcotest.test_case "failed task builds are not memoized" `Quick (fun () ->
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let c = connect_exn socket in
+            let size0 = memo_field (server_block socket) "size" in
+            let failure spec =
+              match query_exn c spec with
+              | Wire.Failed msg -> msg
+              | _ -> Alcotest.fail "expected an error response"
+            in
+            List.iter
+              (fun (name, spec) ->
+                let first = failure spec in
+                checks (name ^ " fails the same way twice") first (failure spec))
+              [
+                ("unknown task", { default_spec with Wire.task = "no-such-task" });
+                ("0-set consensus", { spec_b with Wire.param = 0 });
+              ];
+            Client.close c;
+            checki "memo size unchanged" size0 (memo_field (server_block socket) "size")));
+    Alcotest.test_case "the task memo is bounded" `Quick (fun () ->
+        (* loop-disk ignores procs and param, so every key builds the same
+           small task and, after the first solve, hits the store *)
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let capacity = memo_field (server_block socket) "capacity" in
+            let c = connect_exn socket in
+            for param = 1 to capacity + 5 do
+              let spec =
+                { spec_b with Wire.task = "loop-disk"; param; max_level = 0 }
+              in
+              match query_exn c spec with
+              | Wire.Verdict _ -> ()
+              | _ -> Alcotest.failf "expected a verdict for loop-disk param %d" param
+            done;
+            Client.close c;
+            checki "size is the capacity" capacity
+              (memo_field (server_block socket) "size")));
     Alcotest.test_case "concurrent identical queries coalesce" `Quick (fun () ->
         (* The gate holds the solver inside the first job until we have seen
            the twin query coalesce, making the race deterministic. *)
