@@ -8,7 +8,7 @@
 
      dune exec bench/main.exe                    # experiments + micro-benchmarks
      dune exec bench/main.exe -- quick           # experiments only
-     dune exec bench/main.exe -- --json FILE     # timed scenarios -> wfc.obs.v1
+     dune exec bench/main.exe -- --json FILE     # timed scenarios (median of 5) -> wfc.obs.v1
      dune exec bench/main.exe -- --only store    # just one scenario family
 
    Any other argument is a usage error (exit 2) before anything runs. *)

@@ -962,8 +962,8 @@ let stats_cmd =
       1
     | Ok (snap, server) ->
       let field ?(o = server) k = Option.bind o (Json.member k) in
-      let num k =
-        match field k with
+      let num ?o k =
+        match field ?o k with
         | Some (Json.Float f) -> Some f
         | Some (Json.Int i) -> Some (float_of_int i)
         | _ -> None
@@ -976,9 +976,6 @@ let stats_cmd =
       in
       let uptime = Option.value ~default:0. (num "uptime_s") in
       let memo = field "task_memo" in
-      let memo_size =
-        match field ~o:memo "size" with Some (Json.Int i) -> Some (float_of_int i) | _ -> None
-      in
       if prometheus then begin
         print_string (Snapshot.to_prometheus snap);
         List.iter
@@ -988,7 +985,7 @@ let stats_cmd =
             | None -> ())
           [ (num "uptime_s", "wfc_uptime_seconds", 6); (num "inflight", "wfc_inflight", 0);
             (num "queue_depth", "wfc_queue_depth", 0);
-            (memo_size, "wfc_task_memo_size", 0) ]
+            (num ~o:memo "size", "wfc_task_memo_size", 0) ]
       end
       else begin
         if server = None then print_endline "daemon: (pre-telemetry daemon — no server block)"
@@ -1032,8 +1029,9 @@ let stats_cmd =
        ~doc:
          "Live introspection of a running solvability daemon: version, uptime, in-flight \
           queries, queue depth, the task memo's size, the solver's state, then every \
-          counter, stage/latency histogram and solver span, laid out as any subcommand's $(b,--stats) prints them. \
-          $(b,--prometheus) prints text exposition instead; $(b,--json) writes a wfc.obs.v1 report.")
+          counter, stage/latency histogram and solver span, laid out as any subcommand's \
+          $(b,--stats) prints them. $(b,--prometheus) prints text exposition instead; \
+          $(b,--json) writes a wfc.obs.v1 report.")
     Term.(const run $ socket_arg $ prometheus $ Output.json_arg)
 
 let store_cmd =

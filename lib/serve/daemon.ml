@@ -51,10 +51,10 @@ let h_depth = Wfc_obs.Metrics.histogram "serve.queue.depth"
 (* Stage histograms: the request lifecycle cut where it actually spends
    time. decode = frame JSON -> typed request; task = model parse plus the
    task-memo lookup, and on a memo miss the task build (its digest
-   included); admission = the store-lookup /
-   enqueue decision under the state mutex; queue_wait = admitted -> picked
-   by the solver; solve = the search itself; store_put = persisting the
-   fresh verdict; encode = response -> socket bytes. *)
+   included); admission = the store-lookup / enqueue decision under the
+   state mutex; queue_wait = admitted -> picked by the solver; solve = the
+   search itself; store_put = persisting the fresh verdict; encode =
+   response -> socket bytes. *)
 let h_stage_decode = Wfc_obs.Metrics.histogram "serve.stage.decode.seconds"
 
 let h_stage_task = Wfc_obs.Metrics.histogram "serve.stage.task.seconds"

@@ -35,9 +35,9 @@
     [req_id] or daemon-assigned) that is echoed in the response and stamped
     on every log line of the request. The lifecycle is measured stage by
     stage — [serve.stage.decode.seconds], [.task.] (model parse and
-    task-memo lookup, plus the task build on a memo miss), [.admission.], [.queue_wait.],
-    [.solve.], [.store_put.], [.encode.] — alongside the end-to-end
-    [serve.latency.seconds], its per-source splits
+    task-memo lookup, plus the task build on a memo miss), [.admission.],
+    [.queue_wait.], [.solve.], [.store_put.], [.encode.] — alongside the
+    end-to-end [serve.latency.seconds], its per-source splits
     ([serve.latency.store.seconds] / [.computed.] / [.coalesced.]) and
     per-model-family splits ([serve.latency.model.<family>.seconds], where
     the family is [wait-free], [t-resilient] or [k-set]).
@@ -50,7 +50,8 @@
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
     a [server] block: version, uptime, in-flight count, queue depth, the
-    task memo's size and capacity, and the solver's state. On shutdown the daemon prints a traffic summary.
+    task memo's size and capacity, and the solver's state. On shutdown the
+    daemon prints a traffic summary.
     SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — the solver drains the pending queue and finishes its
     in-flight job before the daemon exits; SIGKILL at any instant

@@ -617,13 +617,6 @@ let daemon_tests =
             let { Engine.records; skeletons } = Engine.ls (Engine.open_store store_dir) in
             checki "one record" 1 (List.length records);
             checki "no skeletons" 0 skeletons));
-    Alcotest.test_case "unknown task names come back as errors" `Quick (fun () ->
-        with_daemon (fun ~socket ~store_dir:_ ->
-            let c = connect_exn socket in
-            (match query_exn c { default_spec with Wire.task = "no-such-task" } with
-            | Wire.Failed _ -> ()
-            | _ -> Alcotest.fail "expected an error response");
-            Client.close c));
     Alcotest.test_case "a repeated question reuses the memoized task" `Quick (fun () ->
         with_daemon (fun ~socket ~store_dir:_ ->
             let hits0 = counter_value "serve.task_memo.hits" in
