@@ -617,13 +617,16 @@ let solve_cmd =
     let spec = spec_string ~task ~procs ~param ~max_level ~model:model_name in
     (* a store hit answers without building a single subdivision *)
     match Wfc_storage.Engine.answer store ~opts ~spec ~max_level t with
-    | Wfc_storage.Engine.Stored r ->
+    | Error e ->
+      Format.eprintf "%s@." (Wfc_storage.Engine.error_to_string e);
+      1
+    | Ok (Wfc_storage.Engine.Stored r) ->
       let o = r.Wfc_storage.Record.outcome in
       Format.printf "verdict from store: %s at level %d (nodes=%d)@." o.Solvability.o_verdict
         o.Solvability.o_level o.Solvability.o_nodes;
       emit_verdict r;
       if o.Solvability.o_verdict = "exhausted" then exit_exhausted else 0
-    | Wfc_storage.Engine.Computed { record; verdict; _ } ->
+    | Ok (Wfc_storage.Engine.Computed { record; verdict; _ }) ->
     let vstats = Solvability.stats_of_verdict verdict in
     let level =
       match verdict with
@@ -633,9 +636,9 @@ let solve_cmd =
     let code =
       match verdict with
       | Solvability.Solvable { map; _ } ->
-        Format.printf "SOLVABLE with %d IIS round(s); map verified: %b@."
-          map.Solvability.level
-          (Solvability.verify map = Ok ());
+        (* Engine.answer returns a Solvable only once its map verifies *)
+        Format.printf "SOLVABLE with %d IIS round(s); map verified: true@."
+          map.Solvability.level;
         if validate then begin
           (* the distributed validator drives arbitrary adversary runs, which
              can leave a restricting model's admitted sub-complex *)
@@ -891,8 +894,11 @@ let query_cmd =
               ~opts:(Solvability.options ~model ~symmetry ~collapse ())
               ~spec:(Wfc_serve.Wire.spec_to_string spec) ~max_level t
           with
-          | Wfc_storage.Engine.Stored r -> finish ~source:"store" r
-          | Wfc_storage.Engine.Computed { record; _ } -> finish ~source:"inline" record)
+          | Ok (Wfc_storage.Engine.Stored r) -> finish ~source:"store" r
+          | Ok (Wfc_storage.Engine.Computed { record; _ }) -> finish ~source:"inline" record
+          | Error e ->
+            Format.eprintf "%s@." (Wfc_storage.Engine.error_to_string e);
+            1)
       in
       if no_daemon then inline "daemon disabled (--no-daemon)"
       else
@@ -976,6 +982,13 @@ let stats_cmd =
       in
       let uptime = Option.value ~default:0. (num "uptime_s") in
       let memo = field "task_memo" in
+      (* (name, entries) of each solver memo, in the server block's (sorted) order *)
+      let solver_memos =
+        match field "solver_memo" with
+        | Some (Json.Obj kv) ->
+          List.filter_map (function n, Json.Int i -> Some (n, i) | _ -> None) kv
+        | _ -> []
+      in
       if prometheus then begin
         print_string (Snapshot.to_prometheus snap);
         List.iter
@@ -983,16 +996,22 @@ let stats_cmd =
             match value with
             | Some v -> Printf.printf "# TYPE %s gauge\n%s %.*f\n" metric metric digits v
             | None -> ())
-          [ (num "uptime_s", "wfc_uptime_seconds", 6); (num "inflight", "wfc_inflight", 0);
-            (num "queue_depth", "wfc_queue_depth", 0);
-            (num ~o:memo "size", "wfc_task_memo_size", 0) ]
+          ([ (num "uptime_s", "wfc_uptime_seconds", 6); (num "inflight", "wfc_inflight", 0);
+             (num "queue_depth", "wfc_queue_depth", 0);
+             (num ~o:memo "size", "wfc_task_memo_size", 0) ]
+          @ List.map
+              (fun (name, n) ->
+                (Some (float_of_int n), Printf.sprintf "wfc_%s_memo_size" name, 0))
+              solver_memos)
       end
       else begin
         if server = None then print_endline "daemon: (pre-telemetry daemon — no server block)"
         else
-          Printf.printf "daemon: version=%s uptime=%.1fs inflight=%s queue=%s/%s%s\n"
+          Printf.printf "daemon: version=%s uptime=%.1fs inflight=%s queue=%s/%s%s%s\n"
             (text "version") uptime (text "inflight") (text "queue_depth")
             (text "queue_capacity")
+            (String.concat ""
+               (List.map (fun (name, n) -> Printf.sprintf " %s_memo=%d" name n) solver_memos))
             (match memo with
             | Some _ as o ->
               Printf.sprintf " task_memo=%s/%s" (text ~o "size") (text ~o "capacity")

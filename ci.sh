@@ -273,7 +273,8 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE3" VERDICT_wf.json VERDICT_kset.json \
 # span tree included, and (d) the Prometheus exposition renders counters
 # and histogram summaries. The warm query must have reused the task the
 # cold one built: `serve.task_memo.hits` is at least 1, and the header and
-# the exposition both carry the task memo's size.
+# the exposition both carry the task memo's size and the sizes of the
+# solver's memos, which the cold solves filled.
 SERVE_STORE4=ci_serve_store4
 SERVE_LOG=ci_serve_log.jsonl
 rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG"
@@ -313,6 +314,8 @@ cmp VERDICT_tel_a.json VERDICT_tel_b.json
 # live introspection: human table, validated JSON report, Prometheus text
 "$WFC" stats --socket "$SERVE_SOCK" > STATS_ci.txt
 grep 'daemon: version=.* task_memo=[0-9]*/[0-9]*$' STATS_ci.txt
+# ... and the solver's memo sizes, which the cold solves filled
+grep 'daemon: version=.* lift_memo=[0-9]* sds_memo=[1-9][0-9]* setup_memo=[1-9]' STATS_ci.txt
 # the warm query above reused the task the cold one built
 grep -E '^ +serve\.task_memo\.hits +[1-9]' STATS_ci.txt
 grep '^counters$' STATS_ci.txt
@@ -325,6 +328,7 @@ grep '^wfc_serve_requests ' STATS_ci.prom
 grep '^# TYPE wfc_serve_latency_seconds summary$' STATS_ci.prom
 grep '^wfc_serve_latency_seconds_count ' STATS_ci.prom
 grep '^wfc_task_memo_size [0-9]' STATS_ci.prom
+grep '^wfc_setup_memo_size [1-9]' STATS_ci.prom
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
 # the event log is a valid wfc.log.v1 stream with the lifecycle on record

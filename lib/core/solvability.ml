@@ -128,32 +128,38 @@ type instance = {
    the exact unrestricted enumeration path, so wait_free stays
    byte-identical to the seed engine (same vertex order, same node
    counts). A Facet_pred that admits everything also filters to the full
-   complex in the original enumeration order, so it too matches. *)
+   complex in the original enumeration order, so it too matches. The list
+   keeps [Complex.facets] order; [level_setup] computes it once per
+   (task, model, level). *)
 let admitted_facets model sds scx =
   match model.Model.restriction with
   | Model.All -> None
   | Model.Facet_pred _ -> Some (List.filter (Model.admits model sds) (Complex.facets scx))
 
+(* The affine task's vertices and simplices are membership filters over
+   [Complex.vertices] / [Complex.simplices], so they keep that order: one
+   pass over the admitted facets' closure, not a test of every simplex
+   against every facet. *)
 let restricted_vertices ~admitted scx =
   match admitted with
   | None -> Complex.vertices scx
   | Some facets ->
-    List.filter
-      (fun v -> List.exists (fun f -> Simplex.mem v f) facets)
-      (Complex.vertices scx)
+    let seen = Hashtbl.create 64 in
+    List.iter (Simplex.iter (fun v -> Hashtbl.replace seen v ())) facets;
+    List.filter (Hashtbl.mem seen) (Complex.vertices scx)
 
 let restricted_simplices ~admitted scx =
   match admitted with
   | None -> Complex.simplices scx
   | Some facets ->
-    List.filter
-      (fun s -> List.exists (fun f -> Simplex.subset s f) facets)
-      (Complex.simplices scx)
+    let closure = Simplex.Tbl.create 64 in
+    List.iter
+      (fun f -> List.iter (fun s -> Simplex.Tbl.replace closure s ()) (Simplex.faces f))
+      facets;
+    List.filter (Simplex.Tbl.mem closure) (Complex.simplices scx)
 
-let build_instance ?(model = Model.wait_free) task level =
-  let sds = Sds.iterate task.Task.input level in
+let build_instance task sds ~admitted =
   let scx = Chromatic.complex (Sds.complex sds) in
-  let admitted = admitted_facets model sds scx in
   let verts = Array.of_list (restricted_vertices ~admitted scx) in
   let nvars = Array.length verts in
   let var_of = Hashtbl.create nvars in
@@ -202,7 +208,7 @@ let build_instance ?(model = Model.wait_free) task level =
   Array.iteri
     (fun ci members -> Array.iter (fun v -> containing.(v) <- ci :: containing.(v)) members)
     simplices;
-  (sds, verts, { nvars; domains; simplices; allowed; containing })
+  (verts, { nvars; domains; simplices; allowed; containing })
 
 exception Found of int array
 
@@ -318,20 +324,36 @@ let make_reducers ~static_order ~autos ~order_pos nvars =
   Array.sort (fun a b -> compare order_pos.(a) order_pos.(b)) sched;
   { static_order; autos; sched }
 
-(* Task automorphisms are level-independent but [build_autos] runs per
-   level; enumerating them (a backtracking search over the output complex)
-   is the expensive half of the symmetry setup, so it is cached by task
-   digest. The maps inside are only ever read. *)
-let task_autos_cache : (string, Task.automorphism list) Hashtbl.t = Hashtbl.create 16
+(* The lifts of the task automorphisms through SDS^level, in
+   [Task.automorphisms] order, keyed by (task digest, level): they depend
+   on neither the model nor the reducer flags, so every model solved at a
+   level shares one list. Level 0 holds the automorphisms themselves (the
+   enumeration over the output complex, the expensive half of the symmetry
+   setup) with their restriction to I; level b extends level b-1 by one
+   [Automorphism.lift_step], whose reverse index is built once per level.
+   The maps inside are only ever read. *)
+let lift_memo : (string * int, (Task.automorphism * Automorphism.vertex_map option) list) Hashtbl.t =
+  Hashtbl.create 16
 
-let task_automorphisms task =
-  let d = Task.digest task in
-  match Hashtbl.find_opt task_autos_cache d with
-  | Some autos -> autos
+let rec lifts task sds =
+  let key = (Task.digest task, Sds.levels sds) in
+  match Hashtbl.find_opt lift_memo key with
+  | Some l -> l
   | None ->
-    let autos = Task.automorphisms task in
-    Hashtbl.add task_autos_cache d autos;
-    autos
+    let l =
+      match Sds.prev sds with
+      | None ->
+        let step = Automorphism.lift_step sds in
+        List.map (fun (a : Task.automorphism) -> (a, step a.Task.a_input)) (Task.automorphisms task)
+      | Some lower ->
+        let below = lifts task lower in
+        if List.for_all (fun (_, m) -> Option.is_none m) below then below
+        else
+          let step = Automorphism.lift_step sds in
+          List.map (fun (a, m) -> (a, Option.bind m step)) below
+    in
+    Hashtbl.add lift_memo key l;
+    l
 
 (* Instance-level symmetries from task automorphisms. Each (σ_I, σ_O) with
    Δ(σ_I s) = σ_O(Δ s) lifts level-by-level through SDS^b; the lift is then
@@ -341,20 +363,15 @@ let task_automorphisms task =
    (c) maps every variable's candidate domain onto its image variable's
    domain. (a)-(c) are re-verified numerically here, so a bug upstream
    degrades to fewer symmetries, never to wrong pruning. *)
-let build_autos ~model task sds verts inst =
-  let scx = Chromatic.complex (Sds.complex sds) in
+let build_autos ~admitted task sds verts inst =
   let n = Array.length verts in
   let var_of = Hashtbl.create n in
   Array.iteri (fun i v -> Hashtbl.replace var_of v i) verts;
   let out_vertices = Complex.vertices (Chromatic.complex task.Task.output) in
   let max_out = List.fold_left max 0 out_vertices in
-  let admitted_set =
-    match admitted_facets model sds scx with
-    | None -> None
-    | Some facets -> Some (List.sort_uniq Simplex.compare facets)
-  in
-  let instance_auto (a : Task.automorphism) =
-    match Automorphism.lift sds a.Task.a_input with
+  let admitted_set = Option.map (List.sort_uniq Simplex.compare) admitted in
+  let instance_auto ((a : Task.automorphism), lift) =
+    match lift with
     | None -> None
     | Some top_map ->
       let ok = ref true in
@@ -434,26 +451,8 @@ let build_autos ~model task sds verts inst =
       match instance_auto a with
       | Some g when not (List.exists (fun g' -> g' = g) !autos) -> autos := g :: !autos
       | _ -> ())
-    (task_automorphisms task);
+    (lifts task sds);
   Array.of_list (List.rev !autos)
-
-(* [build_autos] is a pure function of (task, model, level): the verts
-   array, instance domains and admitted facet set are all rebuilt
-   deterministically from those three. The enumeration behind it
-   (Task.automorphisms + per-level lifts) costs milliseconds, which the
-   serve and bench hot paths would otherwise pay on every request for the
-   same key — memoised like the subdivision cache. Cached arrays are only
-   ever read by [sym_ok]. *)
-let autos_cache : (string * string * int, auto array) Hashtbl.t = Hashtbl.create 16
-
-let build_autos_memo ~model ~level task sds verts inst =
-  let key = (Task.digest task, model.Model.name, level) in
-  match Hashtbl.find_opt autos_cache key with
-  | Some autos -> autos
-  | None ->
-    let autos = build_autos ~model task sds verts inst in
-    Hashtbl.add autos_cache key autos;
-    autos
 
 (* Static variable order from a free-face collapsing sequence of the
    admitted subcomplex: core vertices first, then collapsed vertices in
@@ -461,9 +460,8 @@ let build_autos_memo ~model ~level task sds verts inst =
    from the collapse core ("expansion from the cone point"). Falls back to
    BFS positions when there is nothing to collapse. Returns the positions
    and the eliminated-vertex count (the reported schedule length). *)
-let collapse_positions ~model sds verts inst =
+let collapse_positions ~admitted sds verts inst =
   let scx = Chromatic.complex (Sds.complex sds) in
-  let admitted = admitted_facets model sds scx in
   let facets = match admitted with None -> Complex.facets scx | Some facets -> facets in
   if facets = [] || inst.nvars = 0 then (bfs_positions inst, 0)
   else begin
@@ -509,24 +507,42 @@ let collapse_positions ~model sds verts inst =
     (pos, r.Collapse.eliminated)
   end
 
-(* Same purity argument as [autos_cache]: the admitted facet set, the
-   variable indexing and hence the whole schedule are rebuilt
-   deterministically from (task, model, level). *)
-let collapse_cache : (string * string * int, int array * int) Hashtbl.t = Hashtbl.create 16
+(* Everything model-dependent that a level's setup computes, once per
+   (task digest, model name, level): the admitted facet list (read by the
+   instance build, [build_autos], the collapse schedule,
+   [outcome_of_verdict] and [verify]), the instance symmetries and the
+   collapse schedule, the last two filled on first use by a search that
+   runs the reducer. Each is a pure function of the key: the SDS, the
+   variable indexing and the domains are rebuilt deterministically from
+   it. Cached arrays are only ever read. *)
+type level_setup = {
+  admitted : Simplex.t list option;
+  mutable autos : auto array option;
+  mutable schedule : (int array * int) option;
+}
 
-let collapse_positions_memo ~model ~level task sds verts inst =
-  let key = (Task.digest task, model.Model.name, level) in
-  match Hashtbl.find_opt collapse_cache key with
-  | Some r -> r
+let setup_memo : (string * string * int, level_setup) Hashtbl.t = Hashtbl.create 16
+
+let level_setup ~model task sds =
+  let key = (Task.digest task, model.Model.name, Sds.levels sds) in
+  match Hashtbl.find_opt setup_memo key with
+  | Some s -> s
   | None ->
-    let r = collapse_positions ~model sds verts inst in
-    Hashtbl.add collapse_cache key r;
-    r
+    let admitted = admitted_facets model sds (Chromatic.complex (Sds.complex sds)) in
+    let s = { admitted; autos = None; schedule = None } in
+    Hashtbl.add setup_memo key s;
+    s
 
 let clear_cache () =
-  Hashtbl.reset task_autos_cache;
-  Hashtbl.reset autos_cache;
-  Hashtbl.reset collapse_cache
+  Hashtbl.reset lift_memo;
+  Hashtbl.reset setup_memo
+
+let memo_sizes () =
+  [
+    ("setup", Hashtbl.length setup_memo);
+    ("lift", Hashtbl.length lift_memo);
+    ("sds", Sds.memo_size ());
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* the search                                                           *)
@@ -782,10 +798,12 @@ let solve_at ?opts:(o = defaults) task level =
   (* the phases of a solve are spans under solvability.level.<b>: build,
      autos, collapse, search and (for a reduced Sat) rerun *)
   let phase name f = Wfc_obs.Metrics.with_span ("solvability." ^ name) f in
-  let sds, verts, inst, bfs =
+  let sds, setup, verts, inst, bfs =
     phase "build" @@ fun () ->
-    let sds, verts, inst = build_instance ~model:o.model task level in
-    (sds, verts, inst, bfs_positions inst)
+    let sds = Sds.iterate task.Task.input level in
+    let setup = level_setup ~model:o.model task sds in
+    let verts, inst = build_instance task sds ~admitted:setup.admitted in
+    (sds, setup, verts, inst, bfs_positions inst)
   in
   let ring =
     if o.trace then Some (Wfc_obs.Flight.create ~capacity:search_trace_capacity) else None
@@ -798,14 +816,25 @@ let solve_at ?opts:(o = defaults) task level =
      events would destroy its meaning (DESIGN §9, §14). *)
   let autos =
     if o.symmetry && not o.trace then
-      phase "autos" (fun () -> build_autos_memo ~model:o.model ~level task sds verts inst)
+      phase "autos" (fun () ->
+          match setup.autos with
+          | Some autos -> autos
+          | None ->
+            let autos = build_autos ~admitted:setup.admitted task sds verts inst in
+            setup.autos <- Some autos;
+            autos)
     else [||]
   in
   let collapsed =
     if o.collapse && not o.trace then
       Some
         (phase "collapse" (fun () ->
-             collapse_positions_memo ~model:o.model ~level task sds verts inst))
+             match setup.schedule with
+             | Some r -> r
+             | None ->
+               let r = collapse_positions ~admitted:setup.admitted sds verts inst in
+               setup.schedule <- Some r;
+               r))
     else None
   in
   let red =
@@ -921,7 +950,7 @@ let outcome_of_verdict v =
          task (the admitted facets' closure) — its vertices are exactly the
          instance variables. *)
       let scx = Chromatic.complex (Sds.complex map.sds) in
-      let admitted = admitted_facets map.model map.sds scx in
+      let { admitted; _ } = level_setup ~model:map.model map.task map.sds in
       ( map.level,
         List.map (fun vtx -> (vtx, map.decide vtx)) (restricted_vertices ~admitted scx) )
     | Unsolvable_at { level; _ } | Exhausted { level; _ } -> (level, [])
@@ -940,7 +969,7 @@ let verify { task; sds; model; decide; level = _ } =
   let scx = Chromatic.complex (Sds.complex sds) in
   let sd = Sds.subdiv sds in
   (* only the model's affine task is decided, so only it is checked *)
-  let admitted = admitted_facets model sds scx in
+  let { admitted; _ } = level_setup ~model task sds in
   let errors = ref [] in
   let add fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   List.iter

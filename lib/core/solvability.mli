@@ -128,9 +128,44 @@ val default_budget : int
     with, so stores key on it. *)
 
 val clear_cache : unit -> unit
-(** Drops the search-reducer memos (task automorphisms, their per-level
-    lifts and the collapse schedules), so that benchmarks can time cold
-    solves. Verdicts and stats do not depend on them. *)
+(** Drops the solver's two memos, so that benchmarks can time cold solves.
+    Verdicts and stats do not depend on them:
+    - the level setup, per [(Task.digest, model name, level)]: the model's
+      admitted facet list, the instance symmetries and the collapse
+      schedule;
+    - the automorphism lifts, per [(Task.digest, level)]: the task
+      automorphisms (level 0) and their lifts through [SDS^level], shared
+      by every model. *)
+
+val memo_sizes : unit -> (string * int) list
+(** Entry counts of the memos a solve fills: ["setup"] and ["lift"]
+    (see {!clear_cache}) and ["sds"] ({!Wfc_topology.Sds.memo_size}). The
+    daemon's [stats] reply reports them as gauges. *)
+
+(** {1 The affine task} — what a model restricts [SDS^b] to. *)
+
+val admitted_facets :
+  Wfc_tasks.Model.t ->
+  Wfc_topology.Sds.t ->
+  Wfc_topology.Complex.t ->
+  Wfc_topology.Simplex.t list option
+(** [admitted_facets model sds (complex of sds)]: the facets the model
+    admits, in {!Wfc_topology.Complex.facets} order; [None] for an
+    unrestricted model. A solve computes it once per
+    [(Task.digest, model name, level)] (see {!clear_cache}). *)
+
+val restricted_vertices :
+  admitted:Wfc_topology.Simplex.t list option -> Wfc_topology.Complex.t -> int list
+(** The affine task's vertices, in {!Wfc_topology.Complex.vertices} order:
+    those of some admitted facet (all of them under [None]). *)
+
+val restricted_simplices :
+  admitted:Wfc_topology.Simplex.t list option ->
+  Wfc_topology.Complex.t ->
+  Wfc_topology.Simplex.t list
+(** The affine task's simplices, in {!Wfc_topology.Complex.simplices}
+    order: a membership filter against the closure of the admitted facets,
+    linear in that closure. *)
 
 val solve_at : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
 (** Decide level [b] exactly (up to [opts.budget] search nodes), under

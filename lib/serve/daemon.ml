@@ -206,7 +206,9 @@ let dequeue_job st =
 
 (* [Engine.answer] looks the question up again before solving: an inline
    [wfc query --store] process sharing the directory may have filed the
-   verdict while this job sat in the queue. *)
+   verdict while this job sat in the queue. A map that fails its check
+   comes back as an [Error], which the solver loop logs as [solve.error]:
+   nothing was filed. *)
 let compute st (job : job) ~queue_wait_s =
   (match st.cfg.gate with Some g -> g (job_digest job) | None -> ());
   let opts =
@@ -217,11 +219,12 @@ let compute st (job : job) ~queue_wait_s =
     Wfc_storage.Engine.answer (Some st.store) ~opts ~spec:(Wire.spec_to_string job.j_spec)
       ~max_level:job.j_spec.Wire.max_level job.j_task
   with
-  | Wfc_storage.Engine.Stored r -> (r, { no_stages with queue_wait_s })
-  | Wfc_storage.Engine.Computed { record; solve_s; put_s; _ } ->
+  | Ok (Wfc_storage.Engine.Stored r) -> Ok (r, { no_stages with queue_wait_s })
+  | Ok (Wfc_storage.Engine.Computed { record; solve_s; put_s; _ }) ->
     Wfc_obs.Metrics.observe h_stage_solve solve_s;
     if put_s > 0. then Wfc_obs.Metrics.observe h_stage_store_put put_s;
-    (record, { queue_wait_s; solve_s; store_s = put_s })
+    Ok (record, { queue_wait_s; solve_s; store_s = put_s })
+  | Error e -> Error (Wfc_storage.Engine.error_to_string e)
 
 (* The one solver thread loops here. On shutdown it keeps draining until
    no pending job is left — every admitted question gets its answer — and
@@ -249,7 +252,7 @@ let solver_loop st =
       in
       Wfc_obs.Metrics.observe h_stage_queue_wait queue_wait_s;
       let result =
-        try Ok (compute st job ~queue_wait_s)
+        try compute st job ~queue_wait_s
         with e -> Error (Printf.sprintf "solver failed: %s" (Printexc.to_string e))
       in
       (match result with
@@ -476,6 +479,10 @@ let server_json st =
       ("queue_depth", Int depth);
       ("queue_capacity", Int st.cfg.queue_capacity);
       ("task_memo", Obj [ ("size", Int memo_size); ("capacity", Int task_memo_capacity) ]);
+      (* the solver thread owns these tables: the counts are read without
+         its cooperation, so they may lag a solve in progress *)
+      ( "solver_memo",
+        Obj (List.map (fun (name, n) -> (name, Int n)) (Solvability.memo_sizes ())) );
       ("solver", solver);
     ]
 

@@ -140,24 +140,27 @@ type answer =
       put_s : float;
     }
 
-(* The one owner of "find; else solve, then file unless Exhausted". The
-   find runs even when the caller already missed (the daemon, at
-   admission): another process sharing the directory may have filed the
-   verdict since. A budget overrun is a fact about the budget, not the
-   task, so an [Exhausted] verdict is answered but never filed. *)
-let answer store ~opts ~spec ~max_level task =
+type error = Unverified of string
+
+let error_to_string (Unverified reason) = "unverified decision map: " ^ reason
+
+(* A Solvable map is checked before it becomes a record: a filed Solvable
+   is a certificate, and [Solvability.verify] is the independent check
+   (cheap next to the solve: the admitted facet set comes from the
+   solver's level memo). A map that fails is an error, never a record. A
+   budget overrun is a fact about the budget, not the task, so an
+   [Exhausted] verdict gets its record but is never filed. *)
+let file store ~opts ~spec ~max_level task verdict =
   let module S = Wfc_core.Solvability in
-  let model = Wfc_tasks.Model.to_string opts.S.model and budget = opts.S.budget in
-  let digest = Wfc_tasks.Task.digest task in
-  match Option.bind store (fun t -> find t ~digest ~model ~max_level ~budget) with
-  | Some r ->
-    Wfc_obs.Metrics.incr c_store_hits;
-    Stored r
-  | None ->
-    if Option.is_some store then Wfc_obs.Metrics.incr c_store_misses;
-    let t0 = Wfc_obs.Metrics.now_s () in
-    let verdict = S.solve ~opts ~max_level task in
-    let solve_s = Wfc_obs.Metrics.now_s () -. t0 in
+  let checked =
+    match verdict with
+    | S.Solvable { map; _ } -> Wfc_obs.Metrics.with_span "solvability.verify" (fun () -> S.verify map)
+    | S.Unsolvable_at _ | S.Exhausted _ -> Ok ()
+  in
+  match checked with
+  | Error reason -> Error (Unverified reason)
+  | Ok () ->
+    let model = Wfc_tasks.Model.to_string opts.S.model and budget = opts.S.budget in
     let record =
       Record.make ~task ~spec ~model ~max_level ~budget (S.outcome_of_verdict verdict)
     in
@@ -169,7 +172,27 @@ let answer store ~opts ~spec ~max_level task =
         Wfc_obs.Metrics.now_s () -. t0
       | _, S.Exhausted _ | None, _ -> 0.
     in
-    Computed { record; verdict; solve_s; put_s }
+    Ok (record, put_s)
+
+(* The one owner of "find; else solve, then file". The find runs even
+   when the caller already missed (the daemon, at admission): another
+   process sharing the directory may have filed the verdict since. *)
+let answer store ~opts ~spec ~max_level task =
+  let module S = Wfc_core.Solvability in
+  let model = Wfc_tasks.Model.to_string opts.S.model and budget = opts.S.budget in
+  let digest = Wfc_tasks.Task.digest task in
+  match Option.bind store (fun t -> find t ~digest ~model ~max_level ~budget) with
+  | Some r ->
+    Wfc_obs.Metrics.incr c_store_hits;
+    Ok (Stored r)
+  | None ->
+    if Option.is_some store then Wfc_obs.Metrics.incr c_store_misses;
+    let t0 = Wfc_obs.Metrics.now_s () in
+    let verdict = S.solve ~opts ~max_level task in
+    let solve_s = Wfc_obs.Metrics.now_s () -. t0 in
+    Result.map
+      (fun (record, put_s) -> Computed { record; verdict; solve_s; put_s })
+      (file store ~opts ~spec ~max_level task verdict)
 
 (* ---- skeleton keyspace ---- *)
 

@@ -68,19 +68,41 @@ type answer =
       put_s : float;  (** {!put}; [0.] when nothing was filed *)
     }
 
+type error =
+  | Unverified of string
+      (** a [Solvable] verdict whose map fails
+          {!Wfc_core.Solvability.verify}; the payload is its reason *)
+
+val error_to_string : error -> string
+
+val file :
+  t option ->
+  opts:Wfc_core.Solvability.options ->
+  spec:string ->
+  max_level:int ->
+  Wfc_tasks.Task.t ->
+  Wfc_core.Solvability.verdict ->
+  (Record.record * float, error) result
+(** The filing step of {!answer}: flatten a fresh verdict into its record
+    ({!Record.make}, [spec] as its informational task string) and {!put}
+    it unless the verdict is [Exhausted] — a budget overrun is a fact about
+    the budget, not the task. A [Solvable] map is first checked by
+    {!Wfc_core.Solvability.verify} inside a [solvability.verify] span; a map
+    that fails is [Error (Unverified _)] and nothing is filed. Returns the
+    record and the seconds {!put} took ([0.] when nothing was filed). With
+    no store it only builds the record. *)
+
 val answer :
   t option ->
   opts:Wfc_core.Solvability.options ->
   spec:string ->
   max_level:int ->
   Wfc_tasks.Task.t ->
-  answer
+  (answer, error) result
 (** The one path from a question to its verdict record: {!find} under
     [(Task.digest task, opts.model, max_level, opts.budget)]; on a miss,
-    {!Wfc_core.Solvability.solve} with [opts], build the record
-    ({!Record.make}, [spec] as its informational task string), and {!put}
-    it unless the verdict is [Exhausted] — a budget overrun is a fact
-    about the budget, not the task. With no store it only solves. Counts
+    {!Wfc_core.Solvability.solve} with [opts], then {!file}. With no store
+    it only solves, checks and builds the record. Counts
     [solvability.store.hits] / [.misses] when a store is given. *)
 
 (** {1 Skeleton keyspace} *)

@@ -147,33 +147,34 @@ let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma =
       List.rev !found
     end
 
-let rec lift sds (base_map : vertex_map) =
+(* One level of the lift. At level 0 it restricts the base map to the
+   complex's vertices; above, it maps (v, S) to (σ v, σ S) through the
+   reverse index of the level's (own, snap) naming, built once here and
+   shared by every map the returned function is applied to. *)
+let lift_step sds =
+  let cx = Chromatic.complex (Sds.complex sds) in
+  let vertices = Complex.vertices cx in
   match Sds.prev sds with
   | None ->
-    let cx = Chromatic.complex (Sds.complex sds) in
-    let out : vertex_map = Hashtbl.create 16 in
-    let ok = ref true in
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt base_map v with
-        | Some w when Complex.mem_vertex w cx -> Hashtbl.replace out v w
-        | _ -> ok := false)
-      (Complex.vertices cx);
-    if !ok then Some out else None
-  | Some p -> (
-    match lift p base_map with
-    | None -> None
-    | Some prev_map ->
-      let cx = Chromatic.complex (Sds.complex sds) in
-      let vertices = Complex.vertices cx in
-      (* reverse index of the top level's (own, snap) naming *)
-      let index = Hashtbl.create (List.length vertices) in
+    fun (base_map : vertex_map) ->
+      let out : vertex_map = Hashtbl.create 16 in
+      let ok = ref true in
       List.iter
         (fun v ->
-          Hashtbl.replace index (Sds.own sds v, Simplex.id (Sds.snap sds v)) v)
+          match Hashtbl.find_opt base_map v with
+          | Some w when Complex.mem_vertex w cx -> Hashtbl.replace out v w
+          | _ -> ok := false)
         vertices;
+      if !ok then Some out else None
+  | Some _ ->
+    let nverts = List.length vertices in
+    let index = Hashtbl.create nverts in
+    List.iter
+      (fun v -> Hashtbl.replace index (Sds.own sds v, Simplex.id (Sds.snap sds v)) v)
+      vertices;
+    fun prev_map ->
       let map_prev u = Hashtbl.find_opt prev_map u in
-      let out : vertex_map = Hashtbl.create (List.length vertices) in
+      let out : vertex_map = Hashtbl.create nverts in
       let ok = ref true in
       List.iter
         (fun v ->
@@ -196,4 +197,12 @@ let rec lift sds (base_map : vertex_map) =
             | _ -> ok := false
           end)
         vertices;
-      if !ok then Some out else None)
+      if !ok then Some out else None
+
+let lift sds base_map =
+  let rec chain sds acc =
+    match Sds.prev sds with None -> sds :: acc | Some p -> chain p (sds :: acc)
+  in
+  List.fold_left
+    (fun m level -> match m with None -> None | Some m -> lift_step level m)
+    (Some base_map) (chain sds [])

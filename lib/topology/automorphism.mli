@@ -50,6 +50,16 @@ val automorphisms :
     [let enum = automorphisms c in List.map (fun perm -> enum ~perm) perms]
     builds them once for every permutation. *)
 
+val lift_step : Sds.t -> vertex_map -> vertex_map option
+(** One level of {!lift}. At level 0, [lift_step sds σ] restricts [σ] to
+    the complex's vertices ([None] if some image is not one of them).
+    Above, it takes the lift [σ'] at the level below and maps [(v, S)] to
+    [(σ' v, σ' S)] ([None] if some image is not a vertex of this level).
+
+    Partial application does the per-level work: [let step = lift_step sds]
+    builds the level's [(own, snap)] reverse index once, and every [step σ]
+    reuses it. *)
+
 val lift : Sds.t -> vertex_map -> vertex_map option
 (** Lift a base-complex automorphism level-by-level through an iterated
     standard chromatic subdivision: the vertex [(v, S)] maps to
@@ -57,4 +67,6 @@ val lift : Sds.t -> vertex_map -> vertex_map option
     functorial, so the lift of an automorphism always exists and is an
     automorphism of the top complex; [None] signals a map that is not an
     automorphism of the base (some image vertex does not exist). At level
-    0 the lift is the map itself. *)
+    0 the lift is the map itself. [lift] is the fold of {!lift_step} from
+    level 0 up; a caller lifting many maps, or keeping the lifts of every
+    level, applies [lift_step] itself. *)

@@ -91,7 +91,13 @@ let closure c =
   match c.closure with
   | Some tbl -> tbl
   | None ->
-    let tbl = Simplex.Tbl.create 1024 in
+    (* a facet of dimension d has 2^(d+1) - 1 faces: size the table for
+       that bound, capped at 1024 (it grows past the cap on its own). Its
+       iteration order reaches no caller: [by_dim] sorts every bucket. *)
+    let bound =
+      if c.cdim >= 10 then 1024 else min 1024 (c.nfacets * ((1 lsl (c.cdim + 1)) - 1))
+    in
+    let tbl = Simplex.Tbl.create bound in
     List.iter
       (fun facet ->
         List.iter

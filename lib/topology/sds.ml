@@ -299,6 +299,8 @@ let memo : (string * string * int, t) Hashtbl.t = Hashtbl.create 64
 
 let clear_cache () = Hashtbl.reset memo
 
+let memo_size () = Hashtbl.length memo
+
 let structural_digest a =
   let cx = Chromatic.complex a in
   let facet f =

@@ -39,6 +39,9 @@ val clear_cache : unit -> unit
 (** Drops the {!iterate} memo table (used by benchmarks to time cold
     builds). The persisted-skeleton store, if any, is unaffected. *)
 
+val memo_size : unit -> int
+(** Entries in the {!iterate} memo table: one per memoized level. *)
+
 type skeleton_store = {
   load : digest:string -> level:int -> string option;
   save : digest:string -> level:int -> string -> unit;

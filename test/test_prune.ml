@@ -290,6 +290,125 @@ let test_automorphisms_intern_nothing () =
   ignore (Task.automorphisms t);
   checki "arena growth across Task.automorphisms" 0 (Simplex.arena_size () - before)
 
+(* The lift as it was before [Automorphism.lift_step]: recursive, with the
+   level's reverse index rebuilt on every call. Kept as the reference the
+   shared per-level step must reproduce. *)
+let rec reference_lift sds (base_map : Automorphism.vertex_map) =
+  match Sds.prev sds with
+  | None ->
+    let cx = Chromatic.complex (Sds.complex sds) in
+    let out : Automorphism.vertex_map = Hashtbl.create 16 in
+    let ok = ref true in
+    List.iter
+      (fun v ->
+        match Hashtbl.find_opt base_map v with
+        | Some w when Complex.mem_vertex w cx -> Hashtbl.replace out v w
+        | _ -> ok := false)
+      (Complex.vertices cx);
+    if !ok then Some out else None
+  | Some p -> (
+    match reference_lift p base_map with
+    | None -> None
+    | Some prev_map ->
+      let vertices = Complex.vertices (Chromatic.complex (Sds.complex sds)) in
+      let index = Hashtbl.create (List.length vertices) in
+      List.iter
+        (fun v -> Hashtbl.replace index (Sds.own sds v, Simplex.id (Sds.snap sds v)) v)
+        vertices;
+      let out : Automorphism.vertex_map = Hashtbl.create (List.length vertices) in
+      let ok = ref true in
+      List.iter
+        (fun v ->
+          let image =
+            match
+              ( Hashtbl.find_opt prev_map (Sds.own sds v),
+                List.map (Hashtbl.find_opt prev_map) (Simplex.to_list (Sds.snap sds v)) )
+            with
+            | Some o, members when List.for_all Option.is_some members ->
+              Hashtbl.find_opt index
+                (o, Simplex.id (Simplex.of_list (List.map Option.get members)))
+            | _ -> None
+          in
+          match image with Some v' -> Hashtbl.replace out v v' | None -> ok := false)
+        vertices;
+      if !ok then Some out else None)
+
+(* Every task automorphism of the 26 catalogue instances lifts to the same
+   map, binding for binding, whether each level's step is shared by all
+   the automorphisms (one reverse index per level) or rebuilt per call. *)
+let test_lift_step_matches_reference () =
+  List.iter
+    (fun (name, procs, param) ->
+      let t = Instances.by_name ~name ~procs ~param in
+      let autos = Task.automorphisms t in
+      let sds2 = Sds.iterate t.Task.input 2 in
+      let sds1 = Option.get (Sds.prev sds2) in
+      let sds0 = Option.get (Sds.prev sds1) in
+      let step0 = Automorphism.lift_step sds0
+      and step1 = Automorphism.lift_step sds1
+      and step2 = Automorphism.lift_step sds2 in
+      List.iteri
+        (fun k (a : Task.automorphism) ->
+          let l1 = Option.bind (step0 a.Task.a_input) step1 in
+          let l2 = Option.bind l1 step2 in
+          let same level got sds =
+            checkb
+              (Printf.sprintf "%s %d/%d automorphism %d, level %d" name procs param k level)
+              true
+              (Option.map bindings got
+              = Option.map bindings (reference_lift sds a.Task.a_input))
+          in
+          same 1 l1 sds1;
+          same 2 l2 sds2;
+          checkb "lifts exist" true (l2 <> None))
+        autos)
+    (List.filteri (fun i _ -> i < 26) reference_instances)
+
+(* The affine task by membership in the admitted facets' closure is the
+   old quadratic filter (every simplex against every admitted facet), in
+   the same order. *)
+let test_restriction_matches_reference () =
+  List.iter
+    (fun (t, model, level) ->
+      let sds = Sds.iterate t.Task.input level in
+      let scx = Chromatic.complex (Sds.complex sds) in
+      let admitted = Solvability.admitted_facets model sds scx in
+      let facets = Option.get admitted in
+      let label what =
+        Printf.sprintf "%s under %s at level %d: %s" (Complex.name scx) (Model.to_string model)
+          level what
+      in
+      checkb (label "vertices") true
+        (Solvability.restricted_vertices ~admitted scx
+        = List.filter
+            (fun v -> List.exists (fun f -> Simplex.mem v f) facets)
+            (Complex.vertices scx));
+      checkb (label "simplices") true
+        (List.equal Simplex.equal
+           (Solvability.restricted_simplices ~admitted scx)
+           (List.filter
+              (fun s -> List.exists (fun f -> Simplex.subset s f) facets)
+              (Complex.simplices scx))))
+    (List.concat_map
+       (fun t ->
+         List.concat_map
+           (fun model -> List.map (fun level -> (t, model, level)) [ 0; 1; 2 ])
+           [ Model.t_resilient ~t:1; Model.k_set_affine ~k:2 ])
+       [ Instances.binary_consensus ~procs:3; Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 ])
+
+(* The lifts depend on the task and the level alone, so the three models
+   solved at one level share them: one lift-memo entry per level below and
+   at it, not one per model. *)
+let test_lifts_shared_across_models () =
+  Solvability.clear_cache ();
+  let t = Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 in
+  List.iter
+    (fun model -> ignore (Solvability.solve_at ~opts:(Solvability.options ~model ()) t 2))
+    [ Model.wait_free; Model.t_resilient ~t:1; Model.k_set_affine ~k:2 ];
+  let sizes = Solvability.memo_sizes () in
+  checki "lift memo: levels 0, 1 and 2" 3 (List.assoc "lift" sizes);
+  checki "setup memo: one per model" 3 (List.assoc "setup" sizes)
+
 (* ------------------------------------------------------------------ *)
 (* Sds.iterate memo key                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -637,6 +756,12 @@ let () =
             test_automorphisms_match_reference;
           Alcotest.test_case "limit and fuel cut off where the reference does" `Quick
             test_automorphism_cutoffs;
+          Alcotest.test_case "shared lift steps match the per-call lift" `Quick
+            test_lift_step_matches_reference;
+          Alcotest.test_case "lifts are shared across models" `Quick
+            test_lifts_shared_across_models;
+          Alcotest.test_case "membership restriction matches the quadratic filter" `Quick
+            test_restriction_matches_reference;
         ] );
       ( "sds-memo",
         [

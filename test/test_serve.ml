@@ -315,13 +315,15 @@ let cached_tests =
         in
         let r1 =
           match ask () with
-          | Engine.Computed { record; _ } -> record
-          | Engine.Stored _ -> Alcotest.fail "first call computes"
+          | Ok (Engine.Computed { record; _ }) -> record
+          | Ok (Engine.Stored _) -> Alcotest.fail "first call computes"
+          | Error e -> Alcotest.fail (Engine.error_to_string e)
         in
         let r2 =
           match ask () with
-          | Engine.Stored r -> r
-          | Engine.Computed _ -> Alcotest.fail "second call hits"
+          | Ok (Engine.Stored r) -> r
+          | Ok (Engine.Computed _) -> Alcotest.fail "second call hits"
+          | Error e -> Alcotest.fail (Engine.error_to_string e)
         in
         let o1 = r1.Record.outcome and o2 = r2.Record.outcome in
         checks "same verdict" o1.Solvability.o_verdict o2.Solvability.o_verdict;
@@ -334,8 +336,9 @@ let cached_tests =
             ~opts:(Solvability.options ~budget:1 ())
             ~spec:consensus ~max_level:1 t
         with
-        | Engine.Stored _ -> Alcotest.fail "computed"
-        | Engine.Computed { record; put_s; _ } ->
+        | Ok (Engine.Stored _) -> Alcotest.fail "computed"
+        | Error e -> Alcotest.fail (Engine.error_to_string e)
+        | Ok (Engine.Computed { record; put_s; _ }) ->
           checks "exhausted" "exhausted" record.Record.outcome.Solvability.o_verdict;
           checkb "nothing filed" true (put_s = 0.);
           checkb "nothing on disk" false
@@ -344,6 +347,47 @@ let cached_tests =
           checkb "nothing found" true
             (Engine.find st ~digest:(Task.digest t) ~model:"wait-free" ~max_level:1 ~budget:1
             = None));
+    (* A Solvable whose map was tampered with after the search is refused
+       at filing: an error, and no record on disk. The untampered map of
+       the same question files, so the refusal is the check's doing. *)
+    Alcotest.test_case "unverified maps are never filed" `Quick (fun () ->
+        let st = Engine.open_store (temp_dir "wfc-store") in
+        let t = Instances.adaptive_renaming ~procs:2 ~names:3 in
+        let opts = Solvability.options () in
+        let spec = "renaming(procs=2,param=3)" in
+        let path = Engine.path_of st ~digest:(Task.digest t) ~model:"wait-free" ~max_level:1 in
+        match Solvability.solve ~opts ~max_level:1 t with
+        | Solvability.Solvable { map; stats } ->
+          let open Wfc_topology in
+          let color = Chromatic.color t.Task.output in
+          let v0 = List.hd (Complex.vertices (Chromatic.complex (Sds.complex map.Solvability.sds))) in
+          (* an output vertex of another color than v0's image *)
+          let wrong =
+            List.find
+              (fun w -> color w <> color (map.Solvability.decide v0))
+              (Complex.vertices (Chromatic.complex t.Task.output))
+          in
+          let tampered =
+            { map with Solvability.decide = (fun v -> if v = v0 then wrong else map.Solvability.decide v) }
+          in
+          (match
+             Engine.file (Some st) ~opts ~spec ~max_level:1 t
+               (Solvability.Solvable { map = tampered; stats })
+           with
+          | Error (Engine.Unverified reason) ->
+            checkb "the reason names the vertex" true
+              (String.starts_with
+                 ~prefix:(Printf.sprintf "vertex %d: color not preserved" v0)
+                 reason)
+          | Ok _ -> Alcotest.fail "a tampered map was filed");
+          checkb "nothing on disk" false (Sys.file_exists path);
+          (match
+             Engine.file (Some st) ~opts ~spec ~max_level:1 t (Solvability.Solvable { map; stats })
+           with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Engine.error_to_string e));
+          checkb "the genuine map is filed" true (Sys.file_exists path)
+        | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -631,7 +675,21 @@ let daemon_tests =
             Client.close c;
             checks "same verdict bytes" cold warm;
             checki "one memo hit" (hits0 + 1) (counter_value "serve.task_memo.hits");
-            checki "one task memoized" 1 (memo_field (server_block socket) "size")));
+            checki "one task memoized" 1 (memo_field (server_block socket) "size");
+            (* the solver memos are reported as they stand (the wire sorts
+               the keys): the daemon shares this process's tables, and its
+               solver is idle now *)
+            let solver_memo =
+              match Wfc_obs.Json.member "solver_memo" (server_block socket) with
+              | Some (Wfc_obs.Json.Obj kv) ->
+                List.map
+                  (function n, Wfc_obs.Json.Int i -> (n, i) | n, _ -> Alcotest.failf "%s" n)
+                  kv
+              | _ -> Alcotest.fail "server block without solver_memo"
+            in
+            checkb "solver memo sizes" true
+              (solver_memo = List.sort compare (Solvability.memo_sizes ()));
+            checkb "the solve filled the setup memo" true (List.assoc "setup" solver_memo > 0)));
     Alcotest.test_case "failed task builds are not memoized" `Quick (fun () ->
         with_daemon (fun ~socket ~store_dir:_ ->
             let c = connect_exn socket in
