@@ -347,7 +347,7 @@ let rec lifts task sds =
         List.map (fun (a : Task.automorphism) -> (a, step a.Task.a_input)) (Task.automorphisms task)
       | Some lower ->
         let below = lifts task lower in
-        if List.for_all (fun (_, m) -> Option.is_none m) below then below
+        if below = [] then []
         else
           let step = Automorphism.lift_step sds in
           List.map (fun (a, m) -> (a, Option.bind m step)) below
