@@ -20,7 +20,8 @@
 # be computed by the daemon's one solver thread. The models leg closes the loop on computation models:
 # one task solved under two models (wait-free / k-set:2) must yield two
 # distinct verdicts, each cacheable and re-served warm by the daemon
-# byte-identically to its inline baseline. The storage leg exercises the
+# byte-identically to its inline baseline, and so must one level-2
+# question under t-resilient:1. The storage leg exercises the
 # sharded store at scale: tree-walking ls/verify over thousands of
 # seeded records, crash recovery after a SIGKILL mid-put, LRU cache-hit
 # counters, and verdict byte-identity between a cold solve and a warm
@@ -225,8 +226,10 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE2" QUERY_a.txt QUERY_b.txt
 # restriction). Baseline both verdicts inline, then have one daemon compute
 # both cold, re-serve both warm from its (task, model)-keyed store, and
 # require every daemon answer byte-identical to the inline verdict for the
-# same model. The store ends up holding both records side by side and
-# `store verify` stays clean.
+# same model. consensus(3) up to level 2 under t-resilient:1 (SOLVABLE with 2
+# rounds) rides along: level 1 alone cannot tell an admitted set built level
+# by level from a per-facet walk of every level. The store ends up holding
+# the three records side by side and `store verify` stays clean.
 SERVE_STORE3=ci_serve_store3
 rm -rf "$SERVE_SOCK" "$SERVE_STORE3"
 "$WFC" models
@@ -234,6 +237,8 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE3"
   --verdict-out VERDICT_wf.json | grep '^UNSOLVABLE'
 "$WFC" solve --task consensus --procs 2 --max-level 1 --model k-set:2 \
   --verdict-out VERDICT_kset.json | grep '^SOLVABLE'
+"$WFC" solve --task consensus --procs 3 --max-level 2 --model t-resilient:1 \
+  --verdict-out VERDICT_tres.json | grep '^SOLVABLE with 2'
 "$WFC" serve --socket "$SERVE_SOCK" --store "$SERVE_STORE3" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
@@ -250,18 +255,26 @@ done
   --socket "$SERVE_SOCK" --verdict-out VERDICT_wf_warm.json | grep 'source=store'
 "$WFC" query --task consensus --procs 2 --max-level 1 --model k-set:2 \
   --socket "$SERVE_SOCK" --verdict-out VERDICT_kset_warm.json | grep 'source=store'
+"$WFC" query --task consensus --procs 3 --max-level 2 --model t-resilient:1 \
+  --socket "$SERVE_SOCK" --verdict-out VERDICT_tres_cold.json | grep 'source=computed'
+"$WFC" query --task consensus --procs 3 --max-level 2 --model t-resilient:1 \
+  --socket "$SERVE_SOCK" --verdict-out VERDICT_tres_warm.json | grep 'source=store'
 cmp VERDICT_wf.json VERDICT_wf_cold.json
 cmp VERDICT_wf.json VERDICT_wf_warm.json
 cmp VERDICT_kset.json VERDICT_kset_cold.json
 cmp VERDICT_kset.json VERDICT_kset_warm.json
-"$WFC" store ls --store "$SERVE_STORE3" --json | grep -o '"count": 2'
+cmp VERDICT_tres.json VERDICT_tres_cold.json
+cmp VERDICT_tres.json VERDICT_tres_warm.json
+"$WFC" store ls --store "$SERVE_STORE3" --json | grep -o '"count": 3'
 "$WFC" store ls --store "$SERVE_STORE3" | grep 'k-set:2'
+"$WFC" store ls --store "$SERVE_STORE3" | grep 't-resilient:1'
 "$WFC" store verify --store "$SERVE_STORE3"
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
 rm -rf "$SERVE_SOCK" "$SERVE_STORE3" VERDICT_wf.json VERDICT_kset.json \
   VERDICT_wf_cold.json VERDICT_kset_cold.json VERDICT_wf_warm.json \
-  VERDICT_kset_warm.json
+  VERDICT_kset_warm.json VERDICT_tres.json VERDICT_tres_cold.json \
+  VERDICT_tres_warm.json
 
 # telemetry smoke: run a daemon with the full event log at debug level and
 # a zero slow-query threshold (every query logs a slow_query line), push

@@ -123,19 +123,6 @@ type instance = {
   containing : int list array; (* var -> constraints containing it *)
 }
 
-(* The model's affine task: the sub-complex of SDS^level generated by the
-   admitted facets. [None] means unrestricted — the caller must then take
-   the exact unrestricted enumeration path, so wait_free stays
-   byte-identical to the seed engine (same vertex order, same node
-   counts). A Facet_pred that admits everything also filters to the full
-   complex in the original enumeration order, so it too matches. The list
-   keeps [Complex.facets] order; [level_setup] computes it once per
-   (task, model, level). *)
-let admitted_facets model sds scx =
-  match model.Model.restriction with
-  | Model.All -> None
-  | Model.Facet_pred _ -> Some (List.filter (Model.admits model sds) (Complex.facets scx))
-
 (* The affine task's vertices and simplices are membership filters over
    [Complex.vertices] / [Complex.simplices], so they keep that order: one
    pass over the admitted facets' closure, not a test of every simplex
@@ -514,7 +501,19 @@ let collapse_positions ~admitted sds verts inst =
    collapse schedule, the last two filled on first use by a search that
    runs the reducer. Each is a pure function of the key: the SDS, the
    variable indexing and the domains are rebuilt deterministically from
-   it. Cached arrays are only ever read. *)
+   it. Cached arrays are only ever read.
+
+   The admitted list is the model's affine task: the sub-complex of
+   SDS^level generated by the admitted facets. [None] means unrestricted —
+   the caller must then take the exact unrestricted enumeration path, so
+   wait_free stays byte-identical to the seed engine (same vertex order,
+   same node counts). Under [Per_round round] it grows level by level, as
+   [lifts] does: every facet of level 0 is admitted, and a facet of level
+   b is admitted iff the level-(b-1) facet it subdivides (its vertices
+   projected through [Sds.own]) is admitted at level b-1 and [round]
+   holds for its own ordered partition. The list keeps [Complex.facets]
+   order, so a condition that admits everything yields the full complex
+   in the unrestricted order. *)
 type level_setup = {
   admitted : Simplex.t list option;
   mutable autos : auto array option;
@@ -523,15 +522,36 @@ type level_setup = {
 
 let setup_memo : (string * string * int, level_setup) Hashtbl.t = Hashtbl.create 16
 
-let level_setup ~model task sds =
+let rec level_setup ~model task sds =
   let key = (Task.digest task, model.Model.name, Sds.levels sds) in
   match Hashtbl.find_opt setup_memo key with
   | Some s -> s
   | None ->
-    let admitted = admitted_facets model sds (Chromatic.complex (Sds.complex sds)) in
+    let admitted =
+      match model.Model.restriction with
+      | Model.All -> None
+      | Model.Per_round round -> (
+        let facets = Complex.facets (Chromatic.complex (Sds.complex sds)) in
+        match Sds.prev sds with
+        | None -> Some facets
+        | Some lower ->
+          let below = Simplex.Tbl.create 64 in
+          List.iter
+            (fun f -> Simplex.Tbl.replace below f ())
+            (Option.get (level_setup ~model task lower).admitted);
+          Some
+            (List.filter
+               (fun f ->
+                 Simplex.Tbl.mem below
+                   (Simplex.of_list (List.map (Sds.own sds) (Simplex.to_list f)))
+                 && round (Sds.facet_partition sds f))
+               facets))
+    in
     let s = { admitted; autos = None; schedule = None } in
     Hashtbl.add setup_memo key s;
     s
+
+let admitted_facets ~model task sds = (level_setup ~model task sds).admitted
 
 let clear_cache () =
   Hashtbl.reset lift_memo;

@@ -102,8 +102,6 @@ val request_of_json : Wfc_obs.Json.t -> (request, string) result
 
 val timing_to_json : timing -> Wfc_obs.Json.t
 
-val timing_of_json : Wfc_obs.Json.t -> (timing, string) result
-
 val response_to_json : response -> Wfc_obs.Json.t
 
 val response_of_json : Wfc_obs.Json.t -> (response, string) result

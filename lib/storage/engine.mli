@@ -24,12 +24,9 @@
 
 type t
 
-val default_cache_cap : int
-
 val open_store : ?cache_cap:int -> string -> t
 (** Opens (creating root and quarantine dirs) the store at the path.
-    [cache_cap] bounds the decoded-record LRU (default
-    {!default_cache_cap}). *)
+    [cache_cap] bounds the decoded-record LRU (default 4096). *)
 
 val dir : t -> string
 

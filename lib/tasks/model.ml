@@ -1,22 +1,8 @@
 open Wfc_topology
 
-type restriction = All | Facet_pred of (Sds.t -> Simplex.t -> bool)
+type restriction = All | Per_round of (Ordered_partition.t -> bool)
 
 type t = { name : string; description : string; restriction : restriction }
-
-(* Walk the iterated subdivision from the top: at each level the facet is
-   a subdivided copy of a previous-level facet, recovered by projecting
-   every vertex [(v, S)] to its process vertex [v]; the ordered partition
-   that generated the facet is the level's round schedule. *)
-let per_level cond sds facet =
-  let rec go sds facet =
-    match Sds.prev sds with
-    | None -> true
-    | Some lower ->
-      cond (Sds.facet_partition sds facet)
-      && go lower (Simplex.of_list (List.map (Sds.own sds) (Simplex.to_list facet)))
-  in
-  go sds facet
 
 let wait_free =
   {
@@ -39,11 +25,11 @@ let t_resilient ~t =
          concurrency class keeps >= participants - %d members"
         t t;
     restriction =
-      Facet_pred
-        (per_level (fun partition ->
-             match block_sizes partition with
-             | [] -> true
-             | first :: _ -> first >= participants partition - t));
+      Per_round
+        (fun partition ->
+          match block_sizes partition with
+          | [] -> true
+          | first :: _ -> first >= participants partition - t);
   }
 
 let k_set_affine ~k =
@@ -56,15 +42,12 @@ let k_set_affine ~k =
          concurrency class has size >= %d, clamped to the participant count)"
         k k;
     restriction =
-      Facet_pred
-        (per_level (fun partition ->
-             match List.rev (block_sizes partition) with
-             | [] -> true
-             | last :: _ -> last >= min k (participants partition)));
+      Per_round
+        (fun partition ->
+          match List.rev (block_sizes partition) with
+          | [] -> true
+          | last :: _ -> last >= min k (participants partition));
   }
-
-let admits m sds facet =
-  match m.restriction with All -> true | Facet_pred pred -> pred sds facet
 
 let equal a b = String.equal a.name b.name
 

@@ -126,7 +126,7 @@ let test_t_resilient_consensus () =
   let s = Solvability.stats_of_verdict wf and s' = Solvability.stats_of_verdict tr in
   checki "identical refutation cost" s.Solvability.nodes s'.Solvability.nodes
 
-(* k-set:1 goes through the Facet_pred path yet admits every facet: the
+(* k-set:1 goes through the Per_round path yet admits every facet: the
    filtered instance is the unrestricted one in the same order, so even the
    search-cost tallies must match the seed engine exactly. *)
 let test_kset1_byte_identity () =
