@@ -324,9 +324,40 @@ wait $QB_PID
 grep -E 'source=(computed|coalesced|store)' QUERY_tel_a.txt
 grep -E 'source=(computed|coalesced|store)' QUERY_tel_b.txt
 cmp VERDICT_tel_a.json VERDICT_tel_b.json
+# the handler pool under concurrent clients: eight `wfc query` processes at
+# once, four distinct cold questions each asked twice, so pooled handlers
+# serve overlapping connections, coalesced twins and store hits side by
+# side. Each answer must come from the daemon, each pair must agree byte for
+# byte, and each must equal an inline solve.
+CONC_TASKS="consensus identity approx tas"
+for task in $CONC_TASKS; do
+  "$WFC" solve --task "$task" --procs 2 --param 2 --max-level 1 \
+    --verdict-out "VERDICT_conc_${task}_inline.json" > /dev/null
+done
+CONC_PIDS=
+for task in $CONC_TASKS; do
+  for copy in a b; do
+    "$WFC" query --task "$task" --procs 2 --param 2 --max-level 1 \
+      --socket "$SERVE_SOCK" --verdict-out "VERDICT_conc_${task}_$copy.json" \
+      > "QUERY_conc_${task}_$copy.txt" &
+    CONC_PIDS="$CONC_PIDS $!"
+  done
+done
+for pid in $CONC_PIDS; do
+  wait "$pid"
+done
+for task in $CONC_TASKS; do
+  for copy in a b; do
+    grep -E 'source=(computed|coalesced|store)' "QUERY_conc_${task}_$copy.txt"
+  done
+  cmp "VERDICT_conc_${task}_a.json" "VERDICT_conc_${task}_b.json"
+  cmp "VERDICT_conc_${task}_inline.json" "VERDICT_conc_${task}_a.json"
+done
 # live introspection: human table, validated JSON report, Prometheus text
 "$WFC" stats --socket "$SERVE_SOCK" > STATS_ci.txt
 grep 'daemon: version=.* task_memo=[0-9]*/[0-9]*$' STATS_ci.txt
+# the handler pool's live count and cap, ahead of the task memo
+grep 'daemon: version=.* handlers=[1-9][0-9]*/128 task_memo=' STATS_ci.txt
 # ... and the solver's memo sizes, which the cold solves filled
 grep 'daemon: version=.* lift_memo=[0-9]* sds_memo=[1-9][0-9]* setup_memo=[1-9]' STATS_ci.txt
 # the warm query above reused the task the cold one built
@@ -341,6 +372,7 @@ grep '^wfc_serve_requests ' STATS_ci.prom
 grep '^# TYPE wfc_serve_latency_seconds summary$' STATS_ci.prom
 grep '^wfc_serve_latency_seconds_count ' STATS_ci.prom
 grep '^wfc_task_memo_size [0-9]' STATS_ci.prom
+grep '^wfc_handlers_live [1-9]' STATS_ci.prom
 grep '^wfc_setup_memo_size [1-9]' STATS_ci.prom
 "$WFC" serve --stop --socket "$SERVE_SOCK"
 wait $SERVE_PID
@@ -353,7 +385,7 @@ grep '"event":"serve.stop"' "$SERVE_LOG" > /dev/null
 rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG" STATS_ci.json STATS_ci.txt STATS_ci.prom \
   VERDICT_tel_inline.json VERDICT_tel_cold.json VERDICT_tel_warm.json \
   VERDICT_tel_a.json VERDICT_tel_b.json QUERY_tel_cold.txt QUERY_tel_a.txt \
-  QUERY_tel_b.txt
+  QUERY_tel_b.txt VERDICT_conc_*.json QUERY_conc_*.txt
 
 # storage engine leg: the sharded, cache-tiered store at scale, indexed by
 # nothing but its directory tree. Seed thousands of records, list and

@@ -33,6 +33,15 @@ let enabled t lvl = severity lvl >= t.threshold
    "level" disagrees with its gating would defeat the validator. *)
 let envelope_key k = k = "schema" || k = "ts" || k = "level" || k = "event"
 
+(* A log write that fails (a full disk, a closed pipe) is counted and
+   dropped: logging must never fail the request it describes, and the
+   mutex must be released on that path too, or every later event blocks. *)
+let c_write_errors = Metrics.counter "obs.log.write_errors"
+
+let locked t f =
+  Mutex.lock t.m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+
 let event t lvl name fields =
   if enabled t lvl then begin
     let line =
@@ -44,24 +53,25 @@ let event t lvl name fields =
            :: ("event", Json.String name)
            :: List.filter (fun (k, _) -> not (envelope_key k)) fields))
     in
-    Mutex.lock t.m;
-    (match t.oc with
-    | None -> ()
-    | Some oc ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc);
-    Mutex.unlock t.m
+    locked t (fun () ->
+        match t.oc with
+        | None -> ()
+        | Some oc -> (
+          try
+            output_string oc line;
+            output_char oc '\n';
+            flush oc
+          with Sys_error _ -> Metrics.incr c_write_errors))
   end
 
 let close t =
-  Mutex.lock t.m;
-  (match t.oc with
-  | None -> ()
-  | Some oc ->
-    t.oc <- None;
-    close_out oc);
-  Mutex.unlock t.m
+  locked t (fun () ->
+      match t.oc with
+      | None -> ()
+      | Some oc ->
+        t.oc <- None;
+        (try flush oc with Sys_error _ -> Metrics.incr c_write_errors);
+        close_out_noerr oc)
 
 (* ------------------------------------------------------------------ *)
 (* validation                                                           *)

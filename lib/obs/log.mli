@@ -43,10 +43,12 @@ val event : t -> level -> string -> (string * Json.t) list -> unit
 (** [event t lvl name fields] writes one line carrying the standard
     envelope plus [fields], if [lvl] passes the threshold. A field named
     [schema], [ts], [level] or [event] in [fields] is ignored — the
-    envelope wins. *)
+    envelope wins. Never raises: a failed write (say, a full disk) is
+    dropped and counted in [obs.log.write_errors]. *)
 
 val close : t -> unit
-(** Flushes and closes. Further {!event} calls are silently dropped. *)
+(** Flushes and closes; a failed flush is counted like a failed
+    {!event}. Further {!event} calls are silently dropped. *)
 
 val validate_line : Json.t -> (unit, string) result
 (** One parsed log line: schema tag, numeric [ts], known [level], string

@@ -11,10 +11,33 @@ type config = {
   log : string option;
   log_level : Wfc_obs.Log.level;
   slow_ms : float option;
+  max_handlers : int;
+  read_timeout_s : float;
 }
 
-let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms ~socket
-    ~store_dir () =
+(* Built tasks, keyed by exactly what [Instances.by_name] reads: the
+   catalogue has 26 instances, so 64 keeps every one a client asks for and
+   still bounds a client that sweeps parameters. A hit answers from here
+   with no task build; only the digest and, for a queued miss, the solver
+   thread read a memoized task. *)
+let task_memo_capacity = 64
+
+(* Connection handlers are pooled: a handler that finishes a connection
+   waits for the next one instead of exiting, and a new one is spawned
+   only when none is idle. The cap bounds the daemon's threads; it is not
+   derived from [queue_capacity], which may be 0 while connections must
+   still be served. *)
+let max_handlers = 128
+
+(* How long a handler waits for request bytes before it drops the
+   connection. Without it, [max_handlers] silent connections would hold
+   every handler for good. A handler waiting on the solver is not reading,
+   so this never bounds a solve. *)
+let read_timeout_s = 10.
+
+let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms
+    ?(max_handlers = max_handlers) ?(read_timeout_s = read_timeout_s) ~socket ~store_dir () =
+  if max_handlers < 1 then invalid_arg "Daemon.config: max_handlers must be at least 1";
   {
     socket;
     store_dir;
@@ -24,6 +47,8 @@ let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms 
     log;
     log_level;
     slow_ms;
+    max_handlers;
+    read_timeout_s;
   }
 
 let c_requests = Wfc_obs.Metrics.counter "serve.requests"
@@ -43,6 +68,8 @@ let c_slow = Wfc_obs.Metrics.counter "serve.slow"
 let c_memo_hits = Wfc_obs.Metrics.counter "serve.task_memo.hits"
 
 let c_memo_misses = Wfc_obs.Metrics.counter "serve.task_memo.misses"
+
+let c_spawned = Wfc_obs.Metrics.counter "serve.handlers.spawned"
 
 let h_latency = Wfc_obs.Metrics.histogram "serve.latency.seconds"
 
@@ -121,6 +148,27 @@ type solver_info = {
   mutable s_jobs : int;  (** computations finished *)
 }
 
+(* The connection-handler pool, under its own mutex so that handing over
+   an fd never waits on a store lookup under [m]. [idle] counts handlers
+   waiting in [next_connection] that no fd has been handed to yet: the
+   accept loop claims one (decrements [idle]) for each fd it pushes on
+   [handed], so every pushed fd has a handler waiting for it. When every
+   handler is busy and [live] is at the cap, the accept loop stops
+   accepting and waits on the [wake_r] end of a pipe; a handler turning
+   idle writes one byte to [wake_w] if [accept_blocked] is set. The wait
+   is a [select] with the accept loop's tick, so a signal-initiated stop
+   is still noticed at the cap. *)
+type pool = {
+  pm : Mutex.t;
+  handed : Unix.file_descr Queue.t;
+  handed_cv : Condition.t;  (** signalled: an fd was handed over, or shutdown began *)
+  mutable live : int;
+  mutable idle : int;
+  mutable accept_blocked : bool;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+}
+
 (* The scheduler's pending work, grouped by task digest for fairness: the
    [rotation] round-robins over digests that have pending jobs, so a burst
    of levels on one digest cannot starve a cold query on another. A digest
@@ -143,16 +191,10 @@ type state = {
   solver : solver_info;
   req_seq : int Atomic.t;  (** ids for requests that carry no [req_id] *)
   stopping : bool Atomic.t;
+  pool : pool;
 }
 
 let key_of ~digest ~model ~max_level = Printf.sprintf "%s:%s:L%d" digest model max_level
-
-(* Built tasks, keyed by exactly what [Instances.by_name] reads: the
-   catalogue has 26 instances, so 64 keeps every one a client asks for and
-   still bounds a client that sweeps parameters. A hit answers from here
-   with no task build; only the digest and, for a queued miss, the solver
-   thread read a memoized task. *)
-let task_memo_capacity = 64
 
 let memo_key (spec : Wire.spec) =
   Printf.sprintf "%s/%d/%d" spec.Wire.task spec.Wire.procs spec.Wire.param
@@ -160,6 +202,10 @@ let memo_key (spec : Wire.spec) =
 let locked st f =
   Mutex.lock st.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.m) f
+
+let pooled st f =
+  Mutex.lock st.pool.pm;
+  Fun.protect ~finally:(fun () -> Mutex.unlock st.pool.pm) (fun () -> f st.pool)
 
 let log_event st level name fields =
   match st.log with None -> () | Some l -> Wfc_obs.Log.event l level name fields
@@ -460,6 +506,7 @@ let uptime_s st = Wfc_obs.Metrics.now_s () -. st.started_at
 
 let server_json st =
   let open Wfc_obs.Json in
+  let live, idle = pooled st (fun p -> (p.live, p.idle)) in
   let inflight, depth, memo_size, solver =
     locked st (fun () ->
         ( Hashtbl.length st.inflight,
@@ -478,6 +525,8 @@ let server_json st =
       ("inflight", Int inflight);
       ("queue_depth", Int depth);
       ("queue_capacity", Int st.cfg.queue_capacity);
+      ( "handlers",
+        Obj [ ("live", Int live); ("idle", Int idle); ("capacity", Int st.cfg.max_handlers) ] );
       ("task_memo", Obj [ ("size", Int memo_size); ("capacity", Int task_memo_capacity) ]);
       (* the solver thread owns these tables: the counts are read without
          its cooperation, so they may lag a solve in progress *)
@@ -486,9 +535,15 @@ let server_json st =
       ("solver", solver);
     ]
 
+let connection_error st e =
+  Wfc_obs.Metrics.incr c_errors;
+  log_event st Wfc_obs.Log.Error "connection.error"
+    [ ("message", Wfc_obs.Json.String (Printexc.to_string e)) ]
+
 let handle_connection st fd =
   let stop_requested = ref false in
   (try
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO st.cfg.read_timeout_s;
      let rec loop () =
        match Wire.read_frame fd with
        | Error _ -> ()
@@ -533,12 +588,73 @@ let handle_connection st fd =
          if not !stop_requested then loop ()
      in
      loop ()
-   with Unix.Unix_error _ -> ());
+   with
+  | Unix.Unix_error _ -> () (* the peer left, or sent nothing for [read_timeout_s] *)
+  | e ->
+    (* the handler outlives its connection's failure and returns to the
+       pool: a handler that died would shrink the pool for good *)
+    connection_error st e);
   (try Unix.close fd with Unix.Unix_error _ -> ());
   if !stop_requested then begin
     Atomic.set st.stopping true;
     locked st (fun () -> Condition.broadcast st.work_cv)
   end
+
+(* ---- the handler pool ---- *)
+
+(* Called by a handler that finished a connection: wait for the next fd,
+   or [None] once the daemon is stopping and nothing is left to serve. *)
+let next_connection st =
+  pooled st (fun p ->
+      p.idle <- p.idle + 1;
+      if p.accept_blocked then begin
+        p.accept_blocked <- false;
+        ignore (Unix.write_substring p.wake_w "x" 0 1)
+      end;
+      while Queue.is_empty p.handed && not (Atomic.get st.stopping) do
+        Condition.wait p.handed_cv p.pm
+      done;
+      if Queue.is_empty p.handed then begin
+        p.idle <- p.idle - 1;
+        p.live <- p.live - 1;
+        None
+      end
+      else Some (Queue.pop p.handed))
+
+let rec handler st fd =
+  handle_connection st fd;
+  match next_connection st with Some fd -> handler st fd | None -> ()
+
+(* Hand an accepted fd to an idle handler, else spawn one; the accept
+   loop never calls this at the cap. *)
+let dispatch st fd =
+  let spawn =
+    pooled st (fun p ->
+        if p.idle > 0 then begin
+          p.idle <- p.idle - 1;
+          Queue.push fd p.handed;
+          Condition.signal p.handed_cv;
+          false
+        end
+        else begin
+          p.live <- p.live + 1;
+          true
+        end)
+  in
+  if spawn then
+    match Thread.create (handler st) fd with
+    | _ -> Wfc_obs.Metrics.incr c_spawned
+    | exception e ->
+      pooled st (fun p -> p.live <- p.live - 1);
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      connection_error st e
+
+(* True (and [accept_blocked] set) when every handler is busy and no more
+   may be spawned. *)
+let at_cap st =
+  pooled st (fun p ->
+      p.accept_blocked <- p.idle = 0 && p.live >= st.cfg.max_handlers;
+      p.accept_blocked)
 
 (* ---- socket lifecycle ---- *)
 
@@ -569,6 +685,8 @@ let run cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let log = Option.map (Wfc_obs.Log.open_log ~level:cfg.log_level) cfg.log in
   let store = Wfc_storage.Engine.open_store cfg.store_dir in
+  let listen_fd = bind_socket cfg.socket in
+  let wake_r, wake_w = Unix.pipe () in
   let st =
     {
       cfg;
@@ -586,14 +704,25 @@ let run cfg =
       solver = { s_state = `Idle; s_jobs = 0 };
       req_seq = Atomic.make 0;
       stopping = Atomic.make false;
+      pool =
+        {
+          pm = Mutex.create ();
+          handed = Queue.create ();
+          handed_cv = Condition.create ();
+          live = 0;
+          idle = 0;
+          accept_blocked = false;
+          wake_r;
+          wake_w;
+        };
     }
   in
-  let listen_fd = bind_socket cfg.socket in
   log_event st Wfc_obs.Log.Info "serve.start"
     [
       ("socket", Wfc_obs.Json.String cfg.socket);
       ("store", Wfc_obs.Json.String cfg.store_dir);
       ("queue_capacity", Wfc_obs.Json.Int cfg.queue_capacity);
+      ("max_handlers", Wfc_obs.Json.Int cfg.max_handlers);
       ("version", Wfc_obs.Json.String version);
     ];
   let initiate_stop _ = Atomic.set st.stopping true in
@@ -602,14 +731,20 @@ let run cfg =
   let solver = Thread.create solver_loop st in
   (match cfg.on_ready with Some f -> f () | None -> ());
   (* Accept with a select timeout so a signal- or request-initiated stop is
-     noticed within a tick even when no connection ever arrives. *)
+     noticed within a tick even when no connection ever arrives. At the
+     handler cap the loop watches the wake pipe instead of the socket:
+     waiting connects stay in the listen backlog rather than in a queue of
+     ours, and none is answered [Shed] — that would need the request read
+     first (else the client may see EPIPE), and reading here would let one
+     slow client stall every accept. *)
   let rec accept_loop () =
     if Atomic.get st.stopping then ()
     else begin
-      (match Unix.select [ listen_fd ] [] [] 0.2 with
+      (match Unix.select [ (if at_cap st then wake_r else listen_fd) ] [] [] 0.2 with
+      | [ fd ], _, _ when fd = wake_r -> ignore (Unix.read wake_r (Bytes.create 16) 0 16)
       | [ _ ], _, _ -> (
         match Unix.accept listen_fd with
-        | client, _ -> ignore (Thread.create (fun () -> handle_connection st client) ())
+        | client, _ -> dispatch st client
         | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -617,12 +752,17 @@ let run cfg =
     end
   in
   accept_loop ();
+  (* stopping: idle handlers exit; a busy one finishes its connection and
+     then exits, and no longer wakes the accept loop *)
+  pooled st (fun p ->
+      p.accept_blocked <- false;
+      Condition.broadcast p.handed_cv);
   (* stopping: wake and join the solver — it drains admitted work, finishes
      the job it is computing, and only then exits, so no admitted question
      is ever abandoned mid-shutdown *)
   locked st (fun () -> Condition.broadcast st.work_cv);
   Thread.join solver;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ listen_fd; wake_r; wake_w ];
   (try Sys.remove cfg.socket with Sys_error _ -> ());
   Sys.set_signal Sys.sigint old_int;
   Sys.set_signal Sys.sigterm old_term;

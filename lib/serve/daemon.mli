@@ -21,15 +21,21 @@
       back to an inline solve or retry, the daemon never buffers
       unboundedly.
 
-    Concurrency model: one accepting thread, one handler thread per
-    connection, and one solver thread, all on one domain. The solver's
-    caches (subdivision, symmetry and collapse memos) therefore have a
-    single writer by construction. A second solver thread on the same
+    Concurrency model: one accepting thread, a pool of at most
+    [max_handlers] connection handler threads, and one solver thread, all
+    on one domain. The solver's caches (subdivision, symmetry and
+    collapse memos) therefore have a single writer by construction. A second solver thread on the same
     domain never ran in parallel and measured no gain (DESIGN §9). Pending
     work is grouped by task digest and dispatched round-robin across
     digests, so a burst of questions on one task cannot starve another
     task's cold query. The store-hit fast path never touches the solve
     queue: handler threads answer hits directly under the state mutex.
+    A handler that finishes a connection waits for the next one; a new
+    handler is spawned only when none is idle ([serve.handlers.spawned]). At the cap the daemon stops accepting
+    until a handler is idle, so further connects wait in the listen
+    backlog; a handler closes a connection that sends nothing for
+    [read_timeout_s], and survives any exception its connection raises
+    (counted in [serve.errors]).
 
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
@@ -50,7 +56,8 @@
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
     a [server] block: version, uptime, in-flight count, queue depth, the
-    task memo's size and capacity, and the solver's state. On shutdown the
+    handler pool's [live], [idle] and [capacity], the task memo's size and
+    capacity, and the solver's state. On shutdown the
     daemon prints a traffic summary.
     SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — the solver drains the pending queue and finishes its
@@ -75,6 +82,9 @@ type config = {
   slow_ms : float option;
       (** emit a [slow_query] warning for any query at least this many
           milliseconds end-to-end; [Some 0.] logs every query as slow *)
+  max_handlers : int;  (** connection handler threads alive at once, at least 1 *)
+  read_timeout_s : float;
+      (** a connection that sends no request bytes for this long is closed *)
 }
 
 val config :
@@ -82,12 +92,17 @@ val config :
   ?log:string ->
   ?log_level:Wfc_obs.Log.level ->
   ?slow_ms:float ->
+  ?max_handlers:int ->
+  ?read_timeout_s:float ->
   socket:string ->
   store_dir:string ->
   unit ->
   config
 (** Defaults: queue capacity 64, no hooks, no event log (level
-    [Info] once one is given), no slow-query threshold. *)
+    [Info] once one is given), no slow-query threshold, 128 handlers,
+    a 10 s read timeout. The handler cap and the timeout have no CLI flag;
+    they are set here for tests.
+    @raise Invalid_argument if [max_handlers] is below 1. *)
 
 val run : config -> unit
 (** Binds the socket (refusing if a live daemon already answers on it,

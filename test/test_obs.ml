@@ -317,6 +317,38 @@ let test_log_lines_and_levels () =
   | l -> Alcotest.failf "expected 2 lines, got %d" (List.length l));
   Sys.remove path
 
+(* A log on a full disk: the write fails inside the log's mutex. Both
+   events must return (the mutex is released on the failing path), raise
+   nothing, and be counted. Run on a thread with a bounded wait, so a
+   blocked second event fails the test instead of hanging it. *)
+let test_log_write_error_released () =
+  let errors = Metrics.counter "obs.log.write_errors" in
+  let before = Metrics.value errors in
+  let log = Log.open_log "/dev/full" in
+  let outcome = Atomic.make None in
+  let writer () =
+    Atomic.set outcome
+      (Some
+         (match
+            Log.event log Log.Info "first" [];
+            Log.event log Log.Info "second" []
+          with
+         | () -> Ok ()
+         | exception e -> Error (Printexc.to_string e)))
+  in
+  let t = Thread.create writer () in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  match Atomic.get outcome with
+  | None -> Alcotest.fail "a second event after a failed write is still blocked after 5 s"
+  | Some (Error e) -> Alcotest.failf "event raised %s" e
+  | Some (Ok ()) ->
+    Thread.join t;
+    checki "both failed writes counted" 2 (Metrics.value errors - before);
+    Log.close log
+
 let test_log_validate_rejects () =
   checkb "empty log rejected" true (Result.is_error (Log.validate ""));
   checkb "non-JSON line rejected" true (Result.is_error (Log.validate "not json\n"));
@@ -577,6 +609,8 @@ let () =
         [
           Alcotest.test_case "lines, levels, close" `Quick test_log_lines_and_levels;
           Alcotest.test_case "validator rejects bad streams" `Quick test_log_validate_rejects;
+          Alcotest.test_case "a failed write releases the log and is counted" `Quick
+            test_log_write_error_released;
         ] );
       ( "flight",
         [ Alcotest.test_case "wraparound at exact capacity" `Quick test_flight_exact_capacity ] );

@@ -401,13 +401,13 @@ let temp_socket () =
 
 (* Start a daemon on fresh paths, run [f] against it, then shut it down
    through the protocol and join the daemon thread. *)
-let with_daemon ?queue_capacity ?gate f =
+let with_daemon ?queue_capacity ?max_handlers ?read_timeout_s ?gate f =
   let socket = temp_socket () in
   let store_dir = temp_dir "wfc-daemon-store" in
   let ready = Atomic.make false in
   let cfg =
     {
-      (Daemon.config ?queue_capacity ~socket ~store_dir ()) with
+      (Daemon.config ?queue_capacity ?max_handlers ?read_timeout_s ~socket ~store_dir ()) with
       Daemon.on_ready = Some (fun () -> Atomic.set ready true);
       gate;
     }
@@ -496,6 +496,57 @@ let holding_gate () =
     end
   in
   (gate, entered, fun () -> Atomic.set released true)
+
+(* Runs [f] on [n] connections that send nothing (raw sockets, no
+   framing), each paired with an idempotent close. Any still open when [f]
+   returns or fails is closed then, so a failed check cannot leave the
+   daemon's handlers held and its shutdown waiting behind them. *)
+let with_silent socket n f =
+  let conns =
+    Array.init n (fun _ ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        let is_open = ref true in
+        ( fd,
+          fun () ->
+            if !is_open then begin
+              is_open := false;
+              Unix.close fd
+            end ))
+  in
+  Fun.protect ~finally:(fun () -> Array.iter (fun (_, close) -> close ()) conns) (fun () ->
+      f conns)
+
+(* Asks [spec] on a fresh connection from a thread of its own; the result
+   cell turns [Some] once an answer (or a transport error) arrives, so a
+   daemon that never answers fails a bounded wait instead of hanging. *)
+let ask_async socket spec =
+  let out = Atomic.make None in
+  let ask () =
+    Atomic.set out
+      (Some
+         (match Client.connect ~socket with
+         | Error e -> Error e
+         | Ok c ->
+           let r = Client.query c spec in
+           Client.close c;
+           r))
+  in
+  ignore (Thread.create ask ());
+  out
+
+(* Waits (bounded) for an [ask_async] cell to fill, and requires a verdict. *)
+let check_answered name answer =
+  checkb name true (eventually (fun () -> Atomic.get answer <> None));
+  match Atomic.get answer with
+  | Some (Ok (Wire.Verdict _)) -> ()
+  | Some (Error e) -> Alcotest.fail e
+  | _ -> Alcotest.fail "expected a verdict"
+
+let handlers_field s k =
+  match Option.bind (Wfc_obs.Json.member "handlers" s) (Wfc_obs.Json.member k) with
+  | Some (Wfc_obs.Json.Int i) -> i
+  | _ -> Alcotest.failf "server block without handlers.%s" k
 
 let check_verdict ?source name spec r =
   match r with
@@ -1002,6 +1053,65 @@ let daemon_tests =
             let cold = List.map (fun l -> { default_spec with Wire.max_level = l }) [ 0; 1; 2 ] in
             within "cold" cold;
             within "warm" [ default_spec; default_spec; default_spec ]));
+    Alcotest.test_case "handlers are reused" `Quick (fun () ->
+        (* A steady stream of sequential connections is served by the
+           handlers already alive. A handler is idle again only once it has
+           read its client's close, so a connect that races that read
+           spawns one more; the 20 ms gap lets the handler run before the
+           next connect even on a loaded machine, where the accept thread
+           can otherwise win the runtime lock several times in a row. *)
+        let spawned0 = counter_value "serve.handlers.spawned" in
+        with_daemon (fun ~socket ~store_dir:_ ->
+            for _ = 1 to 20 do
+              let c = connect_exn socket in
+              (match query_exn c default_spec with
+              | Wire.Verdict _ -> ()
+              | _ -> Alcotest.fail "expected a verdict");
+              Client.close c;
+              Thread.delay 0.02
+            done;
+            let spawned = counter_value "serve.handlers.spawned" - spawned0 in
+            checkb (Printf.sprintf "%d handlers spawned for 20 connections" spawned) true
+              (spawned <= 2)));
+    Alcotest.test_case "the handler count is bounded" `Quick (fun () ->
+        (* Two handlers, three silent connections: two are accepted and the
+           third waits in the listen backlog, as does a fourth client's
+           query behind it, until idle connections close. *)
+        let spawned0 = counter_value "serve.handlers.spawned" in
+        let spawned () = counter_value "serve.handlers.spawned" - spawned0 in
+        with_daemon ~max_handlers:2 ~read_timeout_s:5. (fun ~socket ~store_dir:_ ->
+            with_silent socket 3 @@ fun conns ->
+            checkb "two handlers spawned" true (eventually (fun () -> spawned () >= 2));
+            Thread.delay 0.2;
+            checki "no third handler" 2 (spawned ());
+            let answer = ask_async socket default_spec in
+            Thread.delay 0.3;
+            checkb "the fourth client waits while both handlers are held" true
+              (Atomic.get answer = None);
+            (* closing the first connection frees a handler, which takes the
+               backlogged third, already closed, then the fourth *)
+            snd conns.(2) ();
+            snd conns.(0) ();
+            check_answered "the fourth client is answered" answer;
+            let s = server_block socket in
+            checki "capacity" 2 (handlers_field s "capacity");
+            checkb "live within the cap" true (handlers_field s "live" <= 2);
+            checkb "still no third handler" true (spawned () <= 2)));
+    Alcotest.test_case "a silent connection is closed after the read timeout" `Quick
+      (fun () ->
+        with_daemon ~max_handlers:1 ~read_timeout_s:0.2 (fun ~socket ~store_dir:_ ->
+            with_silent socket 1 @@ fun conns ->
+            let silent, close = conns.(0) in
+            let t0 = Unix.gettimeofday () in
+            (match Unix.select [ silent ] [] [] 5.0 with
+            | [ _ ], _, _ ->
+              checki "the client reads EOF" 0 (Unix.read silent (Bytes.create 1) 0 1)
+            | _ -> Alcotest.fail "a silent connection is still open after 5 s");
+            checkb "closed by the timeout, not at once" true
+              (Unix.gettimeofday () -. t0 >= 0.1);
+            close ();
+            check_answered "the one handler then answers a query"
+              (ask_async socket default_spec)));
     Alcotest.test_case "model parameters do not mint metric names" `Quick (fun () ->
         (* a client picks the model's parameter: 20 of them must not grow
            the registry (and every stats reply) by 20 names each *)
