@@ -287,7 +287,8 @@ rm -rf "$SERVE_SOCK" "$SERVE_STORE3" VERDICT_wf.json VERDICT_kset.json \
 # and histogram summaries. The warm query must have reused the task the
 # cold one built: `serve.task_memo.hits` is at least 1, and the header and
 # the exposition both carry the task memo's size and the sizes of the
-# solver's memos, which the cold solves filled.
+# solver's memos, which the cold solves filled. The daemon is stopped by
+# SIGTERM, the way a service manager stops it.
 SERVE_STORE4=ci_serve_store4
 SERVE_LOG=ci_serve_log.jsonl
 rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG"
@@ -374,8 +375,22 @@ grep '^wfc_serve_latency_seconds_count ' STATS_ci.prom
 grep '^wfc_task_memo_size [0-9]' STATS_ci.prom
 grep '^wfc_handlers_live [1-9]' STATS_ci.prom
 grep '^wfc_setup_memo_size [1-9]' STATS_ci.prom
-"$WFC" serve --stop --socket "$SERVE_SOCK"
-wait $SERVE_PID
+# stop this daemon by SIGTERM instead of `serve --stop`: it must exit 0
+# within 5 s, unlink its socket and log serve.stop (checked below)
+kill -TERM "$SERVE_PID"
+for _ in $(seq 1 50); do
+  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+    break
+  fi
+  sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+  echo "wfc serve still running 5 s after SIGTERM" >&2
+  kill -KILL "$SERVE_PID"
+  exit 1
+fi
+wait "$SERVE_PID"
+test ! -e "$SERVE_SOCK"
 # the event log is a valid wfc.log.v1 stream with the lifecycle on record
 "$WFC" check-json "$SERVE_LOG"
 grep '"event":"serve.start"' "$SERVE_LOG" > /dev/null

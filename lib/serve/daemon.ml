@@ -545,9 +545,14 @@ let handle_connection st fd =
   (try
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO st.cfg.read_timeout_s;
      let rec loop () =
-       match Wire.read_frame fd with
-       | Error _ -> ()
-       | Ok j ->
+       match Wire.read_frame_opt fd with
+       | Ok None -> ()
+       | Error e ->
+         (* a hostile or broken client: out-of-bounds length, truncated
+            frame or non-JSON payload *)
+         Wfc_obs.Metrics.incr c_errors;
+         log_event st Wfc_obs.Log.Error "request.error" [ ("message", Wfc_obs.Json.String e) ]
+       | Ok (Some j) ->
          let t_decode = Wfc_obs.Metrics.now_s () in
          let parsed = Wire.request_of_json j in
          Wfc_obs.Metrics.observe h_stage_decode

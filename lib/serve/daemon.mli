@@ -35,7 +35,9 @@
     until a handler is idle, so further connects wait in the listen
     backlog; a handler closes a connection that sends nothing for
     [read_timeout_s], and survives any exception its connection raises
-    (counted in [serve.errors]).
+    (counted in [serve.errors]). A frame it cannot read (out-of-bounds
+    length, truncated, not JSON) is counted in [serve.errors] and logged
+    as [request.error].
 
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
@@ -50,7 +52,7 @@
     [serve.queue.depth] is sampled on both enqueue and dequeue, so the
     histogram sees drains as well as arrival bursts. With [log] set the
     daemon appends one [wfc.log.v1] line per event ({!Wfc_obs.Log}):
-    [serve.start], [query], [shed], [query.error]/[solve.error],
+    [serve.start], [query], [shed], [request.error]/[query.error]/[solve.error],
     [shutdown.request], [serve.stop], plus [ping]/[stats] at debug level;
     with [slow_ms] set, any query slower than the threshold additionally
     emits a [slow_query] warning carrying the full spec, verdict source and

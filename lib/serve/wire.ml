@@ -240,9 +240,9 @@ let really_read fd len =
   in
   go (Bytes.create (min len read_chunk)) 0
 
-let read_frame fd =
+let read_frame_opt fd =
   match really_read fd 4 with
-  | Error `Eof -> Error "connection closed"
+  | Error `Eof -> Ok None
   | Error `Short -> Error "truncated frame header"
   | Ok header -> (
     let n = Int32.to_int (Bytes.get_int32_be header 0) in
@@ -252,5 +252,11 @@ let read_frame fd =
       | Error (`Eof | `Short) -> Error "truncated frame payload"
       | Ok payload -> (
         match Wfc_obs.Json.parse (Bytes.unsafe_to_string payload) with
-        | Ok j -> Ok j
+        | Ok j -> Ok (Some j)
         | Error e -> Error (Printf.sprintf "bad frame payload: %s" e)))
+
+let read_frame fd =
+  match read_frame_opt fd with
+  | Ok (Some j) -> Ok j
+  | Ok None -> Error "connection closed"
+  | Error e -> Error e

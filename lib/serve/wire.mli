@@ -114,3 +114,8 @@ val write_frame : Unix.file_descr -> Wfc_obs.Json.t -> unit
 val read_frame : Unix.file_descr -> (Wfc_obs.Json.t, string) result
 (** Reads one frame. [Error] on EOF, a truncated frame, an oversized
     length prefix, or unparsable JSON. *)
+
+val read_frame_opt : Unix.file_descr -> (Wfc_obs.Json.t option, string) result
+(** As {!read_frame}, but a clean close at a frame boundary is [Ok None],
+    so a reader can tell a client that left from one that sent a bad
+    frame. *)

@@ -198,6 +198,114 @@ let wire_tests =
           (allocated < 1048576.));
   ]
 
+(* JSON-ish text: the grammar's characters and literals, the wire's keys,
+   and prefixes of real request and response documents, so that random
+   strings often parse and reach the decoders' deeper fields. No token
+   spells a shutdown, so a daemon fed these keeps serving. *)
+let jsonish_gen =
+  let record =
+    {
+      Record.digest = "d";
+      task = "consensus(procs=2,param=2)";
+      model = "wait-free";
+      procs = 2;
+      max_level = 1;
+      budget = 1;
+      outcome =
+        {
+          Solvability.o_verdict = "solvable";
+          o_level = 1;
+          o_nodes = 1;
+          o_backtracks = 0;
+          o_prunes = 0;
+          o_elapsed = 0.;
+          o_decide = [ (0, 1) ];
+        };
+      created_at = 0.;
+    }
+  in
+  let documents =
+    List.map json_str
+      [
+        Wire.request_to_json (Wire.Query { spec = default_spec; req_id = Some "r" });
+        Wire.response_to_json
+          (Wire.Verdict
+             {
+               source = Wire.From_store;
+               record;
+               req_id = Some "r";
+               timing = Some { Wire.queue_wait_s = 0.; solve_s = 0.; store_s = 0.; total_s = 0. };
+             });
+        Wire.response_to_json (Wire.Pong { version = Some "v"; uptime_s = Some 1. });
+        Wire.response_to_json (Wire.Metrics { metrics = Wfc_obs.Json.Obj []; server = None });
+      ]
+  in
+  let tokens =
+    [ "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; " "; "0"; "-1"; "2.5"; "1e999"; "true";
+      "false"; "null"; "\"op\""; "\"query\""; "\"ping\""; "\"status\""; "\"ok\"";
+      "\"error\""; "\"message\""; "\"record\""; "\"decide\""; "\"timing\"";
+      "\"\\u00e9\""; "\"\\ud800\"" ]
+  in
+  let open QCheck2.Gen in
+  let prefix =
+    let* doc = oneofl documents in
+    let+ cut = int_range 0 (String.length doc) in
+    String.sub doc 0 cut
+  in
+  map (String.concat "") (list_size (int_range 0 30) (frequency [ (8, oneofl tokens); (1, prefix) ]))
+
+let frame_header n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 n;
+  Bytes.to_string b
+
+(* Bytes that end before a frame does: part of a header, or a header whose
+   length is out of bounds or longer than the payload that follows. *)
+let truncated_frame_gen =
+  let open QCheck2.Gen in
+  let framed =
+    let* n =
+      oneof
+        [
+          int32;
+          map Int32.of_int (int_range 0 64);
+          map Int32.of_int (int_range (Wire.max_frame - 1) (Wire.max_frame + 1));
+        ]
+    in
+    let len = Int32.to_int n in
+    let+ payload =
+      string_size ~gen:char
+        (int_range 0 (if len > 0 && len <= Wire.max_frame then min (len - 1) 2048 else 64))
+    in
+    frame_header n ^ payload
+  in
+  oneof [ string_size ~gen:char (int_range 1 3); framed ]
+
+(* What [read] makes of [bytes] sent by a peer that then closes. *)
+let read_sent read bytes =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  ignore (Unix.write_substring a bytes 0 (String.length bytes));
+  Unix.close a;
+  Fun.protect ~finally:(fun () -> Unix.close b) (fun () -> read b)
+
+let fuzz_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:5000 ~name:"JSON and wire decoders never raise"
+         ~print:String.escaped jsonish_gen (fun s ->
+           match Wfc_obs.Json.parse s with
+           | Error _ -> true
+           | Ok j ->
+             ignore (Wire.request_of_json j);
+             ignore (Wire.response_of_json j);
+             true));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"truncated and out-of-bounds frames are errors"
+         ~print:String.escaped truncated_frame_gen (fun bytes ->
+           Result.is_error (read_sent Wire.read_frame_opt bytes)
+           && Result.is_error (read_sent Wire.read_frame bytes)));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -401,13 +509,14 @@ let temp_socket () =
 
 (* Start a daemon on fresh paths, run [f] against it, then shut it down
    through the protocol and join the daemon thread. *)
-let with_daemon ?queue_capacity ?max_handlers ?read_timeout_s ?gate f =
+let with_daemon ?queue_capacity ?max_handlers ?read_timeout_s ?log ?gate f =
   let socket = temp_socket () in
   let store_dir = temp_dir "wfc-daemon-store" in
   let ready = Atomic.make false in
   let cfg =
     {
-      (Daemon.config ?queue_capacity ?max_handlers ?read_timeout_s ~socket ~store_dir ()) with
+      (Daemon.config ?queue_capacity ?max_handlers ?read_timeout_s ?log ~socket ~store_dir ())
+      with
       Daemon.on_ready = Some (fun () -> Atomic.set ready true);
       gate;
     }
@@ -516,6 +625,13 @@ let with_silent socket n f =
   in
   Fun.protect ~finally:(fun () -> Array.iter (fun (_, close) -> close ()) conns) (fun () ->
       f conns)
+
+(* Connects, writes [bytes] with no framing of ours, and closes. *)
+let send_raw socket bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes)))
 
 (* Asks [spec] on a fresh connection from a thread of its own; the result
    cell turns [Some] once an answer (or a transport error) arrives, so a
@@ -1112,6 +1228,86 @@ let daemon_tests =
             close ();
             check_answered "the one handler then answers a query"
               (ask_async socket default_spec)));
+    Alcotest.test_case "bad frames are counted and logged; a clean close is not" `Quick
+      (fun () ->
+        (* one handler serves the connections in order, so all three are
+           read before the shutdown request behind them *)
+        let log_file = Filename.temp_file "wfc-daemon" ".log" in
+        let errors0 = counter_value "serve.errors" in
+        with_daemon ~max_handlers:1 ~log:log_file (fun ~socket ~store_dir:_ ->
+            List.iter (send_raw socket)
+              [
+                "";
+                frame_header (Int32.of_int (Wire.max_frame + 1));
+                frame_header 64l ^ "{\"op\"";
+              ]);
+        checki "two errors" 2 (counter_value "serve.errors" - errors0);
+        let reasons =
+          List.filter_map
+            (fun line ->
+              match Wfc_obs.Json.parse line with
+              | Ok j when Wfc_obs.Json.member "event" j = Some (Wfc_obs.Json.String "request.error")
+                ->
+                Wfc_obs.Json.member "message" j
+              | _ -> None)
+            (String.split_on_char '\n' (In_channel.with_open_bin log_file In_channel.input_all))
+        in
+        Sys.remove log_file;
+        checkb "two request.error lines with their reasons" true
+          (reasons
+          = [
+              Wfc_obs.Json.String
+                (Printf.sprintf "frame length %d out of bounds" (Wire.max_frame + 1));
+              Wfc_obs.Json.String "truncated frame payload";
+            ]));
+    Alcotest.test_case "a daemon fed 50 garbage connections still answers" `Quick (fun () ->
+        let garbage =
+          QCheck2.Gen.generate ~rand:(Random.State.make [| 50 |]) ~n:50 truncated_frame_gen
+        in
+        with_daemon (fun ~socket ~store_dir:_ ->
+            List.iter (send_raw socket) garbage;
+            let c = connect_exn socket in
+            checkb "ping" true (Client.ping c);
+            (match query_exn c default_spec with
+            | Wire.Verdict _ -> ()
+            | _ -> Alcotest.fail "expected a verdict");
+            Client.close c));
+    Alcotest.test_case "SIGTERM stops a daemon at the handler cap within the tick" `Quick
+      (fun () ->
+        (* the one handler is held by a silent connection, far from its
+           read timeout; [Daemon.run] installed the SIGTERM handler before
+           [on_ready] *)
+        let socket = temp_socket () in
+        let ready = Atomic.make false and returned = Atomic.make false in
+        let cfg =
+          {
+            (Daemon.config ~max_handlers:1 ~read_timeout_s:5. ~socket
+               ~store_dir:(temp_dir "wfc-daemon-store") ())
+            with
+            Daemon.on_ready = Some (fun () -> Atomic.set ready true);
+          }
+        in
+        let daemon =
+          Thread.create
+            (fun () ->
+              Daemon.run cfg;
+              Atomic.set returned true)
+            ()
+        in
+        while not (Atomic.get ready) do
+          Thread.yield ()
+        done;
+        with_silent socket 1 (fun _ ->
+            (* the handler takes the silent connection within a tick *)
+            Thread.delay 0.3;
+            let t0 = Unix.gettimeofday () in
+            Unix.kill (Unix.getpid ()) Sys.sigterm;
+            while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < 2. do
+              Thread.delay 0.01
+            done;
+            checkb "Daemon.run returned within 2 s" true (Atomic.get returned));
+        Thread.join daemon;
+        checkb "the socket file is gone" false (Sys.file_exists socket));
     Alcotest.test_case "model parameters do not mint metric names" `Quick (fun () ->
         (* a client picks the model's parameter: 20 of them must not grow
            the registry (and every stats reply) by 20 names each *)
@@ -1144,6 +1340,7 @@ let () =
   Alcotest.run "wfc_serve"
     [
       ("wire", wire_tests);
+      ("fuzz", fuzz_tests);
       ("store", store_tests);
       ("cached", cached_tests);
       ("daemon", daemon_tests);
