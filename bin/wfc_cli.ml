@@ -982,7 +982,7 @@ let stats_cmd =
       in
       let uptime = Option.value ~default:0. (num "uptime_s") in
       let memo = field "task_memo" in
-      let handlers = field "handlers" in
+      let connections = field "connections" in
       (* (name, entries) of each solver memo, in the server block's (sorted) order *)
       let solver_memos =
         match field "solver_memo" with
@@ -999,7 +999,7 @@ let stats_cmd =
             | None -> ())
           ([ (num "uptime_s", "wfc_uptime_seconds", 6); (num "inflight", "wfc_inflight", 0);
              (num "queue_depth", "wfc_queue_depth", 0);
-             (num ~o:handlers "live", "wfc_handlers_live", 0);
+             (num ~o:connections "open", "wfc_connections_open", 0);
              (num ~o:memo "size", "wfc_task_memo_size", 0) ]
           @ List.map
               (fun (name, n) ->
@@ -1014,8 +1014,9 @@ let stats_cmd =
             (text "queue_capacity")
             (String.concat ""
                (List.map (fun (name, n) -> Printf.sprintf " %s_memo=%d" name n) solver_memos))
-            (match handlers with
-            | Some _ as o -> Printf.sprintf " handlers=%s/%s" (text ~o "live") (text ~o "capacity")
+            (match connections with
+            | Some _ as o ->
+              Printf.sprintf " connections=%s/%s" (text ~o "open") (text ~o "capacity")
             | None -> "")
             (match memo with
             | Some _ as o ->
@@ -1052,7 +1053,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Live introspection of a running solvability daemon: version, uptime, in-flight \
-          queries, queue depth, the handler pool, the task memo's size, the solver's state, then every \
+          queries, queue depth, open connections, the task memo's size, the solver's state, then every \
           counter, stage/latency histogram and solver span, laid out as any subcommand's \
           $(b,--stats) prints them. $(b,--prometheus) prints text exposition instead; \
           $(b,--json) writes a wfc.obs.v1 report.")

@@ -325,10 +325,9 @@ wait $QB_PID
 grep -E 'source=(computed|coalesced|store)' QUERY_tel_a.txt
 grep -E 'source=(computed|coalesced|store)' QUERY_tel_b.txt
 cmp VERDICT_tel_a.json VERDICT_tel_b.json
-# the handler pool under concurrent clients: eight `wfc query` processes at
-# once, four distinct cold questions each asked twice, so pooled handlers
-# serve overlapping connections, coalesced twins and store hits side by
-# side. Each answer must come from the daemon, each pair must agree byte for
+# the I/O loop under concurrent clients: eight `wfc query` processes at
+# once, four distinct cold questions each asked twice, so one loop serves
+# overlapping connections, coalesced twins and store hits side by side. Each answer must come from the daemon, each pair must agree byte for
 # byte, and each must equal an inline solve.
 CONC_TASKS="consensus identity approx tas"
 for task in $CONC_TASKS; do
@@ -357,8 +356,8 @@ done
 # live introspection: human table, validated JSON report, Prometheus text
 "$WFC" stats --socket "$SERVE_SOCK" > STATS_ci.txt
 grep 'daemon: version=.* task_memo=[0-9]*/[0-9]*$' STATS_ci.txt
-# the handler pool's live count and cap, ahead of the task memo
-grep 'daemon: version=.* handlers=[1-9][0-9]*/128 task_memo=' STATS_ci.txt
+# the open connections and their cap, ahead of the task memo
+grep 'daemon: version=.* connections=[1-9][0-9]*/128 task_memo=' STATS_ci.txt
 # ... and the solver's memo sizes, which the cold solves filled
 grep 'daemon: version=.* lift_memo=[0-9]* sds_memo=[1-9][0-9]* setup_memo=[1-9]' STATS_ci.txt
 # the warm query above reused the task the cold one built
@@ -373,7 +372,7 @@ grep '^wfc_serve_requests ' STATS_ci.prom
 grep '^# TYPE wfc_serve_latency_seconds summary$' STATS_ci.prom
 grep '^wfc_serve_latency_seconds_count ' STATS_ci.prom
 grep '^wfc_task_memo_size [0-9]' STATS_ci.prom
-grep '^wfc_handlers_live [1-9]' STATS_ci.prom
+grep '^wfc_connections_open [1-9]' STATS_ci.prom
 grep '^wfc_setup_memo_size [1-9]' STATS_ci.prom
 # stop this daemon by SIGTERM instead of `serve --stop`: it must exit 0
 # within 5 s, unlink its socket and log serve.stop (checked below)

@@ -17,7 +17,9 @@ let request t req =
   | () -> (
     match Wire.read_frame t.fd with
     | Error e -> Error e
-    | Ok j -> Wire.response_of_json j)
+    | Ok j -> Wire.response_of_json j
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "receive failed: %s" (Unix.error_message e)))
 
 let query ?req_id t spec = request t (Wire.Query { spec; req_id })
 

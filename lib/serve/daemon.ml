@@ -11,7 +11,7 @@ type config = {
   log : string option;
   log_level : Wfc_obs.Log.level;
   slow_ms : float option;
-  max_handlers : int;
+  max_connections : int;
   read_timeout_s : float;
 }
 
@@ -22,22 +22,26 @@ type config = {
    thread read a memoized task. *)
 let task_memo_capacity = 64
 
-(* Connection handlers are pooled: a handler that finishes a connection
-   waits for the next one instead of exiting, and a new one is spawned
-   only when none is idle. The cap bounds the daemon's threads; it is not
-   derived from [queue_capacity], which may be 0 while connections must
-   still be served. *)
-let max_handlers = 128
+(* Connections open at once. At the cap the loop stops accepting, so
+   further connects wait in the listen backlog. It is not derived from
+   [queue_capacity], which may be 0 while connections must still be
+   served. *)
+let max_connections = 128
 
-(* How long a handler waits for request bytes before it drops the
-   connection. Without it, [max_handlers] silent connections would hold
-   every handler for good. A handler waiting on the solver is not reading,
-   so this never bounds a solve. *)
+(* How long a connection may sit without a request byte arriving or a
+   byte of its answer leaving before it is dropped. Without it,
+   [max_connections] silent connections would hold the daemon shut for
+   good. A connection waiting on the solver has no deadline, so this never
+   bounds a solve. *)
 let read_timeout_s = 10.
 
+(* [Unix.select] fails with [EINVAL] on a descriptor at or above this. *)
+let fd_setsize = 1024
+
 let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms
-    ?(max_handlers = max_handlers) ?(read_timeout_s = read_timeout_s) ~socket ~store_dir () =
-  if max_handlers < 1 then invalid_arg "Daemon.config: max_handlers must be at least 1";
+    ?(max_connections = max_connections) ?(read_timeout_s = read_timeout_s) ~socket ~store_dir ()
+    =
+  if max_connections < 1 then invalid_arg "Daemon.config: max_connections must be at least 1";
   {
     socket;
     store_dir;
@@ -47,7 +51,7 @@ let config ?(queue_capacity = 64) ?log ?(log_level = Wfc_obs.Log.Info) ?slow_ms
     log;
     log_level;
     slow_ms;
-    max_handlers;
+    max_connections;
     read_timeout_s;
   }
 
@@ -69,7 +73,7 @@ let c_memo_hits = Wfc_obs.Metrics.counter "serve.task_memo.hits"
 
 let c_memo_misses = Wfc_obs.Metrics.counter "serve.task_memo.misses"
 
-let c_spawned = Wfc_obs.Metrics.counter "serve.handlers.spawned"
+let c_accepted = Wfc_obs.Metrics.counter "serve.connections.accepted"
 
 let h_latency = Wfc_obs.Metrics.histogram "serve.latency.seconds"
 
@@ -119,17 +123,35 @@ let h_latency_of_model model =
   Wfc_obs.Metrics.histogram
     ("serve.latency.model." ^ Wfc_tasks.Model.family model ^ ".seconds")
 
-(* Solver-side stage costs of one computation; the handler adds its own
+(* Solver-side stage costs of one computation; the I/O loop adds its own
    wait into [total_s] when it builds the wire timing. *)
 type stages = { queue_wait_s : float; solve_s : float; store_s : float }
 
 let no_stages = { queue_wait_s = 0.; solve_s = 0.; store_s = 0. }
 
+(* A client connection, owned by the I/O loop. It is reading (selected
+   for reading, under its idle deadline), waiting (a query of its waits on
+   the solver: not selected, no deadline) or writing (its answer is partly
+   written: selected for writing, under its idle deadline). *)
+type conn = {
+  fd : Unix.file_descr;
+  dec : Wire.decoder;
+  mutable out : Bytes.t;  (** the answer being written, from [out_off] on *)
+  mutable out_off : int;
+  mutable waiting : bool;
+  mutable closed : bool;
+  mutable idle_until : float;
+}
+
 (* One admitted question. A job is in [inflight] from admission until its
    result is published, and in [queue] only until the solver pops it —
    coalescing keys on [inflight], so a query arriving while its twin is
    {e being solved} still attaches instead of recomputing. [j_task] carries
-   its digest, so neither the solver nor the record renders it again. *)
+   its digest, so neither the solver nor the record renders it again.
+   [j_waiters] are the connections that asked, each with how to answer it;
+   the I/O loop answers them once it takes the job off [completed]. They
+   are added under [st.m] while the job is in [inflight], so none is added
+   after the result is published. *)
 type job = {
   j_spec : Wire.spec;
   j_task : Wfc_tasks.Task.t;
@@ -137,6 +159,8 @@ type job = {
   j_req_id : string;  (** the admitting request's id, for solver-side log lines *)
   j_enqueued_at : float;
   mutable j_result : (Wfc_storage.Record.record * stages, string) result option;
+  mutable j_waiters :
+    (conn * ((Wfc_storage.Record.record * stages, string) result -> Wire.response)) list;
 }
 
 let job_digest job = Wfc_tasks.Task.digest job.j_task
@@ -148,27 +172,6 @@ type solver_info = {
   mutable s_jobs : int;  (** computations finished *)
 }
 
-(* The connection-handler pool, under its own mutex so that handing over
-   an fd never waits on a store lookup under [m]. [idle] counts handlers
-   waiting in [next_connection] that no fd has been handed to yet: the
-   accept loop claims one (decrements [idle]) for each fd it pushes on
-   [handed], so every pushed fd has a handler waiting for it. When every
-   handler is busy and [live] is at the cap, the accept loop stops
-   accepting and waits on the [wake_r] end of a pipe; a handler turning
-   idle writes one byte to [wake_w] if [accept_blocked] is set. The wait
-   is a [select] with the accept loop's tick, so a signal-initiated stop
-   is still noticed at the cap. *)
-type pool = {
-  pm : Mutex.t;
-  handed : Unix.file_descr Queue.t;
-  handed_cv : Condition.t;  (** signalled: an fd was handed over, or shutdown began *)
-  mutable live : int;
-  mutable idle : int;
-  mutable accept_blocked : bool;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-}
-
 (* The scheduler's pending work, grouped by task digest for fairness: the
    [rotation] round-robins over digests that have pending jobs, so a burst
    of levels on one digest cannot starve a cold query on another. A digest
@@ -178,12 +181,14 @@ type pool = {
 type state = {
   cfg : config;
   store : Wfc_storage.Engine.t;
-  tasks : Wfc_tasks.Task.t Wfc_storage.Lru.t;  (** the task memo, under [m] *)
+  tasks : Wfc_tasks.Task.t Wfc_storage.Lru.t;  (** the task memo, the I/O loop's alone *)
   started_at : float;
   log : Wfc_obs.Log.t option;
   m : Mutex.t;
   work_cv : Condition.t;  (** signalled: work arrived or shutdown began *)
-  done_cv : Condition.t;  (** broadcast: some job published its result *)
+  completed : job Queue.t;  (** published by the solver, not yet answered *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;  (** the solver writes a byte here per published job *)
   by_digest : (string, job Queue.t) Hashtbl.t;
   rotation : string Queue.t;
   mutable npending : int;
@@ -191,7 +196,8 @@ type state = {
   solver : solver_info;
   req_seq : int Atomic.t;  (** ids for requests that carry no [req_id] *)
   stopping : bool Atomic.t;
-  pool : pool;
+  mutable listen : Unix.file_descr option;  (** [None] once stopping *)
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (** the I/O loop's alone, as is [listen] *)
 }
 
 let key_of ~digest ~model ~max_level = Printf.sprintf "%s:%s:L%d" digest model max_level
@@ -202,10 +208,6 @@ let memo_key (spec : Wire.spec) =
 let locked st f =
   Mutex.lock st.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.m) f
-
-let pooled st f =
-  Mutex.lock st.pool.pm;
-  Fun.protect ~finally:(fun () -> Mutex.unlock st.pool.pm) (fun () -> f st.pool)
 
 let log_event st level name fields =
   match st.log with None -> () | Some l -> Wfc_obs.Log.event l level name fields
@@ -316,20 +318,21 @@ let solver_loop st =
           Hashtbl.remove st.inflight
             (key_of ~digest:(job_digest job) ~model:job.j_spec.Wire.model
                ~max_level:job.j_spec.Wire.max_level);
-          Condition.broadcast st.done_cv);
+          Queue.push job st.completed);
+      (* a full pipe already holds a wake-up *)
+      (try ignore (Unix.single_write_substring st.wake_w "x" 0 1)
+       with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
       next ()
   in
   next ()
 
-(* ---- per-connection handler ---- *)
+(* ---- answering a request ---- *)
 
-(* The build runs outside the lock: two handlers that miss on one key both
-   build and both put, which is harmless because the two tasks have the
-   same digest. A build that raises is never memoized, so a bad question
-   costs its build every time and cannot evict a good task. *)
+(* A build that raises is never memoized, so a bad question costs its
+   build every time and cannot evict a good task. *)
 let memo_task st (spec : Wire.spec) =
   let key = memo_key spec in
-  match locked st (fun () -> Wfc_storage.Lru.find st.tasks key) with
+  match Wfc_storage.Lru.find st.tasks key with
   | Some task ->
     Wfc_obs.Metrics.incr c_memo_hits;
     task
@@ -339,16 +342,19 @@ let memo_task st (spec : Wire.spec) =
       Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs
         ~param:spec.Wire.param
     in
-    locked st (fun () -> Wfc_storage.Lru.put st.tasks key task);
+    Wfc_storage.Lru.put st.tasks key task;
     task
 
 let fresh_req_id st =
   Printf.sprintf "wfc-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add st.req_seq 1)
 
-(* Store lookups happen under the state mutex: the miss -> enqueue decision
-   must be atomic against a twin handler or the store would be raced into
-   double computation. Record files are a few KiB, so the hold is short. *)
-let handle_query st ~req_id (spec : Wire.spec) =
+(* The answer to [conn]'s query, or [None] once [conn] waits on a job:
+   the I/O loop answers it when the job completes. Store lookups happen
+   under the state mutex: the miss -> enqueue decision must be atomic
+   against the solver publishing the twin job, or the store would be raced
+   into double computation. Record files are a few KiB, so the hold is
+   short. *)
+let handle_query st ~req_id ~conn (spec : Wire.spec) =
   Wfc_obs.Metrics.incr c_requests;
   let t0 = Wfc_obs.Metrics.now_s () in
   let failed spec msg =
@@ -422,21 +428,19 @@ let handle_query st ~req_id (spec : Wire.spec) =
           | task -> Ok (model, task)))
   in
   match task with
-  | Error msg -> failed spec msg
+  | Error msg -> Some (failed spec msg)
   | Ok (model, task) -> (
     (* the record files under the model's canonical name *)
     let spec = { spec with Wire.model = Wfc_tasks.Model.to_string model } in
     let digest = Wfc_tasks.Task.digest task in
     let key = key_of ~digest ~model:spec.Wire.model ~max_level:spec.Wire.max_level in
-    let wait_for job =
-      let rec poll () =
-        match job.j_result with
-        | Some r -> r
-        | None ->
-          Condition.wait st.done_cv st.m;
-          poll ()
-      in
-      locked st poll
+    let await source job =
+      job.j_waiters <-
+        ( conn,
+          function
+          | Ok (r, stages) -> served spec ~model ~source ~stages r
+          | Error e -> failed spec e )
+        :: job.j_waiters
     in
     let t_admission = Wfc_obs.Metrics.now_s () in
     let decision =
@@ -446,7 +450,8 @@ let handle_query st ~req_id (spec : Wire.spec) =
             match Hashtbl.find_opt st.inflight key with
             | Some job ->
               Wfc_obs.Metrics.incr c_coalesced;
-              `Join job
+              await Wire.Coalesced job;
+              `Wait
             | None -> (
               let t_find = Wfc_obs.Metrics.now_s () in
               match
@@ -471,34 +476,30 @@ let handle_query st ~req_id (spec : Wire.spec) =
                       j_req_id = req_id;
                       j_enqueued_at = Wfc_obs.Metrics.now_s ();
                       j_result = None;
+                      j_waiters = [];
                     }
                   in
+                  await Wire.Computed job;
                   Hashtbl.replace st.inflight key job;
                   enqueue_job st job;
                   Wfc_obs.Metrics.observe h_depth (float_of_int st.npending);
                   Condition.signal st.work_cv;
-                  `Own job
+                  `Wait
                 end))
     in
     Wfc_obs.Metrics.observe h_stage_admission
       (Wfc_obs.Metrics.now_s () -. t_admission);
     match decision with
-    | `Refuse -> failed spec "daemon is shutting down"
+    | `Refuse -> Some (failed spec "daemon is shutting down")
     | `Hit (r, find_s) ->
-      served spec ~model ~source:Wire.From_store ~stages:{ no_stages with store_s = find_s } r
+      Some
+        (served spec ~model ~source:Wire.From_store ~stages:{ no_stages with store_s = find_s } r)
     | `Shed ->
       log_event st Wfc_obs.Log.Warn "shed"
         (("req_id", Wfc_obs.Json.String req_id) :: spec_fields spec);
       Wfc_obs.Metrics.observe h_latency (Wfc_obs.Metrics.now_s () -. t0);
-      Wire.Shed
-    | `Join job -> (
-      match wait_for job with
-      | Ok (r, stages) -> served spec ~model ~source:Wire.Coalesced ~stages r
-      | Error e -> failed spec e)
-    | `Own job -> (
-      match wait_for job with
-      | Ok (r, stages) -> served spec ~model ~source:Wire.Computed ~stages r
-      | Error e -> failed spec e))
+      Some Wire.Shed
+    | `Wait -> None)
 
 (* ---- introspection ---- *)
 
@@ -506,12 +507,10 @@ let uptime_s st = Wfc_obs.Metrics.now_s () -. st.started_at
 
 let server_json st =
   let open Wfc_obs.Json in
-  let live, idle = pooled st (fun p -> (p.live, p.idle)) in
-  let inflight, depth, memo_size, solver =
+  let inflight, depth, solver =
     locked st (fun () ->
         ( Hashtbl.length st.inflight,
           st.npending,
-          Wfc_storage.Lru.size st.tasks,
           Obj
             ((match st.solver.s_state with
              | `Idle -> [ ("state", String "idle") ]
@@ -525,9 +524,13 @@ let server_json st =
       ("inflight", Int inflight);
       ("queue_depth", Int depth);
       ("queue_capacity", Int st.cfg.queue_capacity);
-      ( "handlers",
-        Obj [ ("live", Int live); ("idle", Int idle); ("capacity", Int st.cfg.max_handlers) ] );
-      ("task_memo", Obj [ ("size", Int memo_size); ("capacity", Int task_memo_capacity) ]);
+      ( "connections",
+        Obj
+          [ ("open", Int (Hashtbl.length st.conns)); ("capacity", Int st.cfg.max_connections) ] );
+      ( "task_memo",
+        Obj
+          [ ("size", Int (Wfc_storage.Lru.size st.tasks)); ("capacity", Int task_memo_capacity) ]
+      );
       (* the solver thread owns these tables: the counts are read without
          its cooperation, so they may lag a solve in progress *)
       ( "solver_memo",
@@ -535,131 +538,242 @@ let server_json st =
       ("solver", solver);
     ]
 
-let connection_error st e =
-  Wfc_obs.Metrics.incr c_errors;
-  log_event st Wfc_obs.Log.Error "connection.error"
-    [ ("message", Wfc_obs.Json.String (Printexc.to_string e)) ]
-
-let handle_connection st fd =
-  let stop_requested = ref false in
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO st.cfg.read_timeout_s;
-     let rec loop () =
-       match Wire.read_frame_opt fd with
-       | Ok None -> ()
-       | Error e ->
-         (* a hostile or broken client: out-of-bounds length, truncated
-            frame or non-JSON payload *)
-         Wfc_obs.Metrics.incr c_errors;
-         log_event st Wfc_obs.Log.Error "request.error" [ ("message", Wfc_obs.Json.String e) ]
-       | Ok (Some j) ->
-         let t_decode = Wfc_obs.Metrics.now_s () in
-         let parsed = Wire.request_of_json j in
-         Wfc_obs.Metrics.observe h_stage_decode
-           (Wfc_obs.Metrics.now_s () -. t_decode);
-         let resp =
-           match parsed with
-           | Error e ->
-             Wfc_obs.Metrics.incr c_errors;
-             log_event st Wfc_obs.Log.Error "request.error"
-               [ ("message", Wfc_obs.Json.String e) ];
-             Wire.Failed e
-           | Ok Wire.Ping ->
-             log_event st Wfc_obs.Log.Debug "ping" [];
-             Wire.Pong { version = Some version; uptime_s = Some (uptime_s st) }
-           | Ok Wire.Stats ->
-             log_event st Wfc_obs.Log.Debug "stats" [];
-             Wire.Metrics
-               {
-                 metrics = Wfc_obs.Snapshot.to_json (Wfc_obs.Snapshot.take ());
-                 server = Some (server_json st);
-               }
-           | Ok Wire.Shutdown ->
-             stop_requested := true;
-             log_event st Wfc_obs.Log.Info "shutdown.request" [];
-             Wire.Bye
-           | Ok (Wire.Query { spec; req_id }) ->
-             (* a pre-telemetry client carries no id; assign one so every
-                log line and response of this request still correlates *)
-             let req_id =
-               match req_id with Some id -> id | None -> fresh_req_id st
-             in
-             handle_query st ~req_id spec
-         in
-         let t_encode = Wfc_obs.Metrics.now_s () in
-         Wire.write_frame fd (Wire.response_to_json resp);
-         Wfc_obs.Metrics.observe h_stage_encode
-           (Wfc_obs.Metrics.now_s () -. t_encode);
-         if not !stop_requested then loop ()
-     in
-     loop ()
-   with
-  | Unix.Unix_error _ -> () (* the peer left, or sent nothing for [read_timeout_s] *)
-  | e ->
-    (* the handler outlives its connection's failure and returns to the
-       pool: a handler that died would shrink the pool for good *)
-    connection_error st e);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  if !stop_requested then begin
-    Atomic.set st.stopping true;
+(* Closes and unlinks the listening socket, so a connect from now on is
+   refused instead of left in the backlog, and wakes the solver to drain. *)
+let stop_listening st =
+  match st.listen with
+  | None -> ()
+  | Some fd ->
+    st.listen <- None;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    (try Sys.remove st.cfg.socket with Sys_error _ -> ());
     locked st (fun () -> Condition.broadcast st.work_cv)
+
+let connection_error st message =
+  Wfc_obs.Metrics.incr c_errors;
+  log_event st Wfc_obs.Log.Error "connection.error" [ ("message", Wfc_obs.Json.String message) ]
+
+(* ---- the I/O loop ---- *)
+
+(* The response to one decoded frame, or [None] when a job of the solver
+   will answer it. *)
+let respond st conn j =
+  let t_decode = Wfc_obs.Metrics.now_s () in
+  let parsed = Wire.request_of_json j in
+  Wfc_obs.Metrics.observe h_stage_decode (Wfc_obs.Metrics.now_s () -. t_decode);
+  match parsed with
+  | Error e ->
+    Wfc_obs.Metrics.incr c_errors;
+    log_event st Wfc_obs.Log.Error "request.error" [ ("message", Wfc_obs.Json.String e) ];
+    Some (Wire.Failed e)
+  | Ok Wire.Ping ->
+    log_event st Wfc_obs.Log.Debug "ping" [];
+    Some (Wire.Pong { version = Some version; uptime_s = Some (uptime_s st) })
+  | Ok Wire.Stats ->
+    log_event st Wfc_obs.Log.Debug "stats" [];
+    Some
+      (Wire.Metrics
+         { metrics = Wfc_obs.Snapshot.to_json (Wfc_obs.Snapshot.take ()); server = Some (server_json st) })
+  | Ok Wire.Shutdown ->
+    Atomic.set st.stopping true;
+    stop_listening st;
+    log_event st Wfc_obs.Log.Info "shutdown.request" [];
+    Some Wire.Bye
+  | Ok (Wire.Query { spec; req_id }) ->
+    (* a pre-telemetry client carries no id; assign one so every log line
+       and response of this request still correlates *)
+    let req_id = match req_id with Some id -> id | None -> fresh_req_id st in
+    handle_query st ~req_id ~conn spec
+
+let close_conn st c =
+  if not c.closed then begin
+    c.closed <- true;
+    Hashtbl.remove st.conns c.fd;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
-(* ---- the handler pool ---- *)
+let writing c = c.out_off < Bytes.length c.out
 
-(* Called by a handler that finished a connection: wait for the next fd,
-   or [None] once the daemon is stopping and nothing is left to serve. *)
-let next_connection st =
-  pooled st (fun p ->
-      p.idle <- p.idle + 1;
-      if p.accept_blocked then begin
-        p.accept_blocked <- false;
-        ignore (Unix.write_substring p.wake_w "x" 0 1)
-      end;
-      while Queue.is_empty p.handed && not (Atomic.get st.stopping) do
-        Condition.wait p.handed_cv p.pm
-      done;
-      if Queue.is_empty p.handed then begin
-        p.idle <- p.idle - 1;
-        p.live <- p.live - 1;
-        None
-      end
-      else Some (Queue.pop p.handed))
+let reading c = (not c.waiting) && not (writing c)
 
-let rec handler st fd =
-  handle_connection st fd;
-  match next_connection st with Some fd -> handler st fd | None -> ()
+let touch st c = c.idle_until <- Wfc_obs.Metrics.now_s () +. st.cfg.read_timeout_s
 
-(* Hand an accepted fd to an idle handler, else spawn one; the accept
-   loop never calls this at the cap. *)
-let dispatch st fd =
-  let spawn =
-    pooled st (fun p ->
-        if p.idle > 0 then begin
-          p.idle <- p.idle - 1;
-          Queue.push fd p.handed;
-          Condition.signal p.handed_cv;
-          false
-        end
-        else begin
-          p.live <- p.live + 1;
-          true
-        end)
+(* Writes what the socket takes now; the rest waits for the socket to
+   turn writable. *)
+let write_some st c =
+  match Unix.single_write c.fd c.out c.out_off (Bytes.length c.out - c.out_off) with
+  | n ->
+    c.out_off <- c.out_off + n;
+    touch st c;
+    if not (writing c) then begin
+      c.out <- Bytes.empty;
+      c.out_off <- 0
+    end
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
+let send st c resp =
+  let t_encode = Wfc_obs.Metrics.now_s () in
+  c.waiting <- false;
+  c.out <- Wire.frame_bytes (Wire.response_to_json resp);
+  c.out_off <- 0;
+  write_some st c;
+  Wfc_obs.Metrics.observe h_stage_encode (Wfc_obs.Metrics.now_s () -. t_encode)
+
+(* Answers the frames already buffered, one at a time: the next frame is
+   decoded only once the previous answer is written, so a client that
+   writes without reading holds at most one answer here. *)
+let rec serve_buffered st c =
+  if Atomic.get st.stopping then close_conn st c
+  else
+    match Wire.decode c.dec with
+    | None -> ()
+    | Some (Ok None) -> close_conn st c
+    | Some (Error e) ->
+      (* a hostile or broken client: out-of-bounds length, truncated frame
+         or non-JSON payload *)
+      Wfc_obs.Metrics.incr c_errors;
+      log_event st Wfc_obs.Log.Error "request.error" [ ("message", Wfc_obs.Json.String e) ];
+      close_conn st c
+    | Some (Ok (Some j)) -> (
+      match respond st c j with
+      | None -> c.waiting <- true
+      | Some resp ->
+        send st c resp;
+        if reading c then serve_buffered st c)
+
+(* A connection fails alone: whatever it raises closes it, and only what
+   is not the peer leaving counts as an error. *)
+let guard st c f =
+  try f () with
+  | Unix.Unix_error _ -> close_conn st c
+  | e ->
+    connection_error st (Printexc.to_string e);
+    close_conn st c
+
+let on_readable st c =
+  match Wire.decoder_read c.dec c.fd with
+  | _ ->
+    touch st c;
+    serve_buffered st c
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
+let on_writable st c =
+  write_some st c;
+  if reading c then serve_buffered st c
+
+(* Answers every connection waiting on a job the solver has published. *)
+let on_wake st =
+  (try ignore (Unix.read st.wake_r (Bytes.create 64) 0 64)
+   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ());
+  let jobs =
+    locked st (fun () ->
+        let jobs = List.of_seq (Queue.to_seq st.completed) in
+        Queue.clear st.completed;
+        jobs)
   in
-  if spawn then
-    match Thread.create (handler st) fd with
-    | _ -> Wfc_obs.Metrics.incr c_spawned
-    | exception e ->
-      pooled st (fun p -> p.live <- p.live - 1);
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      connection_error st e
+  List.iter
+    (fun job ->
+      let result = Option.get job.j_result in
+      List.iter
+        (fun (c, answer) ->
+          if not c.closed then
+            guard st c (fun () ->
+                send st c (answer result);
+                if reading c then serve_buffered st c))
+        (List.rev job.j_waiters))
+    jobs
 
-(* True (and [accept_blocked] set) when every handler is busy and no more
-   may be spawned. *)
-let at_cap st =
-  pooled st (fun p ->
-      p.accept_blocked <- p.idle = 0 && p.live >= st.cfg.max_handlers;
-      p.accept_blocked)
+(* Accepts until the backlog is empty or the cap is reached. *)
+let rec accept_some st listen_fd =
+  if Hashtbl.length st.conns < st.cfg.max_connections then
+    match Unix.accept ~cloexec:true listen_fd with
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+      ->
+      ()
+    | exception Unix.Unix_error (e, _, _) ->
+      connection_error st ("accept: " ^ Unix.error_message e)
+    | fd, _ ->
+      (* descriptors are ints on Unix *)
+      let n : int = Obj.magic fd in
+      if n >= fd_setsize then begin
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        connection_error st (Printf.sprintf "descriptor %d is beyond select's limit" n)
+      end
+      else begin
+        Unix.set_nonblock fd;
+        let c =
+          {
+            fd;
+            dec = Wire.decoder ();
+            out = Bytes.empty;
+            out_off = 0;
+            waiting = false;
+            closed = false;
+            idle_until = 0.;
+          }
+        in
+        touch st c;
+        Hashtbl.replace st.conns fd c;
+        Wfc_obs.Metrics.incr c_accepted
+      end;
+      accept_some st listen_fd
+
+(* The longest the loop sleeps, so a signal-initiated stop is noticed. *)
+let tick_s = 0.2
+
+(* Serves until a stop, then finishes: the listening socket is closed and
+   unlinked at once, idle connections are dropped, connections waiting on
+   the solver are answered, and the loop returns once none is left. *)
+let io_loop st =
+  let rec loop () =
+    if Atomic.get st.stopping then begin
+      stop_listening st;
+      List.iter
+        (fun c -> if reading c then close_conn st c)
+        (List.of_seq (Hashtbl.to_seq_values st.conns))
+    end;
+    if st.listen <> None || Hashtbl.length st.conns > 0 then begin
+      let now = Wfc_obs.Metrics.now_s () in
+      List.iter (close_conn st)
+        (Hashtbl.fold
+           (fun _ c expired ->
+             if (not c.waiting) && c.idle_until <= now then c :: expired else expired)
+           st.conns []);
+      let reads, writes, deadline =
+        Hashtbl.fold
+          (fun fd c (reads, writes, deadline) ->
+            if c.waiting then (reads, writes, deadline)
+            else if writing c then (reads, fd :: writes, Float.min deadline c.idle_until)
+            else (fd :: reads, writes, Float.min deadline c.idle_until))
+          st.conns
+          ([], [], now +. tick_s)
+      in
+      let accepting =
+        match st.listen with
+        | Some fd when Hashtbl.length st.conns < st.cfg.max_connections -> Some fd
+        | _ -> None
+      in
+      let reads = st.wake_r :: Option.fold ~none:reads ~some:(fun fd -> fd :: reads) accepting in
+      (match Unix.select reads writes [] (Float.max 0. (deadline -. now)) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | readable, writable, _ ->
+        if List.mem st.wake_r readable then on_wake st;
+        let ready p f fd =
+          match Hashtbl.find_opt st.conns fd with
+          | Some c when p c -> guard st c (fun () -> f st c)
+          | _ -> ()
+        in
+        List.iter (ready writing on_writable) writable;
+        List.iter (ready reading on_readable) readable;
+        (* a shutdown read above has closed the listening socket *)
+        match accepting with
+        | Some fd when st.listen <> None && List.mem fd readable -> accept_some st fd
+        | _ -> ());
+      loop ()
+    end
+  in
+  loop ()
 
 (* ---- socket lifecycle ---- *)
 
@@ -691,7 +805,8 @@ let run cfg =
   let log = Option.map (Wfc_obs.Log.open_log ~level:cfg.log_level) cfg.log in
   let store = Wfc_storage.Engine.open_store cfg.store_dir in
   let listen_fd = bind_socket cfg.socket in
-  let wake_r, wake_w = Unix.pipe () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  List.iter Unix.set_nonblock [ listen_fd; wake_r; wake_w ];
   let st =
     {
       cfg;
@@ -701,7 +816,9 @@ let run cfg =
       log;
       m = Mutex.create ();
       work_cv = Condition.create ();
-      done_cv = Condition.create ();
+      completed = Queue.create ();
+      wake_r;
+      wake_w;
       by_digest = Hashtbl.create 64;
       rotation = Queue.create ();
       npending = 0;
@@ -709,17 +826,8 @@ let run cfg =
       solver = { s_state = `Idle; s_jobs = 0 };
       req_seq = Atomic.make 0;
       stopping = Atomic.make false;
-      pool =
-        {
-          pm = Mutex.create ();
-          handed = Queue.create ();
-          handed_cv = Condition.create ();
-          live = 0;
-          idle = 0;
-          accept_blocked = false;
-          wake_r;
-          wake_w;
-        };
+      listen = Some listen_fd;
+      conns = Hashtbl.create 64;
     }
   in
   log_event st Wfc_obs.Log.Info "serve.start"
@@ -727,7 +835,7 @@ let run cfg =
       ("socket", Wfc_obs.Json.String cfg.socket);
       ("store", Wfc_obs.Json.String cfg.store_dir);
       ("queue_capacity", Wfc_obs.Json.Int cfg.queue_capacity);
-      ("max_handlers", Wfc_obs.Json.Int cfg.max_handlers);
+      ("max_connections", Wfc_obs.Json.Int cfg.max_connections);
       ("version", Wfc_obs.Json.String version);
     ];
   let initiate_stop _ = Atomic.set st.stopping true in
@@ -735,40 +843,11 @@ let run cfg =
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle initiate_stop) in
   let solver = Thread.create solver_loop st in
   (match cfg.on_ready with Some f -> f () | None -> ());
-  (* Accept with a select timeout so a signal- or request-initiated stop is
-     noticed within a tick even when no connection ever arrives. At the
-     handler cap the loop watches the wake pipe instead of the socket:
-     waiting connects stay in the listen backlog rather than in a queue of
-     ours, and none is answered [Shed] — that would need the request read
-     first (else the client may see EPIPE), and reading here would let one
-     slow client stall every accept. *)
-  let rec accept_loop () =
-    if Atomic.get st.stopping then ()
-    else begin
-      (match Unix.select [ (if at_cap st then wake_r else listen_fd) ] [] [] 0.2 with
-      | [ fd ], _, _ when fd = wake_r -> ignore (Unix.read wake_r (Bytes.create 16) 0 16)
-      | [ _ ], _, _ -> (
-        match Unix.accept listen_fd with
-        | client, _ -> dispatch st client
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (* stopping: idle handlers exit; a busy one finishes its connection and
-     then exits, and no longer wakes the accept loop *)
-  pooled st (fun p ->
-      p.accept_blocked <- false;
-      Condition.broadcast p.handed_cv);
-  (* stopping: wake and join the solver — it drains admitted work, finishes
-     the job it is computing, and only then exits, so no admitted question
-     is ever abandoned mid-shutdown *)
-  locked st (fun () -> Condition.broadcast st.work_cv);
+  io_loop st;
+  (* every admitted question has been answered, so the solver has drained
+     its queue and exits *)
   Thread.join solver;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ listen_fd; wake_r; wake_w ];
-  (try Sys.remove cfg.socket with Sys_error _ -> ());
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ wake_r; wake_w ];
   Sys.set_signal Sys.sigint old_int;
   Sys.set_signal Sys.sigterm old_term;
   let v name = Wfc_obs.Metrics.value (Wfc_obs.Metrics.counter name) in

@@ -21,23 +21,33 @@
       back to an inline solve or retry, the daemon never buffers
       unboundedly.
 
-    Concurrency model: one accepting thread, a pool of at most
-    [max_handlers] connection handler threads, and one solver thread, all
-    on one domain. The solver's caches (subdivision, symmetry and
-    collapse memos) therefore have a single writer by construction. A second solver thread on the same
-    domain never ran in parallel and measured no gain (DESIGN §9). Pending
-    work is grouped by task digest and dispatched round-robin across
-    digests, so a burst of questions on one task cannot starve another
-    task's cold query. The store-hit fast path never touches the solve
-    queue: handler threads answer hits directly under the state mutex.
-    A handler that finishes a connection waits for the next one; a new
-    handler is spawned only when none is idle ([serve.handlers.spawned]). At the cap the daemon stops accepting
-    until a handler is idle, so further connects wait in the listen
-    backlog; a handler closes a connection that sends nothing for
-    [read_timeout_s], and survives any exception its connection raises
-    (counted in [serve.errors]). A frame it cannot read (out-of-bounds
-    length, truncated, not JSON) is counted in [serve.errors] and logged
-    as [request.error].
+    Concurrency model: one I/O thread, one solver thread, all on one
+    domain. The solver's caches (subdivision, symmetry and collapse memos)
+    therefore have a single writer by construction. A second solver thread
+    on the same domain never ran in parallel and measured no gain
+    (DESIGN §9). Pending work is grouped by task digest and dispatched
+    round-robin across digests, so a burst of questions on one task cannot
+    starve another task's cold query. The I/O thread runs one [select]
+    loop over the listening socket, the solver's wake pipe and every open
+    connection, all nonblocking: it accepts ([serve.connections.accepted]),
+    reads and decodes frames incrementally, and answers hits, pings,
+    stats, sheds and failures inline, with no thread hand-off. A miss or
+    a coalesced join leaves its connection waiting on the job; the solver
+    publishes the job and writes one byte to the wake pipe, and the loop
+    answers every connection waiting on it. A task build (a task-memo
+    miss) also runs on the I/O thread, so no connection is served while
+    it runs. A connection has at most one
+    request in flight: its next frame is decoded only once the previous
+    answer is written. At most [max_connections] are open; at the cap the
+    loop stops accepting, so further connects wait in the listen backlog.
+    A connection with no request byte arriving and no answer byte leaving
+    for [read_timeout_s] is closed (one waiting on the solver never is).
+    A connection fails alone: whatever it raises closes it, counted in
+    [serve.errors] unless the peer just left. A frame the loop cannot
+    read (out-of-bounds length, truncated, not JSON) is counted in
+    [serve.errors] and logged as [request.error]. An accepted descriptor
+    that [select] cannot watch (at or above [FD_SETSIZE], 1024) is closed
+    at once and counted in [serve.errors].
 
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
@@ -58,13 +68,16 @@
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
     a [server] block: version, uptime, in-flight count, queue depth, the
-    handler pool's [live], [idle] and [capacity], the task memo's size and
+    [connections] [open] and their [capacity], the task memo's size and
     capacity, and the solver's state. On shutdown the
     daemon prints a traffic summary.
     SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
-    request — the solver drains the pending queue and finishes its
-    in-flight job before the daemon exits; SIGKILL at any instant
-    leaves a loadable store ({!Wfc_storage.Engine.put} is atomic). *)
+    request: the listening socket is closed and unlinked at once (a late
+    connect is refused), idle connections are dropped, and the solver
+    drains the pending queue and finishes its in-flight job, whose
+    waiting connections are answered, before the daemon exits; SIGKILL
+    at any instant leaves a loadable store ({!Wfc_storage.Engine.put} is
+    atomic). *)
 
 val version : string
 (** The daemon's version string, reported in [pong] and [stats] responses
@@ -84,9 +97,10 @@ type config = {
   slow_ms : float option;
       (** emit a [slow_query] warning for any query at least this many
           milliseconds end-to-end; [Some 0.] logs every query as slow *)
-  max_handlers : int;  (** connection handler threads alive at once, at least 1 *)
+  max_connections : int;  (** connections open at once, at least 1 *)
   read_timeout_s : float;
-      (** a connection that sends no request bytes for this long is closed *)
+      (** a connection that neither sends request bytes nor takes answer
+          bytes for this long is closed; one waiting on the solver never is *)
 }
 
 val config :
@@ -94,17 +108,17 @@ val config :
   ?log:string ->
   ?log_level:Wfc_obs.Log.level ->
   ?slow_ms:float ->
-  ?max_handlers:int ->
+  ?max_connections:int ->
   ?read_timeout_s:float ->
   socket:string ->
   store_dir:string ->
   unit ->
   config
 (** Defaults: queue capacity 64, no hooks, no event log (level
-    [Info] once one is given), no slow-query threshold, 128 handlers,
-    a 10 s read timeout. The handler cap and the timeout have no CLI flag;
-    they are set here for tests.
-    @raise Invalid_argument if [max_handlers] is below 1. *)
+    [Info] once one is given), no slow-query threshold, 128 connections,
+    a 10 s read timeout. The connection cap and the timeout have no CLI
+    flag; they are set here for tests.
+    @raise Invalid_argument if [max_connections] is below 1. *)
 
 val run : config -> unit
 (** Binds the socket (refusing if a live daemon already answers on it,

@@ -211,13 +211,19 @@ let really_write fd bytes off len =
     len := !len - n
   done
 
+(* Header and payload in one buffer, so a frame leaves in one write and
+   the reader never wakes on a bare header. *)
+let frame_bytes j =
+  let payload = Wfc_obs.Json.to_string j in
+  let n = String.length payload in
+  let frame = Bytes.create (4 + n) in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 frame 4 n;
+  frame
+
 let write_frame fd j =
-  let payload = Bytes.unsafe_of_string (Wfc_obs.Json.to_string j) in
-  let n = Bytes.length payload in
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int n);
-  really_write fd header 0 4;
-  really_write fd payload 0 n
+  let frame = frame_bytes j in
+  really_write fd frame 0 (Bytes.length frame)
 
 let read_chunk = 64 * 1024
 
@@ -260,3 +266,50 @@ let read_frame fd =
   | Ok (Some j) -> Ok j
   | Ok None -> Error "connection closed"
   | Error e -> Error e
+
+(* ---- incremental decoding ---- *)
+
+(* The bytes read so far, [buf.[0 .. len)], from the start of the next
+   frame on. A reader that decodes until [None] before it reads again
+   only ever grows a buffer filled by one partial frame, so the growth
+   rule is [really_read]'s: double once full, capped at the frame's own
+   length. *)
+type decoder = { mutable buf : Bytes.t; mutable len : int; mutable closed : bool }
+
+(* Requests are a few hundred bytes: one decoder per connection starts in
+   the minor heap. *)
+let decoder_start = 1024
+
+let decoder () = { buf = Bytes.create decoder_start; len = 0; closed = false }
+
+let frame_length buf = Int32.to_int (Bytes.get_int32_be buf 0)
+
+let decoder_read d fd =
+  if d.len = Bytes.length d.buf then begin
+    let missing = 4 + frame_length d.buf - d.len in
+    if missing <= 0 then invalid_arg "Wire.decoder_read: a whole frame is still buffered";
+    d.buf <- Bytes.extend d.buf 0 (min d.len missing)
+  end;
+  let n = Unix.read fd d.buf d.len (Bytes.length d.buf - d.len) in
+  if n = 0 then d.closed <- true else d.len <- d.len + n;
+  n
+
+let decode d =
+  if d.len < 4 then
+    if not d.closed then None
+    else if d.len = 0 then Some (Ok None)
+    else Some (Error "truncated frame header")
+  else
+    let n = frame_length d.buf in
+    if n < 0 || n > max_frame then Some (Error (Printf.sprintf "frame length %d out of bounds" n))
+    else if d.len < 4 + n then if d.closed then Some (Error "truncated frame payload") else None
+    else begin
+      let payload = Bytes.sub_string d.buf 4 n in
+      let rest = d.len - 4 - n in
+      if rest = 0 && Bytes.length d.buf > decoder_start then d.buf <- Bytes.create decoder_start
+      else Bytes.blit d.buf (4 + n) d.buf 0 rest;
+      d.len <- rest;
+      match Wfc_obs.Json.parse payload with
+      | Ok j -> Some (Ok (Some j))
+      | Error e -> Some (Error (Printf.sprintf "bad frame payload: %s" e))
+    end

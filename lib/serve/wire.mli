@@ -38,7 +38,7 @@
     see [None], old clients ignore the new fields, and the [record] bytes —
     the part with verdict semantics — are untouched either way. [timing] is
     the daemon-side stage breakdown: time spent waiting in the solve queue,
-    in the search, in store I/O, and end-to-end inside the handler.
+    in the search, in store I/O, and end-to-end inside the daemon.
 
     Tasks travel by {e name}: the daemon rebuilds the complex through
     {!Wfc_tasks.Instances.by_name} — the same registry an inline solve uses
@@ -106,8 +106,11 @@ val response_to_json : response -> Wfc_obs.Json.t
 
 val response_of_json : Wfc_obs.Json.t -> (response, string) result
 
+val frame_bytes : Wfc_obs.Json.t -> Bytes.t
+(** One frame, header and payload in one buffer. *)
+
 val write_frame : Unix.file_descr -> Wfc_obs.Json.t -> unit
-(** Writes one frame, handling short writes. @raise Unix.Unix_error on a
+(** Writes {!frame_bytes} in one write, handling short writes. @raise Unix.Unix_error on a
     dead peer (the daemon ignores [SIGPIPE], so a closed socket surfaces
     here as [EPIPE], not a process kill). *)
 
@@ -119,3 +122,26 @@ val read_frame_opt : Unix.file_descr -> (Wfc_obs.Json.t option, string) result
 (** As {!read_frame}, but a clean close at a frame boundary is [Ok None],
     so a reader can tell a client that left from one that sent a bad
     frame. *)
+
+(** {2 Incremental decoding}
+
+    The daemon reads nonblocking sockets a chunk at a time. A decoder
+    buffers a connection's bytes and hands back whole frames, with the
+    same results and error strings as {!read_frame_opt}. *)
+
+type decoder
+
+val decoder : unit -> decoder
+
+val decoder_read : decoder -> Unix.file_descr -> int
+(** One [read] into the decoder's buffer; [0] means the peer closed. Call
+    it only after {!decode} returned [None]. The buffer starts at 1 KiB and
+    doubles only once full, never past the frame's claimed length, so a
+    lying length prefix costs no more than the bytes actually sent.
+    @raise Unix.Unix_error as [Unix.read] does ([EAGAIN] on a nonblocking
+    descriptor with nothing to read). *)
+
+val decode : decoder -> (Wfc_obs.Json.t option, string) result option
+(** The next frame, consumed from the buffer: [Some r] where [r] is what
+    {!read_frame_opt} would return on the same bytes, or [None] while the
+    buffered bytes end inside a frame and the peer has not closed. *)

@@ -12,7 +12,7 @@
     The arena is one table under one lock: {!of_list} and the set
     operations probe it, and only a vertex set's first intern files a new
     representative, with the next dense id. The lock makes interning safe
-    for the sys-threads of one domain (the daemon's handlers build tasks
+    for the sys-threads of one domain (the daemon's I/O thread builds tasks
     while its solver thread subdivides); the process runs on one domain.
     Ids are dense, contiguous and stable; the arena is never emptied. *)
 
