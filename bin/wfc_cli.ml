@@ -553,7 +553,9 @@ let no_symmetry_arg =
           "Disable lex-leader symmetry pruning (on by default): task automorphisms of (I, \
            O, Δ) lifted through the subdivision cut candidate assignments that are provably \
            not canonical in their orbit. Verdicts, levels and decision maps are unchanged \
-           either way; watch solvability.symmetry.orbits / .pruned under --stats.")
+           either way; watch solvability.symmetry.orbits / .pruned under --stats, which \
+           count only the levels that search (a level refuted at its root installs no \
+           symmetry).")
 
 let no_collapse_arg =
   Arg.(
@@ -563,7 +565,8 @@ let no_collapse_arg =
           "Disable the collapsibility-guided static variable order (on by default): a \
            free-face collapsing sequence of the (admitted) protocol complex replaces \
            dynamic most-constrained-first selection. Verdicts are unchanged either way; \
-           watch solvability.collapse.schedule_len under --stats.")
+           watch solvability.collapse.schedule_len under --stats, which counts only the \
+           levels that search (a level refuted at its root builds no schedule).")
 
 let spec_string ~task ~procs ~param ~max_level ~model =
   (* the spec string carries the question only; reducer flags are

@@ -106,8 +106,25 @@ grep '"solvability.autos"' PRUNE_on.json
 NODES_ON=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_on.json | grep -o '[0-9]*$')
 NODES_OFF=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_off.json | grep -o '[0-9]*$')
 test "$((NODES_ON * 2))" -le "$NODES_OFF"
+# a root-refuted instance: 3-process consensus dies in propagation at
+# every level, so it answers the same bytes with and without the reducers
+# and builds neither (its report has no solvability.autos span)
+ROOT_ARGS="--task consensus --procs 3 --max-level 2"
+# shellcheck disable=SC2086
+dune exec bin/wfc_cli.exe -- solve $ROOT_ARGS \
+  --verdict-out VERDICT_pr_root_on.json --json PRUNE_root_on.json > /dev/null
+# shellcheck disable=SC2086
+dune exec bin/wfc_cli.exe -- solve $ROOT_ARGS --no-symmetry --no-collapse \
+  --verdict-out VERDICT_pr_root_off.json > /dev/null
+cmp VERDICT_pr_root_on.json VERDICT_pr_root_off.json
+grep '"solvability.propagate"' PRUNE_root_on.json
+if grep '"solvability.autos"' PRUNE_root_on.json; then
+  echo "ci: a root-refuted level built its reducers" >&2
+  exit 1
+fi
 rm -f VERDICT_pr_on.json VERDICT_pr_nosym.json VERDICT_pr_nocol.json \
-  VERDICT_pr_off.json PRUNE_on.json PRUNE_off.json
+  VERDICT_pr_off.json PRUNE_on.json PRUNE_off.json \
+  VERDICT_pr_root_on.json VERDICT_pr_root_off.json PRUNE_root_on.json
 
 dune exec bin/wfc_cli.exe -- trace --seed 3 -p 3 -b 2 --crash 1 -o TRACE_ci.json
 dune exec bin/wfc_cli.exe -- replay TRACE_ci.json -o REPLAY_ci.json

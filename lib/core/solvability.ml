@@ -562,6 +562,7 @@ let memo_sizes () =
     ("setup", Hashtbl.length setup_memo);
     ("lift", Hashtbl.length lift_memo);
     ("sds", Sds.memo_size ());
+    ("arena", Simplex.arena_size ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -790,24 +791,22 @@ let run_search ~red ~counts ~record inst live budget =
   | `Budget -> `Budget
   | exception Found a -> `Sat a
 
-(* Preprocessing plus the search, under one reducer configuration. *)
-let solve_root ~red ~budget ~counts ~record inst =
-  (* The root (empty assignment) always counts as a visited node, even when
-     the instance dies in preprocessing — "nodes = 0" would otherwise be
-     ambiguous between "refuted instantly" and "never ran". *)
-  counts.n_nodes <- counts.n_nodes + 1;
+(* The root's preprocessing: the empty-domain check, then arc consistency.
+   Returns the arc-consistent live domains, or [None] when either refutes
+   the level before any search. *)
+let propagate ~record inst =
   if Array.exists (fun d -> Array.length d = 0) inst.domains then begin
     record (S_root_unsat "empty initial domain");
-    `Unsat
+    None
   end
   else begin
     (* live domains as mutable arrays of candidate lists *)
     let live = Array.map Array.to_list inst.domains in
-    if not (arc_consistency inst live) then begin
+    if arc_consistency inst live then Some live
+    else begin
       record (S_root_unsat "arc consistency wiped a domain");
-      `Unsat
+      None
     end
-    else run_search ~red ~counts ~record inst live budget
   end
 
 let solve_at ?opts:(o = defaults) task level =
@@ -816,14 +815,15 @@ let solve_at ?opts:(o = defaults) task level =
   Wfc_obs.Metrics.incr
     (Wfc_obs.Metrics.counter ("solvability.model." ^ Model.family o.model));
   (* the phases of a solve are spans under solvability.level.<b>: build,
-     autos, collapse, search and (for a reduced Sat) rerun *)
+     propagate and, for a level whose root survives, autos, collapse,
+     search and (for a reduced Sat) rerun *)
   let phase name f = Wfc_obs.Metrics.with_span ("solvability." ^ name) f in
-  let sds, setup, verts, inst, bfs =
+  let sds, setup, verts, inst =
     phase "build" @@ fun () ->
     let sds = Sds.iterate task.Task.input level in
     let setup = level_setup ~model:o.model task sds in
     let verts, inst = build_instance task sds ~admitted:setup.admitted in
-    (sds, setup, verts, inst, bfs_positions inst)
+    (sds, setup, verts, inst)
   in
   let ring =
     if o.trace then Some (Wfc_obs.Flight.create ~capacity:search_trace_capacity) else None
@@ -831,61 +831,74 @@ let solve_at ?opts:(o = defaults) task level =
   let record =
     match ring with None -> fun _ -> () | Some r -> fun e -> Wfc_obs.Flight.push r e
   in
-  (* Trail recording turns both reducers off: the flight ring is a single
-     chronological log of one canonical search, and reducer-dependent prune
-     events would destroy its meaning (DESIGN §9, §14). *)
-  let autos =
-    if o.symmetry && not o.trace then
-      phase "autos" (fun () ->
-          match setup.autos with
-          | Some autos -> autos
-          | None ->
-            let autos = build_autos ~admitted:setup.admitted task sds verts inst in
-            setup.autos <- Some autos;
-            autos)
-    else [||]
-  in
-  let collapsed =
-    if o.collapse && not o.trace then
-      Some
-        (phase "collapse" (fun () ->
-             match setup.schedule with
-             | Some r -> r
-             | None ->
-               let r = collapse_positions ~admitted:setup.admitted sds verts inst in
-               setup.schedule <- Some r;
-               r))
-    else None
-  in
-  let red =
-    match collapsed with
-    | Some (pos, _) -> make_reducers ~static_order:true ~autos ~order_pos:pos inst.nvars
-    | None -> make_reducers ~static_order:false ~autos ~order_pos:bfs inst.nvars
-  in
-  let reducing = red.static_order || Array.length red.autos > 0 in
-  Wfc_obs.Metrics.add c_sym_orbits (Array.length red.autos);
-  (match collapsed with
-  | Some (_, eliminated) -> Wfc_obs.Metrics.add c_collapse_len eliminated
-  | None -> ());
   let budget = o.budget in
   let counts = fresh_counts () in
-  (* Reducers change which satisfying assignment is found first, so a
-     [`Sat] under active reducers is re-derived by the plain engine — the
-     decision map (hence the verdict record) stays byte-identical to the
-     unreduced engine's, and both phases' search costs are reported.
-     Refutations and budget exhaustions, the cases pruning exists for,
-     never rerun. The plain rerun's verdict is taken verbatim: if it
-     exhausts the budget, the unreduced engine would have too. One
-     exception skips the rerun: under dynamic selection with zero lex
-     prunes fired, the search trajectory was step-for-step the plain
-     engine's (every [sym_ok] was a no-op), so the first answer already is
-     the canonical one. *)
+  (* The root (empty assignment) always counts as a visited node, even when
+     the instance dies in preprocessing — "nodes = 0" would otherwise be
+     ambiguous between "refuted instantly" and "never ran". *)
+  counts.n_nodes <- 1;
   let outcome =
-    match phase "search" (fun () -> solve_root ~red ~budget ~counts ~record inst) with
-    | `Sat _ when reducing && (red.static_order || counts.n_sym > 0) ->
-      let plain = make_reducers ~static_order:false ~autos:[||] ~order_pos:bfs inst.nvars in
-      phase "rerun" (fun () -> solve_root ~red:plain ~budget ~counts ~record inst)
-    | o -> o
+    match phase "propagate" (fun () -> propagate ~record inst) with
+    | None -> `Unsat
+    | Some root ->
+      (* Only a level whose root survives builds its reducers. Trail
+         recording turns both off: the flight ring is a single
+         chronological log of one canonical search, and reducer-dependent
+         prune events would destroy its meaning (DESIGN §9, §14). *)
+      let autos =
+        if o.symmetry && not o.trace then
+          phase "autos" (fun () ->
+              match setup.autos with
+              | Some autos -> autos
+              | None ->
+                let autos = build_autos ~admitted:setup.admitted task sds verts inst in
+                setup.autos <- Some autos;
+                autos)
+        else [||]
+      in
+      let collapsed =
+        if o.collapse && not o.trace then
+          Some
+            (phase "collapse" (fun () ->
+                 match setup.schedule with
+                 | Some r -> r
+                 | None ->
+                   let r = collapse_positions ~admitted:setup.admitted sds verts inst in
+                   setup.schedule <- Some r;
+                   r))
+        else None
+      in
+      Wfc_obs.Metrics.add c_sym_orbits (Array.length autos);
+      (match collapsed with
+      | Some (_, eliminated) -> Wfc_obs.Metrics.add c_collapse_len eliminated
+      | None -> ());
+      let bfs = bfs_positions inst in
+      let red =
+        match collapsed with
+        | Some (pos, _) -> make_reducers ~static_order:true ~autos ~order_pos:pos inst.nvars
+        | None -> make_reducers ~static_order:false ~autos ~order_pos:bfs inst.nvars
+      in
+      (* Reducers change which satisfying assignment is found first, so a
+         [`Sat] under active reducers is re-derived by the plain engine —
+         the decision map (hence the verdict record) stays byte-identical
+         to the unreduced engine's, and both phases' search costs are
+         reported. The rerun starts from the same arc-consistent root and
+         counts that root again, as a fresh plain solve would. Refutations
+         and budget exhaustions, the cases pruning exists for, never rerun.
+         The plain rerun's verdict is taken verbatim: if it exhausts the
+         budget, the unreduced engine would have too. One exception skips
+         the rerun: under dynamic selection with zero lex prunes fired, the
+         search trajectory was step-for-step the plain engine's (every
+         [sym_ok] was a no-op), so the first answer already is the
+         canonical one. *)
+      match
+        phase "search" (fun () -> run_search ~red ~counts ~record inst (Array.copy root) budget)
+      with
+      | `Sat _ when red.static_order || counts.n_sym > 0 ->
+        counts.n_nodes <- counts.n_nodes + 1;
+        let plain = make_reducers ~static_order:false ~autos:[||] ~order_pos:bfs inst.nvars in
+        phase "rerun" (fun () -> run_search ~red:plain ~counts ~record inst root budget)
+      | o -> o
   in
   let elapsed = Wfc_obs.Metrics.now_s () -. t0 in
   Wfc_obs.Metrics.incr c_calls;

@@ -86,7 +86,9 @@ type options = {
           lexicographically least member of its orbit. Refutations stay
           exhaustive proofs; a found map is re-derived by the unreduced
           engine so decide tables are unchanged (see {!solve_at}).
-          Counted in [solvability.symmetry.orbits] / [.pruned]. *)
+          Counted in [solvability.symmetry.orbits] / [.pruned], for the
+          levels that search only: a level refuted at its root installs no
+          symmetry. *)
   collapse : bool;
       (** collapsibility-guided static variable order (on by default): a
           free-face collapsing sequence of the admitted subcomplex of
@@ -94,7 +96,8 @@ type options = {
           fixed elimination schedule (core first, then collapsed vertices
           in reverse elimination order). Completeness is untouched — the
           schedule only reorders the exhaustive search. Counted in
-          [solvability.collapse.schedule_len]. *)
+          [solvability.collapse.schedule_len], for the levels that search
+          only: a level refuted at its root builds no schedule. *)
 }
 
 val defaults : options
@@ -139,8 +142,10 @@ val clear_cache : unit -> unit
 
 val memo_sizes : unit -> (string * int) list
 (** Entry counts of the memos a solve fills: ["setup"] and ["lift"]
-    (see {!clear_cache}) and ["sds"] ({!Wfc_topology.Sds.memo_size}). The
-    daemon's [stats] reply reports them as gauges. *)
+    (see {!clear_cache}), ["sds"] ({!Wfc_topology.Sds.memo_size}) and
+    ["arena"], the interned simplices ({!Wfc_topology.Simplex.arena_size}),
+    which {!clear_cache} does not drop. The daemon's [stats] reply reports
+    them as gauges. A level refuted at its root adds no ["lift"] entry. *)
 
 (** {1 The affine task} — what a model restricts [SDS^b] to. *)
 
@@ -183,6 +188,11 @@ val solve_at : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
     [stats] (except [elapsed]) are functions of the task, level and
     options alone.
 
+    The root is propagated first: a level with an empty initial domain, or
+    one that arc consistency wipes out, is [Unsolvable_at] with one node
+    and builds no reducer. Only a level whose root survives builds the
+    reducers below and searches from the arc-consistent domains.
+
     {b Search reducers} (DESIGN §14). With [opts.symmetry] the engine
     installs the instance-level symmetries of [(I, O, Δ)] (restricted to
     the model's admitted facet set, which every installed symmetry must
@@ -194,10 +204,11 @@ val solve_at : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
     exhaustive proof (the lex-least solution of any orbit survives every
     constraint, so an empty pruned space implies an empty space), and a
     [Solvable] found under either reducer is re-derived by the unreduced
-    engine before being returned — verdicts, levels and decide tables are
-    byte-identical to the engine with both reducers off, while [stats]
-    then include both phases' costs. [opts.trace] turns both reducers off
-    for the traced search so trails stay canonical. *)
+    engine, from the same arc-consistent root, before being returned —
+    verdicts, levels and decide tables are byte-identical to the engine
+    with both reducers off, while [stats] then include both phases'
+    costs. [opts.trace] turns both reducers off for the traced search so
+    trails stay canonical. *)
 
 val solve : ?opts:options -> max_level:int -> Wfc_tasks.Task.t -> verdict
 (** Try levels [0 .. max_level] in order; returns the first [Solvable], the

@@ -724,8 +724,12 @@ let tick_s = 0.2
 
 (* Serves until a stop, then finishes: the listening socket is closed and
    unlinked at once, idle connections are dropped, connections waiting on
-   the solver are answered, and the loop returns once none is left. *)
+   the solver are answered, and the loop returns once none is left. A
+   [select] that fails other than by a signal would fail again on the same
+   sets, so it starts that stop; if the stop's own [select] fails too,
+   every connection left is dropped, since the loop cannot watch them. *)
 let io_loop st =
+  let select_failed = ref false in
   let rec loop () =
     if Atomic.get st.stopping then begin
       stop_listening st;
@@ -757,6 +761,14 @@ let io_loop st =
       let reads = st.wake_r :: Option.fold ~none:reads ~some:(fun fd -> fd :: reads) accepting in
       (match Unix.select reads writes [] (Float.max 0. (deadline -. now)) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Wfc_obs.Metrics.incr c_errors;
+        log_event st Wfc_obs.Log.Error "select.error"
+          [ ("message", Wfc_obs.Json.String (Unix.error_message e)) ];
+        if !select_failed then
+          List.iter (close_conn st) (List.of_seq (Hashtbl.to_seq_values st.conns));
+        select_failed := true;
+        Atomic.set st.stopping true
       | readable, writable, _ ->
         if List.mem st.wake_r readable then on_wake st;
         let ready p f fd =

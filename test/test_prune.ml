@@ -748,13 +748,36 @@ let test_phase_spans () =
   let names = level_children "solvability.level.1" in
   List.iter
     (fun phase -> checkb ("refutation has " ^ phase) true (has names phase))
-    [ "build"; "autos"; "collapse"; "search" ];
+    [ "build"; "propagate"; "autos"; "collapse"; "search" ];
   checkb "refutation has no rerun" false (has names "rerun");
+  reset ();
+  ignore (Solvability.solve_at (Instances.binary_consensus ~procs:3) 1);
+  checkb "a root refutation ends after propagate" true
+    (List.sort compare (level_children "solvability.level.1")
+    = [ "solvability.build"; "solvability.propagate" ]);
   reset ();
   (match Solvability.solve_at (Instances.adaptive_renaming ~procs:2 ~names:3) 1 with
   | Solvability.Solvable _ -> ()
   | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v));
   checkb "reduced Sat has rerun" true (has (level_children "solvability.level.1") "rerun")
+
+(* Binary consensus on three processes dies at the root of levels 0, 1
+   and 2, so the sweep visits one node per level and builds no reducer:
+   no lift is memoized and neither reducer counter moves. *)
+let test_root_refutation_builds_no_reducers () =
+  let open Wfc_obs.Metrics in
+  let orbits = counter "solvability.symmetry.orbits" in
+  let sched = counter "solvability.collapse.schedule_len" in
+  Solvability.clear_cache ();
+  let o0 = value orbits and s0 = value sched in
+  let v = Solvability.solve ~max_level:2 (Instances.binary_consensus ~procs:3) in
+  (match v with
+  | Solvability.Unsolvable_at { level; _ } -> checki "refuted through level 2" 2 level
+  | v -> Alcotest.failf "expected Unsolvable_at, got %s" (Solvability.verdict_name v));
+  checkb "one root node per level" true (tallies v = (3, 0, 0));
+  checki "no lift memoized" 0 (List.assoc "lift" (Solvability.memo_sizes ()));
+  checki "no symmetry installed" o0 (value orbits);
+  checki "no collapse schedule" s0 (value sched)
 
 let test_budget_zero_exhausts () =
   match
@@ -817,5 +840,7 @@ let () =
           Alcotest.test_case "trace runs the plain engine" `Quick test_trace_is_plain_engine;
           Alcotest.test_case "budget 0 exhausts immediately" `Quick test_budget_zero_exhausts;
           Alcotest.test_case "solve phases are spans" `Quick test_phase_spans;
+          Alcotest.test_case "a root refutation builds no reducers" `Quick
+            test_root_refutation_builds_no_reducers;
         ] );
     ]
