@@ -636,8 +636,8 @@ let scenarios : (string * (unit -> int option * string option)) list =
   (* The level-1 refutation is ~60 nodes, far below timer resolution, so it
      is repeated; the first call warms the subdivision memo, the remaining
      reps time the search engine alone. *)
-  let solve_rep ?model ?symmetry ?collapse ~reps task level = fun () ->
-    let opts = Solvability.options ?model ?symmetry ?collapse () in
+  let solve_rep ?model ?trace ~reps task level = fun () ->
+    let opts = Solvability.options ?model ?trace () in
     let v = ref (Solvability.solve_at ~opts task level) in
     for _ = 2 to reps do v := Solvability.solve_at ~opts task level done;
     solved !v
@@ -867,6 +867,9 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ("solvability_renaming_3_6_l3", solv (Instances.adaptive_renaming ~procs:3 ~names:6) 3);
     ("solvability_set_consensus_3_3_l4", solv (Instances.set_consensus ~procs:3 ~k:3) 4);
     ("solvability_consensus_2_unsat_l4", solv (Instances.binary_consensus ~procs:2) 4);
+    (* the question that needs both reducers at once: neither alone
+       answers it within minutes; skipped under --quick *)
+    ("solvability_set_consensus_4_3_l1", solv (Instances.set_consensus ~procs:4 ~k:3) 1);
     ( "solvability_eps_agreement_grid27",
       solve_up (Instances.approximate_agreement ~procs:2 ~grid:27) 5 );
     ("task_automorphisms", task_automorphisms);
@@ -885,24 +888,16 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ( "solve_kset_affine",
       solve_rep ~model:(Wfc_tasks.Model.k_set_affine ~k:2) ~reps:200
         (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    (* search reducers (DESIGN §14) on the same level-1 refutation: the
-       seed engine with both reducers off is the before picture, then each
-       reducer alone, then the composition (the default engine everywhere
-       else in this file). Node counts are the point — the refutation must
-       shrink while the verdict JSON stays byte-identical (ci.sh cmp's
-       them); wall-clock on a ~60-node search is repeated noise-floor. *)
+    (* the two engines (DESIGN §14) on the same level-1 refutation: the
+       plain canonical engine, reached through [trace] (so its time
+       includes the flight ring's pushes), then the reduced engine (the
+       default everywhere else in this file). Node counts are the point —
+       the refutation must shrink while the verdict JSON stays
+       byte-identical (ci.sh cmp's them); wall-clock on a ~60-node search
+       is repeated noise-floor. *)
     ( "solve_no_reducers",
-      solve_rep ~symmetry:false ~collapse:false ~reps:200
-        (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    ( "solve_symmetry",
-      solve_rep ~symmetry:true ~collapse:false ~reps:200
-        (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    ( "solve_collapse",
-      solve_rep ~symmetry:false ~collapse:true ~reps:200
-        (Instances.set_consensus ~procs:3 ~k:2) 1 );
-    ( "solve_both",
-      solve_rep ~symmetry:true ~collapse:true ~reps:200
-        (Instances.set_consensus ~procs:3 ~k:2) 1 );
+      solve_rep ~trace:true ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1 );
+    ("solve_both", solve_rep ~reps:200 (Instances.set_consensus ~procs:3 ~k:2) 1);
     (* storage engine at 10k records: the three lookup tiers, the miss
        and the tree-walking ls, per-op p50/p95 in the extra fields *)
     ("store_put", store_put);
@@ -916,12 +911,20 @@ let scenarios : (string * (unit -> int option * string option)) list =
 (* Under --json every scenario runs [runs] times and reports the median
    as [seconds], with the fastest and slowest run beside it: one sample
    per side cannot tell a change from scheduler noise. Search node counts
-   are deterministic, so runs that disagree on them stop the bench. *)
+   are deterministic, so runs that disagree on them stop the bench.
+   [full_only] scenarios take seconds per run and are skipped under
+   --quick. *)
+let full_only = [ "solvability_set_consensus_4_3_l1" ]
+
 let run_scenarios ?only ~runs () =
   section "timed scenarios";
   (* metrics restart here so the report's counters cover exactly these runs *)
   Wfc_obs.Metrics.reset ();
   Printf.printf "%-36s %12s %12s %12s %12s\n" "scenario" "seconds" "min" "max" "nodes";
+  let scenarios =
+    if !quick_scenarios then List.filter (fun (sname, _) -> not (List.mem sname full_only)) scenarios
+    else scenarios
+  in
   let selected =
     match only with
     | None -> scenarios

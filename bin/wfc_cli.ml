@@ -543,44 +543,9 @@ let model_arg =
            t-resilient:T, or k-set:K — an affine restriction of the IIS runs. See $(b,wfc \
            models).")
 
-(* search-reducer escape hatches, shared by solve / query. Both reducers are
-   verdict-preserving, so these only trade search cost, never answers. *)
-let no_symmetry_arg =
-  Arg.(
-    value & flag
-    & info [ "no-symmetry" ]
-        ~doc:
-          "Disable lex-leader symmetry pruning (on by default): task automorphisms of (I, \
-           O, Δ) lifted through the subdivision cut candidate assignments that are provably \
-           not canonical in their orbit. Verdicts, levels and decision maps are unchanged \
-           either way; watch solvability.symmetry.orbits / .pruned under --stats, which \
-           count only the levels that search (a level refuted at its root installs no \
-           symmetry).")
-
-let no_collapse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-collapse" ]
-        ~doc:
-          "Disable the collapsibility-guided static variable order (on by default): a \
-           free-face collapsing sequence of the (admitted) protocol complex replaces \
-           dynamic most-constrained-first selection. Verdicts are unchanged either way; \
-           watch solvability.collapse.schedule_len under --stats, which counts only the \
-           levels that search (a level refuted at its root builds no schedule).")
-
-let spec_string ~task ~procs ~param ~max_level ~model =
-  (* the spec string carries the question only; reducer flags are
-     verdict-preserving and never part of a record's identity *)
-  Wfc_serve.Wire.spec_to_string
-    {
-      Wfc_serve.Wire.task;
-      procs;
-      param;
-      max_level;
-      model;
-      symmetry = true;
-      collapse = true;
-    }
+(* [symmetry]/[collapse] are ignored fields (see Wfc_serve.Wire.spec) *)
+let wire_spec ~task ~procs ~param ~max_level ~model =
+  { Wfc_serve.Wire.task; procs; param; max_level; model; symmetry = true; collapse = true }
 
 let task_arg =
   Arg.(
@@ -601,12 +566,9 @@ let max_level_arg =
   Arg.(value & opt int 2 & info [ "max-level" ] ~docv:"B" ~doc:"Largest round count to try.")
 
 let solve_cmd =
-  let run (task, procs, param, t) max_level model no_symmetry no_collapse validate
-      search_trace store_dir verdict_out perfetto stats json =
-    let opts =
-      Solvability.options ~trace:search_trace ~model ~symmetry:(not no_symmetry)
-        ~collapse:(not no_collapse) ()
-    in
+  let run (task, procs, param, t) max_level model validate search_trace store_dir verdict_out
+      perfetto stats json =
+    let opts = Solvability.options ~trace:search_trace ~model () in
     let model_name = Model.to_string model in
     Format.printf "%a@." Task.pp_stats t;
     if not (Model.equal model Model.wait_free) then
@@ -617,7 +579,9 @@ let solve_cmd =
       | Some path -> write_json_to path (Wfc_storage.Record.verdict_json record)
       | None -> ()
     in
-    let spec = spec_string ~task ~procs ~param ~max_level ~model:model_name in
+    let spec =
+      Wfc_serve.Wire.spec_to_string (wire_spec ~task ~procs ~param ~max_level ~model:model_name)
+    in
     (* a store hit answers without building a single subdivision *)
     match Wfc_storage.Engine.answer store ~opts ~spec ~max_level t with
     | Error e ->
@@ -702,7 +666,9 @@ let solve_cmd =
       & info [ "search-trace" ]
           ~doc:
             "Record the backtracking search into a bounded ring; an unsolvable verdict then \
-             carries a machine-readable refutation trail (embedded in the --json report).")
+             carries a machine-readable refutation trail (embedded in the --json report). \
+             The traced search runs the plain canonical engine (most-constrained-first, no \
+             symmetry pruning), so $(b,--stats) then reports that engine's tallies.")
   in
   let solve_perfetto =
     Arg.(
@@ -726,8 +692,7 @@ let solve_cmd =
           (const (fun task procs param ->
                Result.map (fun t -> (task, procs, param, t)) (task_of task procs param))
           $ task_arg $ procs_arg $ param_arg)
-      $ max_level_arg $ model_arg
-      $ no_symmetry_arg $ no_collapse_arg $ validate $ search_trace $ store_opt_arg
+      $ max_level_arg $ model_arg $ validate $ search_trace $ store_opt_arg
       $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
 
 (* ---------- serve / query / store ---------- *)
@@ -815,10 +780,9 @@ let serve_cmd =
       const run $ socket_arg $ store_req_arg $ queue $ log $ log_level $ slow_ms $ stop)
 
 let query_cmd =
-  let run task procs param max_level model no_symmetry no_collapse socket store_dir
-      no_daemon ping verdict_out stats json =
+  let run task procs param max_level model socket store_dir no_daemon ping verdict_out stats
+      json =
     let model_name = Model.to_string model in
-    let symmetry = not no_symmetry and collapse = not no_collapse in
     if ping then (
       match Wfc_serve.Client.connect ~socket with
       | Ok c -> (
@@ -840,9 +804,7 @@ let query_cmd =
         Format.eprintf "%s@." e;
         1)
     else begin
-      let spec =
-        { Wfc_serve.Wire.task; procs; param; max_level; model = model_name; symmetry; collapse }
-      in
+      let spec = wire_spec ~task ~procs ~param ~max_level ~model:model_name in
       let finish ?req_id ?timing ~source record =
         let o = record.Wfc_storage.Record.outcome in
         Format.printf "verdict: %s at level %d (source=%s, nodes=%d)@."
@@ -894,7 +856,7 @@ let query_cmd =
           match
             Wfc_storage.Engine.answer
               (Option.map Wfc_storage.Engine.open_store store_dir)
-              ~opts:(Solvability.options ~model ~symmetry ~collapse ())
+              ~opts:(Solvability.options ~model ())
               ~spec:(Wfc_serve.Wire.spec_to_string spec) ~max_level t
           with
           | Ok (Wfc_storage.Engine.Stored r) -> finish ~source:"store" r
@@ -947,9 +909,8 @@ let query_cmd =
           canonical verdicts whatever the path (daemon store hit, daemon computation, \
           coalesced wait, inline).")
     Term.(
-      const run $ task_arg $ procs_arg $ param_arg $ max_level_arg $ model_arg
-      $ no_symmetry_arg $ no_collapse_arg $ socket_arg $ store_opt_arg
-      $ no_daemon $ ping $ verdict_out_arg $ Output.stats_arg $ Output.json_arg)
+      const run $ task_arg $ procs_arg $ param_arg $ max_level_arg $ model_arg $ socket_arg
+      $ store_opt_arg $ no_daemon $ ping $ verdict_out_arg $ Output.stats_arg $ Output.json_arg)
 
 let stats_cmd =
   let run socket prometheus json =
@@ -1233,10 +1194,10 @@ let models_cmd =
        ~doc:
          "List the computation models $(b,--model) accepts: each is an affine restriction \
           of the IIS runs, decided over the same subdivided complexes. Solvability under \
-          any model runs with the search reducers on by default — symmetry orbits are \
-          computed on the model's admitted facet set, so a restriction that breaks a task \
-          symmetry simply yields fewer orbits; $(b,--no-symmetry) and $(b,--no-collapse) \
-          on $(b,solve)/$(b,query) fall back to the unreduced engine.")
+          any model runs the reduced search engine — symmetry orbits are computed on the \
+          model's admitted facet set, so a restriction that breaks a task symmetry simply \
+          yields fewer orbits; $(b,--search-trace) on $(b,solve) runs the plain canonical \
+          engine instead.")
     Term.(const run $ const ())
 
 (* ---------- converge ---------- *)

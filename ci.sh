@@ -10,9 +10,9 @@
 # require the replayed canonical trace to be byte-identical to the
 # recording. Bad arguments must end in a usage error, never a crash or a
 # silently started run: an unknown `wfc solve --task`, the deleted
-# `--solvers`, `--domains` and `serve --json` options, the deleted
-# `store migrate` and `store rebuild` subcommands and an unknown bench
-# flag are all checked.
+# `--solvers`, `--domains`, `serve --json`, `--no-symmetry` and
+# `--no-collapse` options, the deleted `store migrate` and `store rebuild`
+# subcommands and an unknown bench flag are all checked.
 # Last, the serving smoke: a daemon's cold and warm answers must be
 # byte-identical to an inline solve's canonical verdict, a SIGKILLed
 # daemon must leave a store that verifies clean and a stale socket the
@@ -45,9 +45,10 @@ rm -f SOLVE_ci.json
 # the 125 of an uncaught exception, no "internal error"), so are the
 # deleted `serve --solvers`, `serve --json` (the shutdown report; `wfc
 # stats --json` writes the same wfc.obs.v1 report live), `solve
-# --domains`, `store migrate` and `store rebuild` (none of them may create
-# the store or the socket), and an unknown bench flag exits 2 before any
-# experiment starts
+# --domains`, the single-reducer switches `solve --no-symmetry` and
+# `query --no-collapse`, `store migrate` and `store rebuild` (none of them
+# may create the store or the socket), and an unknown bench flag exits 2
+# before any experiment starts
 RC=0
 ./_build/default/bin/wfc_cli.exe solve --task bogus --procs 2 > USAGE_ci.txt 2>&1 || RC=$?
 test "$RC" -ne 0
@@ -57,6 +58,8 @@ grep -q 'consensus' USAGE_ci.txt
 for ARGS in "serve --socket ci_usage.sock --store ci_usage_store --solvers 2" \
   "serve --socket ci_usage.sock --store ci_usage_store --json X.json" \
   "solve --task consensus --procs 2 --domains 2" \
+  "solve --task consensus --procs 2 --no-symmetry" \
+  "query --task consensus --procs 2 --socket ci_usage.sock --no-collapse" \
   "store migrate --store ci_usage_store" \
   "store rebuild --store ci_usage_store"; do
   RC=0
@@ -73,12 +76,12 @@ test "$RC" -eq 2
 grep -q '^usage:' USAGE_ci.txt
 rm -f USAGE_ci.txt
 
-# search-reducer smoke (DESIGN §14): the pruned engine must answer the
-# exact same canonical bytes as the seed engine. Solve one refutation-heavy
-# task four ways — both reducers (the default), each alone, neither (the
-# seed engine) — and cmp every verdict file; then require the reducers to
-# have actually run: the pruned refutation must cost at most half the seed
-# engine's nodes, and the three wfc.obs.v1 reducer counters and the
+# search-engine smoke (DESIGN §14): the reduced engine (the default) must
+# answer the exact same canonical bytes as the plain canonical engine,
+# which `--search-trace` runs. Solve one refutation-heavy task both ways
+# and cmp the verdict files; then require the reducers to have actually
+# run: the reduced refutation must cost at most half the plain engine's
+# nodes, and the three wfc.obs.v1 reducer counters and the
 # solvability.autos phase span must be present in the --stats --json
 # report.
 PRUNE_ARGS="--task set-consensus --procs 3 --param 2 --max-level 1"
@@ -86,17 +89,9 @@ PRUNE_ARGS="--task set-consensus --procs 3 --param 2 --max-level 1"
 dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS \
   --verdict-out VERDICT_pr_on.json --stats --json PRUNE_on.json > /dev/null
 # shellcheck disable=SC2086
-dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS --no-symmetry \
-  --verdict-out VERDICT_pr_nosym.json > /dev/null
-# shellcheck disable=SC2086
-dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS --no-collapse \
-  --verdict-out VERDICT_pr_nocol.json > /dev/null
-# shellcheck disable=SC2086
-dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS --no-symmetry --no-collapse \
+dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS --search-trace \
   --verdict-out VERDICT_pr_off.json --stats --json PRUNE_off.json > /dev/null
 cmp VERDICT_pr_on.json VERDICT_pr_off.json
-cmp VERDICT_pr_on.json VERDICT_pr_nosym.json
-cmp VERDICT_pr_on.json VERDICT_pr_nocol.json
 dune exec bin/wfc_cli.exe -- check-json PRUNE_on.json
 grep '"solvability.symmetry.orbits"' PRUNE_on.json
 grep '"solvability.symmetry.pruned"' PRUNE_on.json
@@ -107,14 +102,14 @@ NODES_ON=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_on.json | grep -o '[0-9]*
 NODES_OFF=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_off.json | grep -o '[0-9]*$')
 test "$((NODES_ON * 2))" -le "$NODES_OFF"
 # a root-refuted instance: 3-process consensus dies in propagation at
-# every level, so it answers the same bytes with and without the reducers
-# and builds neither (its report has no solvability.autos span)
+# every level, so it answers the same bytes under both engines and builds
+# no reducer (its report has no solvability.autos span)
 ROOT_ARGS="--task consensus --procs 3 --max-level 2"
 # shellcheck disable=SC2086
 dune exec bin/wfc_cli.exe -- solve $ROOT_ARGS \
   --verdict-out VERDICT_pr_root_on.json --json PRUNE_root_on.json > /dev/null
 # shellcheck disable=SC2086
-dune exec bin/wfc_cli.exe -- solve $ROOT_ARGS --no-symmetry --no-collapse \
+dune exec bin/wfc_cli.exe -- solve $ROOT_ARGS --search-trace \
   --verdict-out VERDICT_pr_root_off.json > /dev/null
 cmp VERDICT_pr_root_on.json VERDICT_pr_root_off.json
 grep '"solvability.propagate"' PRUNE_root_on.json
@@ -122,8 +117,7 @@ if grep '"solvability.autos"' PRUNE_root_on.json; then
   echo "ci: a root-refuted level built its reducers" >&2
   exit 1
 fi
-rm -f VERDICT_pr_on.json VERDICT_pr_nosym.json VERDICT_pr_nocol.json \
-  VERDICT_pr_off.json PRUNE_on.json PRUNE_off.json \
+rm -f VERDICT_pr_on.json VERDICT_pr_off.json PRUNE_on.json PRUNE_off.json \
   VERDICT_pr_root_on.json VERDICT_pr_root_off.json PRUNE_root_on.json
 
 dune exec bin/wfc_cli.exe -- trace --seed 3 -p 3 -b 2 --crash 1 -o TRACE_ci.json

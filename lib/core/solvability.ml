@@ -43,26 +43,15 @@ let default_budget = 5_000_000
 
 (* Everything that shapes an answer travels in one explicit record; the
    default record is immutable, so concurrent solves share no knob state. *)
-type options = {
-  trace : bool;
-  budget : int;
-  model : Model.t;
-  symmetry : bool;
-  collapse : bool;
-}
+type options = { trace : bool; budget : int; model : Model.t }
 
-let defaults =
-  {
-    trace = false;
-    budget = default_budget;
-    model = Model.wait_free;
-    symmetry = true;
-    collapse = true;
-  }
+let defaults = { trace = false; budget = default_budget; model = Model.wait_free }
 
+(* [symmetry] and [collapse] are accepted and ignored: perfbench/replay.ml
+   still passes them, and goes with the next perfbench change. *)
 let options ?(trace = defaults.trace) ?(budget = defaults.budget) ?(model = defaults.model)
-    ?(symmetry = defaults.symmetry) ?(collapse = defaults.collapse) () =
-  { trace; budget; model; symmetry; collapse }
+    ?symmetry:_ ?collapse:_ () =
+  { trace; budget; model }
 
 let zero_stats = { nodes = 0; backtracks = 0; prunes = 0; elapsed = 0. }
 
@@ -199,9 +188,10 @@ let build_instance task sds ~admitted =
 
 exception Found of int array
 
-(* AC-3 over the binary (edge) constraints: delete domain values with no
-   support in some neighbor's domain. Cheap, and often decisive for
-   impossibility proofs before search even starts. *)
+(* AC-1 over the binary (edge) constraints: delete domain values with no
+   support in some neighbor's domain, re-sweeping every edge until a sweep
+   changes nothing. Cheap, and often decisive for impossibility proofs
+   before search even starts. *)
 let arc_consistency inst live =
   let edges =
     Array.to_list inst.simplices
@@ -288,10 +278,13 @@ type auto = {
   out_map : int array; (* output vertex id -> σ_O(output vertex id), -1 off-domain *)
 }
 
-(* Everything that reshapes one search tree, bundled so the reduced search
-   and the plain re-derivation of a found map can each carry their own
-   configuration. [sched] lists the variables by static position (built
-   from [order_pos.(v)], the position of variable [v]). With [static_order]
+(* Everything that reshapes one search tree. There are two configurations:
+   the reduced engine ([static_order] set, the collapse schedule and the
+   instance symmetries) and the plain canonical engine (dynamic
+   most-constrained-first with BFS tie-breaks, no symmetries), which runs
+   traced searches and re-derives every map the reduced engine finds.
+   [sched] lists the variables by static position (built from
+   [order_pos.(v)], the position of variable [v]). With [static_order]
    set, selection takes forced (singleton-domain) variables first and
    otherwise the {e first} unassigned variable in schedule order — the
    collapse-guided elimination order — instead of most-constrained-first.
@@ -313,7 +306,7 @@ let make_reducers ~static_order ~autos ~order_pos nvars =
 
 (* The lifts of the task automorphisms through SDS^level, in
    [Task.automorphisms] order, keyed by (task digest, level): they depend
-   on neither the model nor the reducer flags, so every model solved at a
+   on neither the model nor the engine, so every model solved at a
    level shares one list. Level 0 holds the automorphisms themselves (the
    enumeration over the output complex, the expensive half of the symmetry
    setup) with their restriction to I; level b extends level b-1 by one
@@ -498,10 +491,10 @@ let collapse_positions ~admitted sds verts inst =
    (task digest, model name, level): the admitted facet list (read by the
    instance build, [build_autos], the collapse schedule,
    [outcome_of_verdict] and [verify]), the instance symmetries and the
-   collapse schedule, the last two filled on first use by a search that
-   runs the reducer. Each is a pure function of the key: the SDS, the
-   variable indexing and the domains are rebuilt deterministically from
-   it. Cached arrays are only ever read.
+   collapse schedule, the last two filled on first use by the reduced
+   engine. Each is a pure function of the key: the SDS, the variable
+   indexing and the domains are rebuilt deterministically from it.
+   Cached arrays are only ever read.
 
    The admitted list is the model's affine task: the sub-complex of
    SDS^level generated by the admitted facets. [None] means unrestricted —
@@ -563,6 +556,7 @@ let memo_sizes () =
     ("lift", Hashtbl.length lift_memo);
     ("sds", Sds.memo_size ());
     ("arena", Simplex.arena_size ());
+    ("faces", Simplex.faces_memo_size ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -661,9 +655,9 @@ let run_search ~red ~counts ~record inst live budget =
      static schedule until a position is undefined (incomparable — accept),
      strictly smaller (lex-least so far — accept), or strictly greater
      (every completion of A is >lex its g-image, so the lex-least member of
-     the orbit lives elsewhere — prune). Sound for refutations under any
-     selection order, and for satisfiability because the lex-least solution
-     of its orbit survives every constraint. *)
+     the orbit lives elsewhere — prune). Sound for refutations, and for
+     satisfiability because the lex-least solution of its orbit survives
+     every constraint. *)
   let sym_ok =
     if Array.length red.autos = 0 then fun _ _ -> true
     else begin
@@ -815,8 +809,8 @@ let solve_at ?opts:(o = defaults) task level =
   Wfc_obs.Metrics.incr
     (Wfc_obs.Metrics.counter ("solvability.model." ^ Model.family o.model));
   (* the phases of a solve are spans under solvability.level.<b>: build,
-     propagate and, for a level whose root survives, autos, collapse,
-     search and (for a reduced Sat) rerun *)
+     propagate and, for a level whose root survives, search; untraced,
+     autos and collapse before it and, after a Sat, rerun *)
   let phase name f = Wfc_obs.Metrics.with_span ("solvability." ^ name) f in
   let sds, setup, verts, inst =
     phase "build" @@ fun () ->
@@ -841,12 +835,16 @@ let solve_at ?opts:(o = defaults) task level =
     match phase "propagate" (fun () -> propagate ~record inst) with
     | None -> `Unsat
     | Some root ->
-      (* Only a level whose root survives builds its reducers. Trail
-         recording turns both off: the flight ring is a single
-         chronological log of one canonical search, and reducer-dependent
-         prune events would destroy its meaning (DESIGN §9, §14). *)
-      let autos =
-        if o.symmetry && not o.trace then
+      let plain () =
+        make_reducers ~static_order:false ~autos:[||] ~order_pos:(bfs_positions inst) inst.nvars
+      in
+      if o.trace then
+        (* the flight ring is a single chronological log of one canonical
+           search, so a traced level runs the plain engine (DESIGN §9, §14) *)
+        phase "search" (fun () -> run_search ~red:(plain ()) ~counts ~record inst root budget)
+      else begin
+        (* only a level whose root survives builds its reducers *)
+        let autos =
           phase "autos" (fun () ->
               match setup.autos with
               | Some autos -> autos
@@ -854,51 +852,36 @@ let solve_at ?opts:(o = defaults) task level =
                 let autos = build_autos ~admitted:setup.admitted task sds verts inst in
                 setup.autos <- Some autos;
                 autos)
-        else [||]
-      in
-      let collapsed =
-        if o.collapse && not o.trace then
-          Some
-            (phase "collapse" (fun () ->
-                 match setup.schedule with
-                 | Some r -> r
-                 | None ->
-                   let r = collapse_positions ~admitted:setup.admitted sds verts inst in
-                   setup.schedule <- Some r;
-                   r))
-        else None
-      in
-      Wfc_obs.Metrics.add c_sym_orbits (Array.length autos);
-      (match collapsed with
-      | Some (_, eliminated) -> Wfc_obs.Metrics.add c_collapse_len eliminated
-      | None -> ());
-      let bfs = bfs_positions inst in
-      let red =
-        match collapsed with
-        | Some (pos, _) -> make_reducers ~static_order:true ~autos ~order_pos:pos inst.nvars
-        | None -> make_reducers ~static_order:false ~autos ~order_pos:bfs inst.nvars
-      in
-      (* Reducers change which satisfying assignment is found first, so a
-         [`Sat] under active reducers is re-derived by the plain engine —
-         the decision map (hence the verdict record) stays byte-identical
-         to the unreduced engine's, and both phases' search costs are
-         reported. The rerun starts from the same arc-consistent root and
-         counts that root again, as a fresh plain solve would. Refutations
-         and budget exhaustions, the cases pruning exists for, never rerun.
-         The plain rerun's verdict is taken verbatim: if it exhausts the
-         budget, the unreduced engine would have too. One exception skips
-         the rerun: under dynamic selection with zero lex prunes fired, the
-         search trajectory was step-for-step the plain engine's (every
-         [sym_ok] was a no-op), so the first answer already is the
-         canonical one. *)
-      match
-        phase "search" (fun () -> run_search ~red ~counts ~record inst (Array.copy root) budget)
-      with
-      | `Sat _ when red.static_order || counts.n_sym > 0 ->
-        counts.n_nodes <- counts.n_nodes + 1;
-        let plain = make_reducers ~static_order:false ~autos:[||] ~order_pos:bfs inst.nvars in
-        phase "rerun" (fun () -> run_search ~red:plain ~counts ~record inst root budget)
-      | o -> o
+        in
+        let pos, eliminated =
+          phase "collapse" (fun () ->
+              match setup.schedule with
+              | Some r -> r
+              | None ->
+                let r = collapse_positions ~admitted:setup.admitted sds verts inst in
+                setup.schedule <- Some r;
+                r)
+        in
+        Wfc_obs.Metrics.add c_sym_orbits (Array.length autos);
+        Wfc_obs.Metrics.add c_collapse_len eliminated;
+        let red = make_reducers ~static_order:true ~autos ~order_pos:pos inst.nvars in
+        (* The reducers change which satisfying assignment is found first,
+           so every [`Sat] of the reduced engine is re-derived by the plain
+           one: the decision map (hence the verdict record) is the plain
+           engine's, and both phases' search costs are reported. The rerun
+           starts from the same arc-consistent root and counts that root
+           again, as a fresh plain solve would. Refutations and budget
+           exhaustions, the cases pruning exists for, never rerun. The
+           plain rerun's verdict is taken verbatim: if it exhausts the
+           budget, the plain engine alone would have too. *)
+        match
+          phase "search" (fun () -> run_search ~red ~counts ~record inst (Array.copy root) budget)
+        with
+        | `Sat _ ->
+          counts.n_nodes <- counts.n_nodes + 1;
+          phase "rerun" (fun () -> run_search ~red:(plain ()) ~counts ~record inst root budget)
+        | o -> o
+      end
   in
   let elapsed = Wfc_obs.Metrics.now_s () -. t0 in
   Wfc_obs.Metrics.incr c_calls;

@@ -73,36 +73,16 @@ type options = {
   trace : bool;
       (** record node/prune/backtrack events into a bounded ring (capacity
           10_000); an unsolvable verdict then carries the retained tail as
-          its [trail]. Turns both reducers off — the ring is a single
-          chronological log of one canonical search. Off by default; the
-          recorder sits on the search's hot path. *)
+          its [trail]. A traced search runs the plain canonical engine (see
+          {!solve_at}): the ring is a single chronological log of one
+          canonical search. Off by default; the recorder sits on the
+          search's hot path. *)
   budget : int;  (** search-node budget; see {!default_budget} *)
   model : Wfc_tasks.Model.t;  (** computation model; default [wait_free] *)
-  symmetry : bool;
-      (** lex-leader symmetry pruning (on by default): task automorphisms —
-          pairs of input/output automorphisms over one process permutation
-          with [Δ(σ_I s) = σ_O(Δ s)] — are lifted through [SDS^b] and each
-          candidate assignment is cut when it provably is not the
-          lexicographically least member of its orbit. Refutations stay
-          exhaustive proofs; a found map is re-derived by the unreduced
-          engine so decide tables are unchanged (see {!solve_at}).
-          Counted in [solvability.symmetry.orbits] / [.pruned], for the
-          levels that search only: a level refuted at its root installs no
-          symmetry. *)
-  collapse : bool;
-      (** collapsibility-guided static variable order (on by default): a
-          free-face collapsing sequence of the admitted subcomplex of
-          [SDS^b] replaces dynamic most-constrained-first selection with a
-          fixed elimination schedule (core first, then collapsed vertices
-          in reverse elimination order). Completeness is untouched — the
-          schedule only reorders the exhaustive search. Counted in
-          [solvability.collapse.schedule_len], for the levels that search
-          only: a level refuted at its root builds no schedule. *)
 }
 
 val defaults : options
-(** [trace = false], [budget = default_budget], [model = wait_free],
-    [symmetry = true], [collapse = true]. *)
+(** [trace = false], [budget = default_budget], [model = wait_free]. *)
 
 val options :
   ?trace:bool ->
@@ -113,7 +93,10 @@ val options :
   unit ->
   options
 (** Build an options record: each omitted field comes from {!defaults}.
-    [Solvability.options ~model ()] is the idiomatic call site. *)
+    [Solvability.options ~model ()] is the idiomatic call site.
+    [?symmetry] and [?collapse] are ignored: they selected single search
+    reducers, and stay only while [perfbench/replay.ml] passes them; they
+    go with the next change to [perfbench/]. *)
 
 val search_event_to_json : search_event -> Wfc_obs.Json.t
 
@@ -142,9 +125,11 @@ val clear_cache : unit -> unit
 
 val memo_sizes : unit -> (string * int) list
 (** Entry counts of the memos a solve fills: ["setup"] and ["lift"]
-    (see {!clear_cache}), ["sds"] ({!Wfc_topology.Sds.memo_size}) and
+    (see {!clear_cache}), ["sds"] ({!Wfc_topology.Sds.memo_size}),
     ["arena"], the interned simplices ({!Wfc_topology.Simplex.arena_size}),
-    which {!clear_cache} does not drop. The daemon's [stats] reply reports
+    and ["faces"], the cached face lists
+    ({!Wfc_topology.Simplex.faces_memo_size}); {!clear_cache} drops
+    neither of the last two. The daemon's [stats] reply reports
     them as gauges. A level refuted at its root adds no ["lift"] entry. *)
 
 (** {1 The affine task} — what a model restricts [SDS^b] to. *)
@@ -190,25 +175,28 @@ val solve_at : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
 
     The root is propagated first: a level with an empty initial domain, or
     one that arc consistency wipes out, is [Unsolvable_at] with one node
-    and builds no reducer. Only a level whose root survives builds the
-    reducers below and searches from the arc-consistent domains.
+    and builds no reducer. Only a level whose root survives searches,
+    from the arc-consistent domains, with one of the two engines below.
 
-    {b Search reducers} (DESIGN §14). With [opts.symmetry] the engine
-    installs the instance-level symmetries of [(I, O, Δ)] (restricted to
-    the model's admitted facet set, which every installed symmetry must
-    preserve) and prunes candidates that are provably not lex-least in
-    their orbit; with [opts.collapse] variable selection follows a static
-    free-face collapsing schedule of the admitted subcomplex instead of
-    dynamic most-constrained-first. Both default to on and compose; both
-    are sound for every verdict: a refutation under pruning is still an
-    exhaustive proof (the lex-least solution of any orbit survives every
-    constraint, so an empty pruned space implies an empty space), and a
-    [Solvable] found under either reducer is re-derived by the unreduced
-    engine, from the same arc-consistent root, before being returned —
-    verdicts, levels and decide tables are byte-identical to the engine
-    with both reducers off, while [stats] then include both phases'
-    costs. [opts.trace] turns both reducers off for the traced search so
-    trails stay canonical. *)
+    {b Two engines} (DESIGN §14). An untraced level whose root survives
+    runs the {e reduced engine}: it installs the instance-level
+    symmetries of [(I, O, Δ)] — task automorphisms, pairs of input/output
+    automorphisms over one process permutation with [Δ(σ_I s) = σ_O(Δ s)],
+    lifted through [SDS^b] and restricted to the model's admitted facet
+    set, which every installed symmetry must preserve — and prunes
+    candidates that are provably not lex-least in their orbit, while
+    variable selection follows a static free-face collapsing schedule of
+    the admitted subcomplex. A refutation under pruning is still an
+    exhaustive proof: the lex-least solution of any orbit survives every
+    constraint, so an empty pruned space implies an empty space. Every
+    [Solvable] it finds is re-derived by the {e plain canonical engine}
+    (dynamic most-constrained-first selection, no symmetries) from the
+    same arc-consistent root before being returned, so decide tables are
+    the plain engine's and [stats] include both phases' costs.
+    [opts.trace] runs the plain engine alone, so trails stay canonical.
+    Counted in [solvability.symmetry.orbits] / [.pruned] and
+    [solvability.collapse.schedule_len], for the untraced levels that
+    search only. *)
 
 val solve : ?opts:options -> max_level:int -> Wfc_tasks.Task.t -> verdict
 (** Try levels [0 .. max_level] in order; returns the first [Solvable], the
@@ -238,8 +226,7 @@ type outcome = {
 (** A verdict flattened to plain data: what the persistent verdict store
     ([wfc.store.v2]) files and the daemon's wire protocol ships. Everything
     except [o_elapsed] is a deterministic function of
-    [(task, model, max_level, budget)] and the reducer flags (see
-    {!solve_at}), so stored and freshly computed outcomes agree
+    [(task, model, max_level, budget)] (see {!solve_at}), so stored and freshly computed outcomes agree
     byte-for-byte once timing is stripped. *)
 
 val outcome_of_verdict : verdict -> outcome

@@ -220,8 +220,6 @@ let spec_fields (spec : Wire.spec) =
     ("param", Int spec.Wire.param);
     ("max_level", Int spec.Wire.max_level);
     ("model", String spec.Wire.model);
-    ("symmetry", Bool spec.Wire.symmetry);
-    ("collapse", Bool spec.Wire.collapse);
   ]
 
 (* ---- the solve scheduler ---- *)
@@ -259,10 +257,7 @@ let dequeue_job st =
    nothing was filed. *)
 let compute st (job : job) ~queue_wait_s =
   (match st.cfg.gate with Some g -> g (job_digest job) | None -> ());
-  let opts =
-    Solvability.options ~model:job.j_model ~symmetry:job.j_spec.Wire.symmetry
-      ~collapse:job.j_spec.Wire.collapse ()
-  in
+  let opts = Solvability.options ~model:job.j_model () in
   match
     Wfc_storage.Engine.answer (Some st.store) ~opts ~spec:(Wire.spec_to_string job.j_spec)
       ~max_level:job.j_spec.Wire.max_level job.j_task

@@ -22,8 +22,10 @@
       unboundedly.
 
     Concurrency model: one I/O thread, one solver thread, all on one
-    domain. The solver's caches (subdivision, symmetry and collapse memos)
-    therefore have a single writer by construction. A second solver thread
+    domain. The solver's caches ({!Wfc_core.Solvability.memo_sizes})
+    therefore have a single writer by construction. Every question is
+    solved by the same engine, whatever reducer flags an older client
+    sends. A second solver thread
     on the same domain never ran in parallel and measured no gain
     (DESIGN §9). Pending work is grouped by task digest and dispatched
     round-robin across digests, so a burst of questions on one task cannot

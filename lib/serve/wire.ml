@@ -48,8 +48,6 @@ let request_to_json r =
          ("param", Int s.param);
          ("max_level", Int s.max_level);
          ("model", String s.model);
-         ("symmetry", Bool s.symmetry);
-         ("collapse", Bool s.collapse);
        ]
       @ match req_id with None -> [] | Some id -> [ ("req_id", String id) ])
   | Ping -> Obj [ ("op", String "ping") ]
@@ -101,22 +99,15 @@ let request_of_json j =
       | Some (Wfc_obs.Json.String m) when m <> "" -> Ok m
       | Some _ -> Error "non-string or empty \"model\""
     in
-    (* search reducers: pre-reducer clients omit the fields, and the
-       reducers are verdict-preserving, so absent means on — same
-       compatibility contract as the absent-"model" default above *)
-    let bool_member_default key default =
-      match Wfc_obs.Json.member key j with
-      | None -> Ok default
-      | Some (Wfc_obs.Json.Bool b) -> Ok b
-      | Some _ -> Error (Printf.sprintf "non-bool %S" key)
-    in
-    let* symmetry = bool_member_default "symmetry" true in
-    let* collapse = bool_member_default "collapse" true in
+    (* older clients may still send "symmetry"/"collapse" reducer flags;
+       every solve runs the same engine, so they are ignored *)
     let* req_id = opt_string_member "req_id" j in
     if procs < 1 then Error "procs must be >= 1"
     else if max_level < 0 then Error "max_level must be >= 0"
     else
-      Ok (Query { spec = { task; procs; param; max_level; model; symmetry; collapse }; req_id })
+      Ok
+        (Query
+           { spec = { task; procs; param; max_level; model; symmetry = true; collapse = true }; req_id })
   | op -> Error (Printf.sprintf "unknown op %S" op)
 
 let timing_to_json t =

@@ -60,10 +60,12 @@ type spec = {
 }
 (** A named task question under a named model, as [wfc solve] would pose
     it. [model] is a canonical {!Wfc_tasks.Model} name ("wait-free" for the
-    historical behaviour). [symmetry]/[collapse] toggle the engine's search
-    reducers ({!Wfc_core.Solvability.options}); they are verdict-preserving,
-    so absent fields decode to [true] — pre-reducer clients get the pruned
-    engine and byte-identical answers. *)
+    historical behaviour). [symmetry] and [collapse] are ignored: every
+    solve runs the one reduced engine ({!Wfc_core.Solvability.solve_at}),
+    {!request_to_json} does not write them, and {!request_of_json} skips
+    them when an older client sends them and decodes both as [true]. They
+    stay only while [perfbench/catalogue.ml] builds this record, and go
+    with the next change to [perfbench/]. *)
 
 val spec_to_string : spec -> string
 (** ["name(procs=P,param=K)"] — the informational [task] field of store

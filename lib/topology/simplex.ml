@@ -349,6 +349,8 @@ let faces s =
             Hashtbl.add faces_memo s.id fs;
             fs)
 
+let faces_memo_size () = locked (fun () -> Hashtbl.length faces_memo)
+
 let proper_faces s = List.filter (fun f -> f.id <> s.id) (faces s)
 
 let facets s =

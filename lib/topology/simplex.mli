@@ -116,6 +116,9 @@ val to_string : t -> string
 val arena_size : unit -> int
 (** Number of distinct simplices currently interned. *)
 
+val faces_memo_size : unit -> int
+(** Number of simplices whose {!faces} list is cached. *)
+
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

@@ -191,8 +191,6 @@ let test_options () =
   checkb "default model is wait-free" true (Model.equal d.Solvability.model Model.wait_free);
   checki "default budget" Solvability.default_budget d.Solvability.budget;
   checkb "default trace off" false d.Solvability.trace;
-  checkb "default symmetry on" true d.Solvability.symmetry;
-  checkb "default collapse on" true d.Solvability.collapse;
   (* the builder fills omitted fields from the defaults *)
   let o = Solvability.options ~budget:7 () in
   checki "builder overrides budget" 7 o.Solvability.budget;

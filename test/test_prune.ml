@@ -1,9 +1,10 @@
 (* Tier-1 tests for the Prop 3.1 search reducers: free-face collapse of the
    protocol complex, task automorphisms and their SDS lifts, the structural
-   Sds.iterate memo key, the wire codec of the reducer flags, the pinned
-   search tallies, the headline guarantee — the pruned engine answers
-   byte-identically to the seed engine under every builtin model — and the
-   sequential engine's budget and cache behaviour. *)
+   Sds.iterate memo key, an older client's reducer flags on the wire, the
+   pinned search tallies, the headline guarantee — the reduced engine
+   answers byte-identically to the plain canonical engine under every
+   builtin model — and the sequential engine's budget and cache
+   behaviour. *)
 
 open Wfc_topology
 open Wfc_tasks
@@ -465,46 +466,37 @@ let test_sds_memo_structural_key () =
   checkb "cached chains are distinct" true (not (ta == tb))
 
 (* ------------------------------------------------------------------ *)
-(* Wire codec of the reducer flags                                      *)
+(* Wire: an older client's reducer flags                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_wire_reducer_flags () =
-  let spec =
-    {
-      Wire.task = "consensus";
-      procs = 2;
-      param = 2;
-      max_level = 1;
-      model = "wait-free";
-      symmetry = false;
-      collapse = true;
-    }
-  in
-  (match Wire.request_of_json (Wire.request_to_json (Wire.Query { spec; req_id = None })) with
-  | Ok (Wire.Query { spec = s; _ }) ->
-    checkb "symmetry=false round-trips" false s.Wire.symmetry;
-    checkb "collapse=true round-trips" true s.Wire.collapse
-  | _ -> Alcotest.fail "query did not round-trip");
-  (* pre-reducer clients omit the fields: absent means on *)
-  let legacy =
-    Wfc_obs.Json.Obj
-      [
-        ("op", Wfc_obs.Json.String "query");
-        ("task", Wfc_obs.Json.String "consensus");
-        ("procs", Wfc_obs.Json.Int 2);
-        ("param", Wfc_obs.Json.Int 2);
-        ("max_level", Wfc_obs.Json.Int 1);
-      ]
-  in
-  match Wire.request_of_json legacy with
-  | Ok (Wire.Query { spec = s; _ }) ->
-    checkb "absent symmetry defaults on" true s.Wire.symmetry;
-    checkb "absent collapse defaults on" true s.Wire.collapse;
-    checks "absent model still defaults" "wait-free" s.Wire.model
-  | _ -> Alcotest.fail "legacy query rejected"
+let query_json extra =
+  Wfc_obs.Json.Obj
+    ([
+       ("op", Wfc_obs.Json.String "query");
+       ("task", Wfc_obs.Json.String "consensus");
+       ("procs", Wfc_obs.Json.Int 2);
+       ("param", Wfc_obs.Json.Int 2);
+       ("max_level", Wfc_obs.Json.Int 1);
+     ]
+    @ extra)
+
+(* Clients from before the one reduced engine may still send "symmetry"
+   and "collapse": the query decodes to the same spec as without them,
+   and an encoded query no longer carries them. *)
+let test_wire_old_client_flags () =
+  let flags = [ ("symmetry", Wfc_obs.Json.Bool false); ("collapse", Wfc_obs.Json.Bool false) ] in
+  match (Wire.request_of_json (query_json flags), Wire.request_of_json (query_json [])) with
+  | Ok (Wire.Query { spec = old_spec; _ }), Ok (Wire.Query { spec; _ }) ->
+    checkb "the flags do not change the spec" true (old_spec = spec);
+    checks "absent model still defaults" "wait-free" spec.Wire.model;
+    let encoded = Wire.request_to_json (Wire.Query { spec; req_id = None }) in
+    List.iter
+      (fun key -> checkb (key ^ " is not encoded") true (Wfc_obs.Json.member key encoded = None))
+      [ "symmetry"; "collapse" ]
+  | _ -> Alcotest.fail "an old client's query was rejected"
 
 (* ------------------------------------------------------------------ *)
-(* Pruned engine == seed engine                                         *)
+(* Reduced engine == plain canonical engine                             *)
 (* ------------------------------------------------------------------ *)
 
 let tasks_under_test =
@@ -525,7 +517,7 @@ let models_under_test =
   ]
 
 (* The canonical verdict object, as solve/query/store render it: every byte
-   must be independent of the reducers. *)
+   must be independent of the engine. *)
 let verdict_bytes task model max_level v =
   let r =
     Record.make ~task ~spec:"spec" ~model:(Model.to_string model) ~max_level
@@ -547,33 +539,9 @@ let qcheck_reducers_preserve_verdicts =
       let t_on = mk () and t_off = mk () in
       let on = Solvability.solve ~opts:(Solvability.options ~model ()) ~max_level:1 t_on in
       let off =
-        Solvability.solve
-          ~opts:(Solvability.options ~model ~symmetry:false ~collapse:false ())
-          ~max_level:1 t_off
+        Solvability.solve ~opts:(Solvability.options ~model ~trace:true ()) ~max_level:1 t_off
       in
       verdict_bytes t_on model 1 on = verdict_bytes t_off model 1 off)
-
-(* Each reducer alone must also be verdict-preserving. *)
-let test_single_reducer_verdicts () =
-  List.iter
-    (fun (name, mk) ->
-      let off =
-        Solvability.solve
-          ~opts:(Solvability.options ~symmetry:false ~collapse:false ())
-          ~max_level:1 (mk ())
-      in
-      let expect = verdict_bytes (mk ()) Model.wait_free 1 off in
-      List.iter
-        (fun (label, symmetry, collapse) ->
-          let v =
-            Solvability.solve
-              ~opts:(Solvability.options ~symmetry ~collapse ())
-              ~max_level:1 (mk ())
-          in
-          checks (Printf.sprintf "%s under %s" name label) expect
-            (verdict_bytes (mk ()) Model.wait_free 1 v))
-        [ ("symmetry only", true, false); ("collapse only", false, true); ("both", true, true) ])
-    tasks_under_test
 
 (* A map found under reducers is re-derived canonically, and still verifies. *)
 let test_sat_canonical_map () =
@@ -590,29 +558,29 @@ let test_sat_canonical_map () =
   | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v)
 
 (* Pinned sequential tallies: the search is deterministic, so nodes,
-   backtracks and prunes are exact functions of (task, level, reducers).
-   Any drift here means the search itself changed, not just its speed. *)
+   backtracks and prunes are exact functions of (task, level, engine).
+   Any drift here means the search itself changed, not just its speed.
+   The 4-process set-consensus refutations need both reducers at once:
+   at k = 3 neither one alone answers within minutes. *)
 let test_pinned_tallies () =
-  let pin label task level ~symmetry ~collapse (nodes, backtracks, prunes) =
-    let s =
-      Solvability.stats_of_verdict
-        (Solvability.solve_at ~opts:(Solvability.options ~symmetry ~collapse ()) task level)
-    in
+  let pin ?(opts = Solvability.defaults) label task level (nodes, backtracks, prunes) =
+    let v = Solvability.solve_at ~opts task level in
+    let s = Solvability.stats_of_verdict v in
     checki (label ^ ": nodes") nodes s.Solvability.nodes;
     checki (label ^ ": backtracks") backtracks s.Solvability.backtracks;
-    checki (label ^ ": prunes") prunes s.Solvability.prunes
+    checki (label ^ ": prunes") prunes s.Solvability.prunes;
+    v
   in
-  let sc () = Instances.set_consensus ~procs:3 ~k:2 in
-  pin "set-consensus-3-2 L1, both" (sc ()) 1 ~symmetry:true ~collapse:true (8, 7, 11);
-  pin "set-consensus-3-2 L1, symmetry" (sc ()) 1 ~symmetry:true ~collapse:false (45, 52, 79);
-  pin "set-consensus-3-2 L1, collapse" (sc ()) 1 ~symmetry:false ~collapse:true (16, 20, 28);
-  pin "set-consensus-3-2 L1, neither" (sc ()) 1 ~symmetry:false ~collapse:false (54, 74, 103);
-  pin "renaming-3-6 L3"
-    (Instances.adaptive_renaming ~procs:3 ~names:6)
-    3 ~symmetry:true ~collapse:true (2283, 2, 4346);
-  pin "consensus-2 L4"
-    (Instances.binary_consensus ~procs:2)
-    4 ~symmetry:true ~collapse:true (1, 0, 0)
+  let unsolvable label v = checks (label ^ ": verdict") "unsolvable" (Solvability.verdict_name v) in
+  let sc procs k = Instances.set_consensus ~procs ~k in
+  ignore (pin "set-consensus-3-2 L1, reduced" (sc 3 2) 1 (8, 7, 11));
+  ignore
+    (pin ~opts:(Solvability.options ~trace:true ()) "set-consensus-3-2 L1, plain" (sc 3 2) 1
+       (54, 74, 103));
+  ignore (pin "renaming-3-6 L3" (Instances.adaptive_renaming ~procs:3 ~names:6) 3 (2283, 2, 4346));
+  ignore (pin "consensus-2 L4" (Instances.binary_consensus ~procs:2) 4 (1, 0, 0));
+  unsolvable "set-consensus-4-2 L1" (pin "set-consensus-4-2 L1" (sc 4 2) 1 (7, 6, 30));
+  unsolvable "set-consensus-4-3 L1" (pin "set-consensus-4-3 L1" (sc 4 3) 1 (1092, 1807, 2260))
 
 (* The refutation-heavy target actually gets pruned, and says so in the
    wfc.obs.v1 counters. *)
@@ -623,11 +591,7 @@ let test_reducer_counters () =
   let sched = counter "solvability.collapse.schedule_len" in
   let o0 = value orbits and p0 = value pruned and s0 = value sched in
   let t = Instances.set_consensus ~procs:3 ~k:2 in
-  let off =
-    Solvability.solve_at
-      ~opts:(Solvability.options ~symmetry:false ~collapse:false ())
-      t 1
-  in
+  let off = Solvability.solve_at ~opts:(Solvability.options ~trace:true ()) t 1 in
   let on = Solvability.solve_at t 1 in
   (match (off, on) with
   | Solvability.Unsolvable_at _, Solvability.Unsolvable_at _ -> ()
@@ -706,20 +670,22 @@ let test_budget_caps_level () =
     checkb "searched at all" true (stats.Solvability.nodes > 0)
   | v -> Alcotest.failf "expected Exhausted, got %s" (Solvability.verdict_name v)
 
-(* A traced search runs with both reducers off: its tallies are those of
-   the plain engine, and it records the refutation it walked. *)
+(* A traced search runs the plain engine (its tallies are pinned above)
+   and records the refutation it walked: every node below the root, every
+   backtrack and every pruned value is in the trail, which is far below the
+   ring's capacity here. *)
 let test_trace_is_plain_engine () =
   let sc () = Instances.set_consensus ~procs:3 ~k:2 in
   let traced = Solvability.solve_at ~opts:(Solvability.options ~trace:true ()) (sc ()) 1 in
-  let plain =
-    Solvability.solve_at ~opts:(Solvability.options ~symmetry:false ~collapse:false ()) (sc ()) 1
-  in
   (match traced with
   | Solvability.Unsolvable_at { level; trail; _ } ->
     checki "refuted at level 1" 1 level;
-    checkb "trail recorded" true (trail <> [])
+    let count f = List.fold_left (fun n e -> n + f e) 0 trail in
+    let nodes = count (function Solvability.S_node _ -> 1 | _ -> 0) in
+    let backtracks = count (function Solvability.S_backtrack _ -> 1 | _ -> 0) in
+    let prunes = count (function Solvability.S_prune { removed; _ } -> removed | _ -> 0) in
+    checkb "the trail accounts for the tallies" true (tallies traced = (nodes + 1, backtracks, prunes))
   | v -> Alcotest.failf "expected Unsolvable_at, got %s" (Solvability.verdict_name v));
-  checkb "traced tallies = plain engine tallies" true (tallies traced = tallies plain);
   let rn () = Instances.adaptive_renaming ~procs:2 ~names:3 in
   let traced = Solvability.solve_at ~opts:(Solvability.options ~trace:true ()) (rn ()) 1 in
   let default = Solvability.solve_at (rn ()) 1 in
@@ -822,12 +788,13 @@ let () =
             test_sds_memo_structural_key;
         ] );
       ( "wire",
-        [ Alcotest.test_case "reducer flags codec and defaults" `Quick test_wire_reducer_flags ] );
+        [
+          Alcotest.test_case "an old client's reducer flags are ignored" `Quick
+            test_wire_old_client_flags;
+        ] );
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest qcheck_reducers_preserve_verdicts;
-          Alcotest.test_case "each reducer alone preserves verdicts" `Quick
-            test_single_reducer_verdicts;
           Alcotest.test_case "canonicalized maps verify" `Quick test_sat_canonical_map;
           Alcotest.test_case "pinned sequential tallies" `Quick test_pinned_tallies;
           Alcotest.test_case "counters and node reduction" `Quick test_reducer_counters;

@@ -954,7 +954,8 @@ let daemon_tests =
             in
             checkb "solver memo sizes" true
               (solver_memo = List.sort compare (Solvability.memo_sizes ()));
-            checkb "the solve filled the setup memo" true (List.assoc "setup" solver_memo > 0)));
+            checkb "the solve filled the setup memo" true (List.assoc "setup" solver_memo > 0);
+            checkb "the faces memo is reported" true (List.assoc "faces" solver_memo > 0)));
     Alcotest.test_case "failed task builds are not memoized" `Quick (fun () ->
         with_daemon (fun ~socket ~store_dir:_ ->
             let c = connect_exn socket in
@@ -1536,6 +1537,36 @@ let daemon_tests =
             Client.close c);
         checkb "at most one new latency histogram" true (names latency - latency0 <= 1);
         checkb "at most one new solve counter" true (names solves - solves0 <= 1));
+    Alcotest.test_case "an old client's reducer flags get the same verdict bytes" `Quick
+      (fun () ->
+        (* the frame an older client sends: the question plus both reducer
+           flags turned off, which the daemon no longer reads *)
+        let old_frame =
+          match Wire.request_to_json (Wire.Query { spec = spec_b; req_id = None }) with
+          | Wfc_obs.Json.Obj fields ->
+            Wfc_obs.Json.Obj
+              (fields
+              @ [ ("symmetry", Wfc_obs.Json.Bool false); ("collapse", Wfc_obs.Json.Bool false) ])
+          | _ -> Alcotest.fail "a query encodes as an object"
+        in
+        let reference = json_str (Record.verdict_json (inline_record spec_b)) in
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+                Unix.connect fd (Unix.ADDR_UNIX socket);
+                Wire.write_frame fd old_frame;
+                match Result.bind (Wire.read_frame fd) Wire.response_of_json with
+                | Ok (Wire.Verdict { source = Wire.Computed; record; _ }) ->
+                  checks "old client = inline solve" reference (json_str (Record.verdict_json record))
+                | Ok _ -> Alcotest.fail "expected a computed verdict"
+                | Error e -> Alcotest.fail e);
+            let c = connect_exn socket in
+            (match query_exn c spec_b with
+            | Wire.Verdict { record; _ } ->
+              checks "a flagless query = the old client's" reference
+                (json_str (Record.verdict_json record))
+            | _ -> Alcotest.fail "expected a verdict");
+            Client.close c));
   ]
 
 let () =
