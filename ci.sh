@@ -26,9 +26,16 @@
 # seeded records, crash recovery after a SIGKILL mid-put, LRU cache-hit
 # counters, and verdict byte-identity between a cold solve and a warm
 # sharded store. A wfc.store.v1 record is an unknown schema to check-json.
+# In a git checkout, the wfc.opam that the build regenerates from
+# dune-project must equal the committed one.
 set -eux
 
 dune build
+# dune regenerates wfc.opam from dune-project on every build: in a git
+# checkout, the regenerated file must be the committed one
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  git diff --exit-code HEAD -- wfc.opam
+fi
 dune runtest --force
 dune exec bench/main.exe -- --quick --json BENCH_ci.json
 dune exec bin/wfc_cli.exe -- check-json BENCH_ci.json

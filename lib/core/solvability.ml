@@ -304,36 +304,39 @@ let make_reducers ~static_order ~autos ~order_pos nvars =
   Array.sort (fun a b -> compare order_pos.(a) order_pos.(b)) sched;
   { static_order; autos; sched }
 
-(* The lifts of the task automorphisms through SDS^level, in
-   [Task.automorphisms] order, keyed by (task digest, level): they depend
-   on neither the model nor the engine, so every model solved at a
-   level shares one list. Level 0 holds the automorphisms themselves (the
-   enumeration over the output complex, the expensive half of the symmetry
-   setup) with their restriction to I; level b extends level b-1 by one
-   [Automorphism.lift_step], whose reverse index is built once per level.
-   The maps inside are only ever read. *)
-let lift_memo : (string * int, (Task.automorphism * Automorphism.vertex_map option) list) Hashtbl.t =
-  Hashtbl.create 16
+(* The task automorphisms, one entry per task digest: the enumeration
+   over the output complex is the expensive half of the symmetry setup,
+   and it depends on neither the model, the level nor the engine, so one
+   entry serves every question about the task. The list is only ever
+   read. *)
+let lift_memo : (string, Task.automorphism list) Hashtbl.t = Hashtbl.create 16
 
-let rec lifts task sds =
-  let key = (Task.digest task, Sds.levels sds) in
+let task_automorphisms task =
+  let key = Task.digest task in
   match Hashtbl.find_opt lift_memo key with
   | Some l -> l
   | None ->
-    let l =
-      match Sds.prev sds with
-      | None ->
-        let step = Automorphism.lift_step sds in
-        List.map (fun (a : Task.automorphism) -> (a, step a.Task.a_input)) (Task.automorphisms task)
-      | Some lower ->
-        let below = lifts task lower in
-        if below = [] then []
-        else
-          let step = Automorphism.lift_step sds in
-          List.map (fun (a, m) -> (a, Option.bind m step)) below
-    in
+    let l = Task.automorphisms task in
     Hashtbl.add lift_memo key l;
     l
+
+(* The lifts of the task automorphisms through SDS^level, in
+   [Task.automorphisms] order, recomputed on every call: level 0 restricts
+   each automorphism to I, and level b extends level b-1 by one
+   [Automorphism.lift_step], whose reverse index is built once per level
+   and shared by every map. [build_autos] is their only reader, and its
+   result is kept per (task, model, level) in [setup_memo]. *)
+let rec lifts task sds =
+  let below =
+    match Sds.prev sds with
+    | None ->
+      List.map (fun (a : Task.automorphism) -> (a, Some a.Task.a_input)) (task_automorphisms task)
+    | Some lower -> lifts task lower
+  in
+  if below = [] then []
+  else
+    let step = Automorphism.lift_step sds in
+    List.map (fun (a, m) -> (a, Option.bind m step)) below
 
 (* Instance-level symmetries from task automorphisms. Each (σ_I, σ_O) with
    Δ(σ_I s) = σ_O(Δ s) lifts level-by-level through SDS^b; the lift is then
@@ -447,34 +450,23 @@ let collapse_positions ~admitted sds verts inst =
   else begin
     let var_of = Hashtbl.create inst.nvars in
     Array.iteri (fun i v -> Hashtbl.replace var_of v i) verts;
-    (* Under [All] the admitted subcomplex IS the subdivision, so collapse
-       it directly and translate vertex ids afterwards — rebuilding a
-       renamed complex re-interns every facet, which costs more than the
-       collapse itself on deep subdivisions. A real restriction still
-       rebuilds: its subcomplex is not materialized anywhere. *)
-    let r =
-      match admitted with
-      | None -> Collapse.run scx
-      | Some facets ->
-        let facet_vars =
-          List.map (fun f -> List.map (Hashtbl.find var_of) (Simplex.to_list f)) facets
-        in
-        Collapse.run (Complex.of_facets ~name:"collapse-order" facet_vars)
-    in
-    let order =
-      match admitted with
-      | None -> List.filter_map (fun v -> Hashtbl.find_opt var_of v) r.Collapse.order
-      | Some _ -> r.Collapse.order
-    in
+    (* Collapse the admitted subcomplex over its SDS vertex ids and
+       translate the order afterwards: its simplices are already interned,
+       so nothing enters the arena. The variables are numbered in
+       ascending vertex order, so the translation preserves order and the
+       schedule is the one a collapse over variable ids would give. *)
+    let cx = match admitted with None -> scx | Some _ -> Complex.of_simplices facets in
+    let r = Collapse.run cx in
     let pos = Array.make inst.nvars max_int in
     let counter = ref 0 in
     List.iter
       (fun v ->
-        if v >= 0 && v < inst.nvars && pos.(v) = max_int then begin
-          pos.(v) <- !counter;
+        match Hashtbl.find_opt var_of v with
+        | Some i when pos.(i) = max_int ->
+          pos.(i) <- !counter;
           incr counter
-        end)
-      order;
+        | _ -> ())
+      r.Collapse.order;
     (* isolated variables outside every admitted facet cannot occur (the
        variable set is generated by the facets), but stay total anyway *)
     Array.iteri

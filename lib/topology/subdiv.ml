@@ -5,11 +5,9 @@ type t = {
   cx : Chromatic.t;
   carrier : int -> Simplex.t;
   point : int -> Point.t;
-  scarrier_cache : Simplex.t Simplex.Tbl.t;
 }
 
-let make ~kind ~levels ~base ~cx ~carrier ~point =
-  { kind; levels; base; cx; carrier; point; scarrier_cache = Simplex.Tbl.create 256 }
+let make ~kind ~levels ~base ~cx ~carrier ~point = { kind; levels; base; cx; carrier; point }
 
 let base_vertex_order base = Complex.vertices (Chromatic.complex base)
 
@@ -25,21 +23,10 @@ let identity base =
     ~carrier:(fun v -> Simplex.singleton v)
     ~point:(fun v -> Point.unit n (Hashtbl.find idx v))
 
-let c_carrier_hits = Wfc_obs.Metrics.counter "subdiv.carrier.hits"
-
-let c_carrier_misses = Wfc_obs.Metrics.counter "subdiv.carrier.misses"
-
 let simplex_carrier sd s =
-  match Simplex.Tbl.find_opt sd.scarrier_cache s with
-  | Some carrier ->
-    Wfc_obs.Metrics.incr c_carrier_hits;
-    carrier
-  | None ->
-    Wfc_obs.Metrics.incr c_carrier_misses;
-    let carrier = Simplex.fold (fun acc v -> Simplex.union acc (sd.carrier v)) Simplex.empty s in
-    assert (Complex.mem carrier (Chromatic.complex sd.base));
-    Simplex.Tbl.add sd.scarrier_cache s carrier;
-    carrier
+  let carrier = Simplex.fold (fun acc v -> Simplex.union acc (sd.carrier v)) Simplex.empty s in
+  assert (Complex.mem carrier (Chromatic.complex sd.base));
+  carrier
 
 let face sd q =
   let survivors =

@@ -19,9 +19,6 @@ type t = {
   point : int -> Point.t;
       (** realization: barycentric coordinates over the base vertices, in the
           order given by [Complex.vertices (Chromatic.complex base)] *)
-  scarrier_cache : Simplex.t Simplex.Tbl.t;
-      (** per-subdivision memo of {!simplex_carrier}, keyed on the interned
-          simplex id — construct values with {!make} to get a fresh one *)
 }
 
 val make :
@@ -32,15 +29,15 @@ val make :
   carrier:(int -> Simplex.t) ->
   point:(int -> Point.t) ->
   t
-(** Packages a subdivision with an empty carrier cache. *)
+(** Packages a subdivision. The value holds no cache: every derived
+    quantity, {!simplex_carrier} included, is recomputed on each call. *)
 
 val identity : Chromatic.t -> t
 (** The trivial subdivision [SDS^0(A) = A]. *)
 
 val simplex_carrier : t -> Simplex.t -> Simplex.t
 (** Carrier of a subdivision simplex: the union of its vertices' carriers
-    (always a simplex of the base; checked with [assert] on first
-    computation, then memoized per interned simplex). *)
+    (always a simplex of the base; checked with [assert] on every call). *)
 
 val face : t -> Simplex.t -> Complex.t option
 (** [face sd q]: the subcomplex of subdivision simplices whose carrier is a

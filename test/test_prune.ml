@@ -52,6 +52,23 @@ let test_collapse_schedule_total () =
   checki "hollow triangle: nothing eliminated" 0 r.Collapse.eliminated;
   checkb "hollow triangle: not a point" false r.Collapse.collapsed_to_point
 
+(* A restricted model's collapse schedule runs over the admitted facets
+   themselves, whose faces the level's instance build has already
+   interned: once the wait-free solve has interned SDS^2, solving the
+   same level under t-resilient:1 (which builds a schedule) interns
+   nothing more, and its tallies are pinned. *)
+let test_restricted_schedule_interns_nothing () =
+  Solvability.clear_cache ();
+  let t = Instances.binary_consensus ~procs:3 in
+  ignore (Solvability.solve_at t 2);
+  let before = Simplex.arena_size () in
+  let v = Solvability.solve_at ~opts:(Solvability.options ~model:(Model.t_resilient ~t:1) ()) t 2 in
+  let s = Solvability.stats_of_verdict v in
+  checks "t-resilient:1 at level 2: verdict" "solvable" (Solvability.verdict_name v);
+  checki "no simplex interned" 0 (Simplex.arena_size () - before);
+  checkb "tallies" true
+    ((s.Solvability.nodes, s.Solvability.backtracks, s.Solvability.prunes) = (530, 0, 276))
+
 (* ------------------------------------------------------------------ *)
 (* Automorphisms                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -424,11 +441,12 @@ let test_restriction_matches_reference () =
            ])
        [ Instances.binary_consensus ~procs:3; Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 ])
 
-(* The lifts depend on the task and the level alone, so the three models
-   solved at one level share them: one lift-memo entry per level below and
-   at it, not one per model. The setup memo holds one entry for the
-   unrestricted model and, for each restricted model, one per level up to
-   2, since a level's admitted set is built from the level below's. *)
+(* The task automorphisms depend on the task alone, so the three models
+   solved at one level share them: one lift-memo entry for the task, not
+   one per model or per level (the lifts themselves are recomputed). The
+   setup memo holds one entry for the unrestricted model and, for each
+   restricted model, one per level up to 2, since a level's admitted set
+   is built from the level below's. *)
 let test_lifts_shared_across_models () =
   Solvability.clear_cache ();
   let t = Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 in
@@ -436,7 +454,7 @@ let test_lifts_shared_across_models () =
     (fun model -> ignore (Solvability.solve_at ~opts:(Solvability.options ~model ()) t 2))
     [ Model.wait_free; Model.t_resilient ~t:1; Model.k_set_affine ~k:2 ];
   let sizes = Solvability.memo_sizes () in
-  checki "lift memo: levels 0, 1 and 2" 3 (List.assoc "lift" sizes);
+  checki "lift memo: one entry for the task" 1 (List.assoc "lift" sizes);
   checki "setup memo: wait-free at level 2, the others at levels 0, 1 and 2" 7
     (List.assoc "setup" sizes)
 
@@ -581,6 +599,25 @@ let test_pinned_tallies () =
   ignore (pin "consensus-2 L4" (Instances.binary_consensus ~procs:2) 4 (1, 0, 0));
   unsolvable "set-consensus-4-2 L1" (pin "set-consensus-4-2 L1" (sc 4 2) 1 (7, 6, 30));
   unsolvable "set-consensus-4-3 L1" (pin "set-consensus-4-3 L1" (sc 4 3) 1 (1092, 1807, 2260))
+
+(* The restricted models' searches, pinned the same way at levels whose
+   root survives, so each builds its symmetries and collapse schedule over
+   the admitted subcomplex. *)
+let test_pinned_restricted_tallies () =
+  let pin label model task level (nodes, backtracks, prunes) =
+    let v = Solvability.solve_at ~opts:(Solvability.options ~model ()) task level in
+    let s = Solvability.stats_of_verdict v in
+    checks (label ^ ": verdict") "solvable" (Solvability.verdict_name v);
+    checki (label ^ ": nodes") nodes s.Solvability.nodes;
+    checki (label ^ ": backtracks") backtracks s.Solvability.backtracks;
+    checki (label ^ ": prunes") prunes s.Solvability.prunes
+  in
+  pin "renaming-3-4 L2 under k-set:2" (Model.k_set_affine ~k:2)
+    (Instances.adaptive_renaming ~procs:3 ~names:4) 2 (38, 0, 47);
+  pin "set-consensus-3-2 L2 under k-set:2" (Model.k_set_affine ~k:2)
+    (Instances.set_consensus ~procs:3 ~k:2) 2 (38, 0, 4);
+  pin "loop-disk L2 under t-resilient:1" (Model.t_resilient ~t:1)
+    (Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2) 2 (74, 0, 403)
 
 (* The refutation-heavy target actually gets pruned, and says so in the
    wfc.obs.v1 counters. *)
@@ -763,6 +800,8 @@ let () =
           Alcotest.test_case "SDS of a simplex collapses to a point" `Quick test_collapse_sds;
           Alcotest.test_case "schedule is total even without free faces" `Quick
             test_collapse_schedule_total;
+          Alcotest.test_case "a restricted schedule interns no simplex" `Quick
+            test_restricted_schedule_interns_nothing;
         ] );
       ( "automorphism",
         [
@@ -798,6 +837,8 @@ let () =
           Alcotest.test_case "canonicalized maps verify" `Quick test_sat_canonical_map;
           Alcotest.test_case "pinned sequential tallies" `Quick test_pinned_tallies;
           Alcotest.test_case "counters and node reduction" `Quick test_reducer_counters;
+          Alcotest.test_case "pinned restricted-model tallies" `Quick
+            test_pinned_restricted_tallies;
         ] );
       ( "solver",
         [
