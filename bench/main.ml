@@ -820,6 +820,56 @@ let scenarios : (string * (unit -> int option * string option)) list =
     self_extra := List.map (fun (key, s) -> (key, Wfc_obs.Json.Float s)) times;
     (None, None)
   in
+  (* Complex isomorphism (Lemma 3.2's statement): SDS(s^3) against a copy
+     relabelled by a fixed shuffle, once with the process colors
+     ([Iso.chromatic_isomorphic]) and once without ([Iso.isomorphic]),
+     each repeated [reps] times. Both complexes are built and their
+     closures computed before the clock starts. [seconds] is the sum;
+     the per-call milliseconds of each ride in the extra fields. *)
+  let iso_sds_s3 = fun () ->
+    let reps = 10 in
+    let a = Sds.complex (Sds.standard ~dim:3 ~levels:1) in
+    let ca = Chromatic.complex a in
+    let vs = Array.of_list (Complex.vertices ca) in
+    let shuffled = Array.copy vs in
+    let rng = Random.State.make [| 3 |] in
+    for i = Array.length shuffled - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = shuffled.(i) in
+      shuffled.(i) <- shuffled.(j);
+      shuffled.(j) <- t
+    done;
+    let image = Hashtbl.create (Array.length vs) and preimage = Hashtbl.create (Array.length vs) in
+    Array.iteri
+      (fun i v ->
+        Hashtbl.replace image v (shuffled.(i) + 10_000);
+        Hashtbl.replace preimage (shuffled.(i) + 10_000) v)
+      vs;
+    let b =
+      Chromatic.make
+        (Complex.relabel (Hashtbl.find image) ca)
+        ~color:(fun w -> Chromatic.color a (Hashtbl.find preimage w))
+    in
+    ignore (Complex.simplices ca);
+    ignore (Complex.simplices (Chromatic.complex b));
+    let per_call f =
+      let t0 = Wfc_obs.Metrics.now_s () in
+      for _ = 1 to reps do
+        if not (f ()) then failwith "bench: iso_sds_s3_l1: the copy is not isomorphic"
+      done;
+      (Wfc_obs.Metrics.now_s () -. t0) /. float_of_int reps
+    in
+    let chromatic_s = per_call (fun () -> Iso.chromatic_isomorphic a b) in
+    let plain_s = per_call (fun () -> Iso.isomorphic ca (Chromatic.complex b)) in
+    self_timed := Some (float_of_int reps *. (chromatic_s +. plain_s));
+    self_extra :=
+      [
+        ("reps", Wfc_obs.Json.Int reps);
+        ("chromatic_ms", Wfc_obs.Json.Float (chromatic_s *. 1e3));
+        ("plain_ms", Wfc_obs.Json.Float (plain_s *. 1e3));
+      ];
+    (None, None)
+  in
   (* A cold solve's level setup: three tasks solved up to level 2 under
      each builtin model, from cleared solver memos (run_scenarios clears
      them), so every (task, level) pays its automorphism lifts once and
@@ -873,6 +923,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
     ( "solvability_eps_agreement_grid27",
       solve_up (Instances.approximate_agreement ~procs:2 ~grid:27) 5 );
     ("task_automorphisms", task_automorphisms);
+    ("iso_sds_s3_l1", iso_sds_s3);
     ("solve_models_cold", solve_models_cold);
     ( "protocol_complex_iis_3_r2",
       plain (fun () -> ignore (Protocol_complex.iis ~procs:3 ~rounds:2)) );

@@ -27,10 +27,19 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let to_string j =
-  let buf = Buffer.create 256 in
-  let indent n = Buffer.add_string buf (String.make (2 * n) ' ') in
-  let rec emit depth = function
+(* The one emitter. [pretty] chooses the layout alone: a newline and two
+   spaces per level before each item and before a non-empty container's
+   closing bracket, and ": " after a key; without it no whitespace at all.
+   Keys are sorted and floats printed "%.6f" either way, so the two
+   renderings of one value always agree field for field. *)
+let emit ~pretty buf j =
+  let newline depth =
+    Buffer.add_char buf '\n';
+    for _ = 1 to depth do
+      Buffer.add_string buf "  "
+    done
+  in
+  let rec value depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
@@ -40,74 +49,42 @@ let to_string j =
     | String s -> escape_string buf s
     | Arr [] -> Buffer.add_string buf "[]"
     | Arr items ->
-      Buffer.add_string buf "[\n";
+      Buffer.add_char buf '[';
       List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          indent (depth + 1);
-          emit (depth + 1) item)
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          if pretty then newline (depth + 1);
+          value (depth + 1) x)
         items;
-      Buffer.add_char buf '\n';
-      indent depth;
+      if pretty then newline depth;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
-      let fields =
-        List.stable_sort (fun (a, _) (b, _) -> String.compare a b) fields
-      in
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          indent (depth + 1);
-          escape_string buf k;
-          Buffer.add_string buf ": ";
-          emit (depth + 1) v)
-        fields;
-      Buffer.add_char buf '\n';
-      indent depth;
-      Buffer.add_char buf '}'
-  in
-  emit 0 j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-(* One value per line, no whitespace: the JSONL shape of the event log.
-   Shares canonicalization with [to_string] (sorted keys, %.6f floats) so
-   the two renderings of one value always agree field for field. *)
-let to_line j =
-  let buf = Buffer.create 128 in
-  let rec emit = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6f" f)
-      else Buffer.add_string buf "null"
-    | String s -> escape_string buf s
-    | Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      let fields =
-        List.stable_sort (fun (a, _) (b, _) -> String.compare a b) fields
-      in
       Buffer.add_char buf '{';
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
+          if pretty then newline (depth + 1);
           escape_string buf k;
           Buffer.add_char buf ':';
-          emit v)
-        fields;
+          if pretty then Buffer.add_char buf ' ';
+          value (depth + 1) v)
+        (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) fields);
+      if pretty then newline depth;
       Buffer.add_char buf '}'
   in
-  emit j;
+  value 0 j
+
+let to_string j =
+  let buf = Buffer.create 256 in
+  emit ~pretty:true buf j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* One value per line: the JSONL shape of the event log. *)
+let to_line j =
+  let buf = Buffer.create 128 in
+  emit ~pretty:false buf j;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

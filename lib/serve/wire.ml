@@ -237,20 +237,32 @@ let really_read fd len =
   in
   go (Bytes.create (min len read_chunk)) 0
 
+(* The frame checks both read paths share, with their error strings: the
+   header's length bound, checked before a payload byte is buffered, and
+   the payload's parse. *)
+let frame_length buf = Int32.to_int (Bytes.get_int32_be buf 0)
+
+let length_error n =
+  if n < 0 || n > max_frame then Some (Printf.sprintf "frame length %d out of bounds" n)
+  else None
+
+let parse_payload payload =
+  match Wfc_obs.Json.parse payload with
+  | Ok j -> Ok (Some j)
+  | Error e -> Error (Printf.sprintf "bad frame payload: %s" e)
+
 let read_frame_opt fd =
   match really_read fd 4 with
   | Error `Eof -> Ok None
   | Error `Short -> Error "truncated frame header"
   | Ok header -> (
-    let n = Int32.to_int (Bytes.get_int32_be header 0) in
-    if n < 0 || n > max_frame then Error (Printf.sprintf "frame length %d out of bounds" n)
-    else
+    let n = frame_length header in
+    match length_error n with
+    | Some e -> Error e
+    | None -> (
       match really_read fd n with
       | Error (`Eof | `Short) -> Error "truncated frame payload"
-      | Ok payload -> (
-        match Wfc_obs.Json.parse (Bytes.unsafe_to_string payload) with
-        | Ok j -> Ok (Some j)
-        | Error e -> Error (Printf.sprintf "bad frame payload: %s" e)))
+      | Ok payload -> parse_payload (Bytes.unsafe_to_string payload)))
 
 let read_frame fd =
   match read_frame_opt fd with
@@ -273,8 +285,6 @@ let decoder_start = 1024
 
 let decoder () = { buf = Bytes.create decoder_start; len = 0; closed = false }
 
-let frame_length buf = Int32.to_int (Bytes.get_int32_be buf 0)
-
 let decoder_read d fd =
   if d.len = Bytes.length d.buf then begin
     let missing = 4 + frame_length d.buf - d.len in
@@ -292,15 +302,13 @@ let decode d =
     else Some (Error "truncated frame header")
   else
     let n = frame_length d.buf in
-    if n < 0 || n > max_frame then Some (Error (Printf.sprintf "frame length %d out of bounds" n))
-    else if d.len < 4 + n then if d.closed then Some (Error "truncated frame payload") else None
-    else begin
+    match length_error n with
+    | Some e -> Some (Error e)
+    | None when d.len < 4 + n -> if d.closed then Some (Error "truncated frame payload") else None
+    | None ->
       let payload = Bytes.sub_string d.buf 4 n in
       let rest = d.len - 4 - n in
       if rest = 0 && Bytes.length d.buf > decoder_start then d.buf <- Bytes.create decoder_start
       else Bytes.blit d.buf (4 + n) d.buf 0 rest;
       d.len <- rest;
-      match Wfc_obs.Json.parse payload with
-      | Ok j -> Some (Ok (Some j))
-      | Error e -> Some (Error (Printf.sprintf "bad frame payload: %s" e))
-    end
+      Some (parse_payload payload)

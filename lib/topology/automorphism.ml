@@ -39,9 +39,26 @@ module Bits = Hashtbl.Make (struct
     !h land max_int
 end)
 
-let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma =
-  let c = Chromatic.complex chroma in
-  let color = Chromatic.color chroma in
+(* The search tables of one complex, over its dense vertex indices
+   [0, V) in ascending vertex order. *)
+type table = {
+  vs : int array;
+  words : int;
+  closure : unit Bits.t;
+  facet_set : unit Bits.t;
+  nfacets : int;
+  (* facets_at.(i): the facets containing vertex i. Assigning i only
+     changes the images of those facets, so consistency is re-checked
+     there alone — every other facet's image is exactly as it was when its
+     own last vertex was assigned. *)
+  facets_at : int array array;
+  (* the vertex invariants a bijection must preserve: sorted dims of the
+     facets at the vertex, and the number of closure simplices containing
+     it *)
+  sigs : (int list * int) array;
+}
+
+let table c =
   let vs = Array.of_list (Complex.vertices c) in
   let nv = Array.length vs in
   let index = Hashtbl.create nv in
@@ -58,14 +75,7 @@ let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma =
   in
   let facets = Array.of_list (Complex.facets c) in
   let simplices = Complex.simplices c in
-  (* the vertex invariants of Iso.signature minus the color (the [perm]
-     constraint handles it): sorted dims of the facets at the vertex, and
-     the number of closure simplices containing it *)
   let facet_dims = Array.make nv [] and membership = Array.make nv 0 in
-  (* facets_at.(i): the facets containing vertex i. Assigning i only
-     changes the images of those facets, so consistency is re-checked
-     there alone — every other facet's image is exactly as it was when its
-     own last vertex was assigned. *)
   let facets_at = Array.make nv [] in
   Array.iteri
     (fun fi f ->
@@ -88,64 +98,81 @@ let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma =
     simplices;
   let facet_set = Bits.create (Array.length facets) in
   Array.iter (fun f -> Bits.replace facet_set (bits_of f) ()) facets;
-  let sigs =
-    Array.init nv (fun i -> (List.sort Stdlib.compare facet_dims.(i), membership.(i)))
+  {
+    vs;
+    words;
+    closure;
+    facet_set;
+    nfacets = Array.length facets;
+    facets_at = Array.map Array.of_list facets_at;
+    sigs = Array.init nv (fun i -> (List.sort Stdlib.compare facet_dims.(i), membership.(i)));
+  }
+
+let search ~limit ~fuel ~compatible src dst =
+  let nv = Array.length src.vs in
+  let words = dst.words in
+  let targets = List.init (Array.length dst.vs) Fun.id in
+  let candidates i =
+    let ok = compatible src.vs.(i) in
+    List.filter (fun j -> dst.sigs.(j) = src.sigs.(i) && ok dst.vs.(j)) targets
   in
-  let colors = Array.map color vs in
-  let facets_at = Array.map Array.of_list facets_at in
-  let indices = List.init nv Fun.id in
-  fun ~perm ->
-    let candidates i =
-      let cv = perm colors.(i) in
-      List.filter (fun j -> sigs.(j) = sigs.(i) && colors.(j) = cv) indices
+  let cand = List.init nv (fun i -> (i, candidates i)) in
+  if List.exists (fun (_, cs) -> cs = []) cand then []
+  else begin
+    let order =
+      List.stable_sort
+        (fun (_, c1) (_, c2) -> compare (List.length c1) (List.length c2))
+        cand
     in
-    let cand = List.map (fun i -> (i, candidates i)) indices in
-    if List.exists (fun (_, cs) -> cs = []) cand then []
-    else begin
-      let order =
-        List.stable_sort
-          (fun (_, c1) (_, c2) -> compare (List.length c1) (List.length c2))
-          cand
-      in
-      (* mapping.(i): the image index of vertex i, read only at a leaf *)
-      let mapping = Array.make nv (-1) and used = Array.make nv false in
-      (* image.(f): the bit set of the images of f's mapped vertices *)
-      let image = Array.map (fun _ -> Array.make words 0) facets in
-      (* the map is injective ([used]), so the images of the facets are
-         pairwise distinct, and they are the facet set exactly when each one
-         is a facet *)
-      let to_map () =
-        let m : vertex_map = Hashtbl.create nv in
-        List.iter (fun (i, _) -> Hashtbl.replace m vs.(i) vs.(mapping.(i))) order;
-        m
-      in
-      let found = ref [] and nfound = ref 0 in
-      let fuel = ref fuel in
-      let rec search = function
-        | [] ->
-          if Array.for_all (fun b -> Bits.mem facet_set b) image then begin
-            found := to_map () :: !found;
-            incr nfound
-          end
-        | (i, cs) :: rest ->
-          List.iter
-            (fun j ->
-              if !nfound < limit && !fuel > 0 && not used.(j) then begin
-                decr fuel;
-                mapping.(i) <- j;
-                used.(j) <- true;
-                let w = j / Sys.int_size and bit = 1 lsl (j mod Sys.int_size) in
-                let at = facets_at.(i) in
-                Array.iter (fun f -> image.(f).(w) <- image.(f).(w) lor bit) at;
-                if Array.for_all (fun f -> Bits.mem closure image.(f)) at then search rest;
-                Array.iter (fun f -> image.(f).(w) <- image.(f).(w) land lnot bit) at;
-                used.(j) <- false
-              end)
-            cs
-      in
-      search order;
-      List.rev !found
-    end
+    (* mapping.(i): the image index of vertex i, read only at a leaf *)
+    let mapping = Array.make nv (-1) and used = Array.make (Array.length dst.vs) false in
+    (* image.(f): the bit set of the images of f's mapped vertices *)
+    let image = Array.init src.nfacets (fun _ -> Array.make words 0) in
+    (* the map is injective ([used]), so the images of the facets are
+       pairwise distinct, and they are the facet set exactly when each one
+       is a facet *)
+    let to_map () =
+      let m : vertex_map = Hashtbl.create nv in
+      List.iter (fun (i, _) -> Hashtbl.replace m src.vs.(i) dst.vs.(mapping.(i))) order;
+      m
+    in
+    let found = ref [] and nfound = ref 0 in
+    let fuel = ref fuel in
+    let rec go = function
+      | [] ->
+        if Array.for_all (fun b -> Bits.mem dst.facet_set b) image then begin
+          found := to_map () :: !found;
+          incr nfound
+        end
+      | (i, cs) :: rest ->
+        List.iter
+          (fun j ->
+            if !nfound < limit && !fuel > 0 && not used.(j) then begin
+              decr fuel;
+              mapping.(i) <- j;
+              used.(j) <- true;
+              let w = j / Sys.int_size and bit = 1 lsl (j mod Sys.int_size) in
+              let at = src.facets_at.(i) in
+              Array.iter (fun f -> image.(f).(w) <- image.(f).(w) lor bit) at;
+              if Array.for_all (fun f -> Bits.mem dst.closure image.(f)) at then go rest;
+              Array.iter (fun f -> image.(f).(w) <- image.(f).(w) land lnot bit) at;
+              used.(j) <- false
+            end)
+          cs
+    in
+    go order;
+    List.rev !found
+  end
+
+let automorphisms ?(limit = 64) ?(fuel = 200_000) chroma =
+  let t = table (Chromatic.complex chroma) in
+  let color = Chromatic.color chroma in
+  fun ~perm ->
+    search ~limit ~fuel
+      ~compatible:(fun v ->
+        let cv = perm (color v) in
+        fun w -> color w = cv)
+      t t
 
 (* One level of the lift. At level 0 it restricts the base map to the
    complex's vertices; above, it maps (v, S) to (σ v, σ S) through the

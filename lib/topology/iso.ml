@@ -1,23 +1,3 @@
-(* Vertex signature: everything a bijection must preserve that we can compute
-   cheaply per vertex. *)
-type signature = {
-  color : int option;
-  facet_dims : int list; (* sorted dims of facets containing the vertex *)
-  membership : int; (* number of closure simplices containing the vertex *)
-}
-
-let signature c color v =
-  let facet_dims =
-    List.filter_map
-      (fun f -> if Simplex.mem v f then Some (Simplex.dim f) else None)
-      (Complex.facets c)
-    |> List.sort Stdlib.compare
-  in
-  let membership =
-    List.length (List.filter (fun s -> Simplex.mem v s) (Complex.simplices c))
-  in
-  { color = Option.map (fun f -> f v) color; facet_dims; membership }
-
 let isomorphism ?color_src ?color_dst a b =
   if
     Complex.dim a <> Complex.dim b
@@ -25,75 +5,21 @@ let isomorphism ?color_src ?color_dst a b =
     || Complex.num_facets a <> Complex.num_facets b
     || Complex.f_vector a <> Complex.f_vector b
   then None
-  else begin
-    let va = Complex.vertices a and vb = Complex.vertices b in
-    let sig_a = List.map (fun v -> (v, signature a color_src v)) va in
-    let sig_b = List.map (fun w -> (w, signature b color_dst w)) vb in
-    (* Candidate targets per source vertex. *)
-    let candidates v =
-      let s = List.assoc v sig_a in
-      List.filter_map (fun (w, s') -> if s = s' then Some w else None) sig_b
+  else
+    (* a vertex and its image agree on color when both sides are colored;
+       a coloring on one side only admits no map *)
+    let compatible =
+      match (color_src, color_dst) with
+      | None, None -> fun _ _ -> true
+      | Some f, Some g ->
+        fun v ->
+          let c = f v in
+          fun w -> g w = c
+      | _ -> fun _ _ -> false
     in
-    let cand = List.map (fun v -> (v, candidates v)) va in
-    if List.exists (fun (_, cs) -> cs = []) cand then None
-    else begin
-      (* Most-constrained-first ordering. *)
-      let order =
-        List.sort (fun (_, c1) (_, c2) -> compare (List.length c1) (List.length c2)) cand
-      in
-      let mapping = Hashtbl.create (List.length va) in
-      let used = Hashtbl.create (List.length vb) in
-      let facets_a = Complex.facets a in
-      (* A partial map is consistent if, for every facet of [a], the image of
-         its already-mapped vertices is a simplex of [b]. *)
-      let consistent () =
-        List.for_all
-          (fun f ->
-            let img =
-              List.filter_map (fun v -> Hashtbl.find_opt mapping v) (Simplex.to_list f)
-            in
-            match img with
-            | [] -> true
-            | img ->
-              let s = Simplex.of_list img in
-              Simplex.card s = List.length img && Complex.mem s b)
-          facets_a
-      in
-      let full_check () =
-        (* The image of the facet set must be exactly the facet set of b. *)
-        let images =
-          List.map
-            (fun f ->
-              Simplex.of_list
-                (List.map (fun v -> Hashtbl.find mapping v) (Simplex.to_list f)))
-            facets_a
-        in
-        let images = List.sort_uniq Simplex.compare images in
-        List.equal Simplex.equal images (Complex.facets b)
-      in
-      let rec search = function
-        | [] -> full_check ()
-        | (v, cs) :: rest ->
-          List.exists
-            (fun w ->
-              if Hashtbl.mem used w then false
-              else begin
-                Hashtbl.replace mapping v w;
-                Hashtbl.replace used w ();
-                let ok = consistent () && search rest in
-                if not ok then begin
-                  Hashtbl.remove mapping v;
-                  Hashtbl.remove used w
-                end;
-                ok
-              end)
-            cs
-      in
-      if search order then
-        Some (Simplicial_map.make ~src:a ~dst:b (fun v -> Hashtbl.find mapping v))
-      else None
-    end
-  end
+    match Automorphism.(search ~limit:1 ~fuel:max_int ~compatible (table a) (table b)) with
+    | m :: _ -> Some (Simplicial_map.make ~src:a ~dst:b (Hashtbl.find m))
+    | [] -> None
 
 let isomorphic ?color_src ?color_dst a b =
   Option.is_some (isomorphism ?color_src ?color_dst a b)

@@ -279,6 +279,50 @@ let test_json_to_line () =
   | Ok a, Ok b -> checkb "same tree as to_string" true (Json.equal a b)
   | _ -> Alcotest.fail "to_line output did not parse back"
 
+(* The exact bytes of both renderings: indentation and separators, empty
+   containers, sorted keys at every depth, escapes (a quote, a backslash,
+   a control character) and non-finite floats as null. *)
+let test_json_golden_bytes () =
+  let j =
+    Json.Obj
+      [
+        ( "b",
+          Json.Arr
+            [ Json.Int 1; Json.Arr []; Json.Obj []; Json.Obj [ ("y", Json.Null); ("x", Json.Bool false) ] ]
+        );
+        ("a", Json.String "q\"b\\s\001e\t");
+        ("c", Json.Float infinity);
+        ("e", Json.Obj [ ("n", Json.Arr [ Json.Float nan; Json.Bool true ]) ]);
+        ("d", Json.Float (-2.25));
+      ]
+  in
+  checks "to_string"
+    {|{
+  "a": "q\"b\\s\u0001e\t",
+  "b": [
+    1,
+    [],
+    {},
+    {
+      "x": false,
+      "y": null
+    }
+  ],
+  "c": null,
+  "d": -2.250000,
+  "e": {
+    "n": [
+      null,
+      true
+    ]
+  }
+}
+|}
+    (Json.to_string j);
+  checks "to_line"
+    {|{"a":"q\"b\\s\u0001e\t","b":[1,[],{},{"x":false,"y":null}],"c":null,"d":-2.250000,"e":{"n":[null,true]}}|}
+    (Json.to_line j)
+
 (* ------------------------------------------------------------------ *)
 (* Log                                                                 *)
 
@@ -604,6 +648,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "nesting is capped at 512" `Quick test_json_depth_cap;
           Alcotest.test_case "single-line rendering" `Quick test_json_to_line;
+          Alcotest.test_case "golden bytes of both renderings" `Quick test_json_golden_bytes;
         ] );
       ( "log",
         [

@@ -918,6 +918,100 @@ let iso_unit_tests =
         checkb "chromatic iso" true (Iso.chromatic_isomorphic a b));
   ]
 
+(* A random complex over <= 7 vertices, a random coloring of 0..6 into
+   three colors (or none), and a random relabelling: a permutation of 0..6
+   shifted by 10, so the copy shares no vertex with the original. *)
+let iso_case_gen =
+  QCheck2.Gen.(
+    triple small_complex_gen
+      (opt ~ratio:0.5 (array_size (return 7) (int_range 0 2)))
+      (map
+         (fun keys ->
+           let order = List.sort compare (List.mapi (fun v k -> (k, v)) keys) in
+           let perm = Array.make 7 0 in
+           List.iteri (fun i (_, v) -> perm.(v) <- i + 10) order;
+           perm)
+         (list_size (return 7) (int_range 0 1000))))
+
+(* the vertex of 0..6 that the relabelling sends to [w] *)
+let preimage perm w =
+  let rec go v = if perm.(v) = w then v else go (v + 1) in
+  go 0
+
+(* whether some vertex bijection [a -> b] carries the facets of [a] onto
+   the facets of [b] and, when colorings are given, preserves colors:
+   tried over every bijection *)
+let brute_isomorphic ?color_src ?color_dst a b =
+  let va = Complex.vertices a and vb = Complex.vertices b in
+  let facet_lists c = List.sort compare (List.map Simplex.to_list (Complex.facets c)) in
+  let rec bijections = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (fun p -> x :: p) (bijections (List.filter (( <> ) x) l))) l
+  in
+  let colors_ok m =
+    match (color_src, color_dst) with
+    | None, None -> true
+    | Some f, Some g -> List.for_all (fun (v, w) -> f v = g w) m
+    | _ -> false
+  in
+  let image m f = List.sort compare (List.map (fun v -> List.assoc v m) f) in
+  List.length va = List.length vb
+  && List.exists
+       (fun targets ->
+         let m = List.combine va targets in
+         colors_ok m && List.sort compare (List.map (image m) (facet_lists a)) = facet_lists b)
+       (bijections vb)
+
+let iso_prop_tests =
+  [
+    qtest ~count:100 "relabelled copies are isomorphic, with a real witness" iso_case_gen
+      (fun (c, coloring, perm) ->
+        let r = Complex.relabel (fun v -> perm.(v)) c in
+        let color_src, color_dst =
+          match coloring with
+          | None -> (None, None)
+          | Some col -> (Some (fun v -> col.(v)), Some (fun w -> col.(preimage perm w)))
+        in
+        match Iso.isomorphism ?color_src ?color_dst c r with
+        | None -> false
+        | Some phi ->
+          let sorted = List.sort Simplex.compare in
+          Simplicial_map.is_simplicial phi
+          && Simplicial_map.is_injective phi
+          && List.equal Simplex.equal
+               (sorted (List.map (Simplicial_map.apply phi) (Complex.facets c)))
+               (sorted (Complex.facets r))
+          &&
+          match (color_src, color_dst) with
+          | Some f, Some g ->
+            List.for_all (fun v -> g (Simplicial_map.apply_vertex phi v) = f v) (Complex.vertices c)
+          | _ -> true);
+    qtest ~count:200 "isomorphic agrees with a check over all bijections"
+      QCheck2.Gen.(
+        triple iso_case_gen (pair bool small_complex_gen)
+          (frequency
+             [
+               (3, return `Carried);
+               (3, map2 (fun v c -> `Recolored (v, c)) (int_range 0 6) (int_range 0 2));
+               (1, return `Absent);
+             ]))
+      (fun ((a, coloring, perm), (copy_of_a, other), target_coloring) ->
+        (* [b] is a relabelled copy of [a] or of an unrelated complex. When
+           [a] is colored, [b] carries [a]'s coloring over, with one vertex
+           recolored, or has no coloring; so both answers show up. *)
+        let b = Complex.relabel (fun v -> perm.(v)) (if copy_of_a then a else other) in
+        let color_src, color_dst =
+          match (coloring, target_coloring) with
+          | None, _ -> (None, None)
+          | Some col, `Carried -> (Some (fun v -> col.(v)), Some (fun w -> col.(preimage perm w)))
+          | Some col, `Recolored (u, c) ->
+            ( Some (fun v -> col.(v)),
+              Some (fun w -> if preimage perm w = u then c else col.(preimage perm w)) )
+          | Some col, `Absent -> (Some (fun v -> col.(v)), None)
+        in
+        Iso.isomorphic ?color_src ?color_dst a b = brute_isomorphic ?color_src ?color_dst a b);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Export                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1059,7 +1153,7 @@ let () =
       ("simplicial-map", map_unit_tests);
       ("homology", homology_unit_tests);
       ("homology-z", homology_z_unit_tests @ homology_z_prop_tests);
-      ("iso", iso_unit_tests);
+      ("iso", iso_unit_tests @ iso_prop_tests);
       ("fillin", fillin_unit_tests);
       ("export", export_unit_tests);
     ]
