@@ -667,8 +667,9 @@ let solve_cmd =
           ~doc:
             "Record the backtracking search into a bounded ring; an unsolvable verdict then \
              carries a machine-readable refutation trail (embedded in the --json report). \
-             The traced search runs the plain canonical engine (most-constrained-first, no \
-             symmetry pruning), so $(b,--stats) then reports that engine's tallies.")
+             The traced search runs the plain canonical engine alone (most-constrained-first, \
+             no symmetry pruning, never the reduced fallback), so $(b,--stats) then reports \
+             that engine's tallies.")
   in
   let solve_perfetto =
     Arg.(
@@ -1194,10 +1195,10 @@ let models_cmd =
        ~doc:
          "List the computation models $(b,--model) accepts: each is an affine restriction \
           of the IIS runs, decided over the same subdivided complexes. Solvability under \
-          any model runs the reduced search engine — symmetry orbits are computed on the \
-          model's admitted facet set, so a restriction that breaks a task symmetry simply \
-          yields fewer orbits; $(b,--search-trace) on $(b,solve) runs the plain canonical \
-          engine instead.")
+          any model runs the plain canonical search engine first and the reduced engine on \
+          the levels it leaves open — symmetry orbits are computed on the model's admitted \
+          facet set, so a restriction that breaks a task symmetry simply yields fewer \
+          orbits; $(b,--search-trace) on $(b,solve) runs the plain canonical engine alone.")
     Term.(const run $ const ())
 
 (* ---------- converge ---------- *)

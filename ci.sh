@@ -83,31 +83,40 @@ test "$RC" -eq 2
 grep -q '^usage:' USAGE_ci.txt
 rm -f USAGE_ci.txt
 
-# search-engine smoke (DESIGN §14): the reduced engine (the default) must
-# answer the exact same canonical bytes as the plain canonical engine,
-# which `--search-trace` runs. Solve one refutation-heavy task both ways
-# and cmp the verdict files; then require the reducers to have actually
-# run: the reduced refutation must cost at most half the plain engine's
-# nodes, and the three wfc.obs.v1 reducer counters and the
-# solvability.autos phase span must be present in the --stats --json
-# report.
+# search-engine smoke (DESIGN §14): the default solve runs the plain
+# canonical engine first and falls through to the reduced engine only on
+# a level the plain engine leaves open within its allowance. A
+# refutation-heavy task it settles, set-consensus 3/2 at level 1, must
+# answer the exact canonical bytes of `--search-trace` (the plain engine
+# alone) and build no reducer: its report has no solvability.autos span.
 PRUNE_ARGS="--task set-consensus --procs 3 --param 2 --max-level 1"
 # shellcheck disable=SC2086
 dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS \
   --verdict-out VERDICT_pr_on.json --stats --json PRUNE_on.json > /dev/null
 # shellcheck disable=SC2086
 dune exec bin/wfc_cli.exe -- solve $PRUNE_ARGS --search-trace \
-  --verdict-out VERDICT_pr_off.json --stats --json PRUNE_off.json > /dev/null
+  --verdict-out VERDICT_pr_off.json > /dev/null
 cmp VERDICT_pr_on.json VERDICT_pr_off.json
 dune exec bin/wfc_cli.exe -- check-json PRUNE_on.json
-grep '"solvability.symmetry.orbits"' PRUNE_on.json
-grep '"solvability.symmetry.pruned"' PRUNE_on.json
-grep '"solvability.collapse.schedule_len"' PRUNE_on.json
-# the phases of the solve are spans under solvability.level.<b>
-grep '"solvability.autos"' PRUNE_on.json
-NODES_ON=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_on.json | grep -o '[0-9]*$')
-NODES_OFF=$(grep -o '"solvability.nodes": [0-9]*' PRUNE_off.json | grep -o '[0-9]*$')
-test "$((NODES_ON * 2))" -le "$NODES_OFF"
+grep '"solvability.search"' PRUNE_on.json
+if grep '"solvability.autos"' PRUNE_on.json; then
+  echo "ci: a level the plain engine settles built its reducers" >&2
+  exit 1
+fi
+# set-consensus 4/3 at level 1 outgrows the allowance, so the reducers
+# must run: an unsolvable verdict, the solvability.autos phase span, the
+# three wfc.obs.v1 reducer counters and one level counted as reduced in
+# the --stats --json report. (The plain engine alone never finishes this
+# level, so the reducers' "at most half the plain nodes" gate is
+# test_prune's "counters and node reduction", on set-consensus 3/2.)
+dune exec bin/wfc_cli.exe -- solve --task set-consensus --procs 4 --param 3 --max-level 1 \
+  --stats --json PRUNE_red.json > /dev/null
+dune exec bin/wfc_cli.exe -- check-json PRUNE_red.json --expect-verdict unsolvable
+grep '"solvability.autos"' PRUNE_red.json
+grep '"solvability.symmetry.orbits": [1-9]' PRUNE_red.json
+grep '"solvability.symmetry.pruned": [1-9]' PRUNE_red.json
+grep '"solvability.collapse.schedule_len": [1-9]' PRUNE_red.json
+grep '"solvability.reduced.levels": 1,\{0,1\}$' PRUNE_red.json
 # a root-refuted instance: 3-process consensus dies in propagation at
 # every level, so it answers the same bytes under both engines and builds
 # no reducer (its report has no solvability.autos span)
@@ -124,7 +133,7 @@ if grep '"solvability.autos"' PRUNE_root_on.json; then
   echo "ci: a root-refuted level built its reducers" >&2
   exit 1
 fi
-rm -f VERDICT_pr_on.json VERDICT_pr_off.json PRUNE_on.json PRUNE_off.json \
+rm -f VERDICT_pr_on.json VERDICT_pr_off.json PRUNE_on.json PRUNE_red.json \
   VERDICT_pr_root_on.json VERDICT_pr_root_off.json PRUNE_root_on.json
 
 dune exec bin/wfc_cli.exe -- trace --seed 3 -p 3 -b 2 --crash 1 -o TRACE_ci.json

@@ -101,6 +101,8 @@ let c_sym_pruned = Wfc_obs.Metrics.counter "solvability.symmetry.pruned"
 
 let c_collapse_len = Wfc_obs.Metrics.counter "solvability.collapse.schedule_len"
 
+let c_reduced_levels = Wfc_obs.Metrics.counter "solvability.reduced.levels"
+
 let h_solve_at = Wfc_obs.Metrics.histogram "solvability.solve_at.seconds"
 
 (* The CSP instance, with dense variable indices. *)
@@ -281,8 +283,9 @@ type auto = {
 (* Everything that reshapes one search tree. There are two configurations:
    the reduced engine ([static_order] set, the collapse schedule and the
    instance symmetries) and the plain canonical engine (dynamic
-   most-constrained-first with BFS tie-breaks, no symmetries), which runs
-   traced searches and re-derives every map the reduced engine finds.
+   most-constrained-first with BFS tie-breaks, no symmetries), which
+   searches every level first, runs traced searches and re-derives every
+   map the reduced engine finds.
    [sched] lists the variables by static position (built from
    [order_pos.(v)], the position of variable [v]). With [static_order]
    set, selection takes forced (singleton-domain) variables first and
@@ -795,14 +798,28 @@ let propagate ~record inst =
     end
   end
 
-let solve_at ?opts:(o = defaults) task level =
+(* The plain engine's allowance on an untraced level, per instance
+   variable, in [run_search]'s budget units: a node and its assignment tick
+   once each, so 16 units buy about 8 nodes per variable. Every searched
+   level of the serving catalogue settles inside it (the largest share is
+   set-consensus 3/2 at level 1: 53 plain nodes for 12 variables), so no
+   catalogue question builds a reducer; a level that outgrows it, like
+   set-consensus 4/3 at level 1, loses at most the allowance before the
+   reducers take over. *)
+let plain_allowance_per_var = 16
+
+(* One level, decided from the arc-consistent root. [plain_first] grants
+   the plain engine its allowance first; a level it does not settle falls
+   through to the reduced engine, which the rest of the budget pays for. *)
+let decide_level ~plain_first ~opts:o task level =
   Wfc_obs.Metrics.with_span (Printf.sprintf "solvability.level.%d" level) @@ fun () ->
   let t0 = Wfc_obs.Metrics.now_s () in
   Wfc_obs.Metrics.incr
     (Wfc_obs.Metrics.counter ("solvability.model." ^ Model.family o.model));
   (* the phases of a solve are spans under solvability.level.<b>: build,
-     propagate and, for a level whose root survives, search; untraced,
-     autos and collapse before it and, after a Sat, rerun *)
+     propagate and, for a level whose root survives, search; a level that
+     falls through to the reduced engine adds autos and collapse before its
+     second search and, after a reduced Sat, rerun *)
   let phase name f = Wfc_obs.Metrics.with_span ("solvability." ^ name) f in
   let sds, setup, verts, inst =
     phase "build" @@ fun () ->
@@ -835,44 +852,65 @@ let solve_at ?opts:(o = defaults) task level =
            search, so a traced level runs the plain engine (DESIGN §9, §14) *)
         phase "search" (fun () -> run_search ~red:(plain ()) ~counts ~record inst root budget)
       else begin
-        (* only a level whose root survives builds its reducers *)
-        let autos =
-          phase "autos" (fun () ->
-              match setup.autos with
-              | Some autos -> autos
-              | None ->
-                let autos = build_autos ~admitted:setup.admitted task sds verts inst in
-                setup.autos <- Some autos;
-                autos)
+        (* The plain engine settles most levels within its allowance, and
+           its answer is then final: a Sat is the plain engine's first
+           solution from this root, the map a rerun would re-derive. *)
+        let allowance =
+          if plain_first then min budget (plain_allowance_per_var * inst.nvars) else 0
         in
-        let pos, eliminated =
-          phase "collapse" (fun () ->
-              match setup.schedule with
-              | Some r -> r
-              | None ->
-                let r = collapse_positions ~admitted:setup.admitted sds verts inst in
-                setup.schedule <- Some r;
-                r)
+        let settled =
+          if not plain_first then None
+          else
+            match
+              phase "search" (fun () ->
+                  run_search ~red:(plain ()) ~counts ~record inst (Array.copy root) allowance)
+            with
+            | (`Sat _ | `Unsat) as o -> Some o
+            | `Budget -> if allowance = budget then Some `Budget else None
         in
-        Wfc_obs.Metrics.add c_sym_orbits (Array.length autos);
-        Wfc_obs.Metrics.add c_collapse_len eliminated;
-        let red = make_reducers ~static_order:true ~autos ~order_pos:pos inst.nvars in
-        (* The reducers change which satisfying assignment is found first,
-           so every [`Sat] of the reduced engine is re-derived by the plain
-           one: the decision map (hence the verdict record) is the plain
-           engine's, and both phases' search costs are reported. The rerun
-           starts from the same arc-consistent root and counts that root
-           again, as a fresh plain solve would. Refutations and budget
-           exhaustions, the cases pruning exists for, never rerun. The
-           plain rerun's verdict is taken verbatim: if it exhausts the
-           budget, the plain engine alone would have too. *)
-        match
-          phase "search" (fun () -> run_search ~red ~counts ~record inst (Array.copy root) budget)
-        with
-        | `Sat _ ->
-          counts.n_nodes <- counts.n_nodes + 1;
-          phase "rerun" (fun () -> run_search ~red:(plain ()) ~counts ~record inst root budget)
-        | o -> o
+        match settled with
+        | Some o -> o
+        | None -> (
+          (* only a level the plain engine leaves open builds its reducers *)
+          Wfc_obs.Metrics.incr c_reduced_levels;
+          let autos =
+            phase "autos" (fun () ->
+                match setup.autos with
+                | Some autos -> autos
+                | None ->
+                  let autos = build_autos ~admitted:setup.admitted task sds verts inst in
+                  setup.autos <- Some autos;
+                  autos)
+          in
+          let pos, eliminated =
+            phase "collapse" (fun () ->
+                match setup.schedule with
+                | Some r -> r
+                | None ->
+                  let r = collapse_positions ~admitted:setup.admitted sds verts inst in
+                  setup.schedule <- Some r;
+                  r)
+          in
+          Wfc_obs.Metrics.add c_sym_orbits (Array.length autos);
+          Wfc_obs.Metrics.add c_collapse_len eliminated;
+          let red = make_reducers ~static_order:true ~autos ~order_pos:pos inst.nvars in
+          (* The reducers change which satisfying assignment is found
+             first, so every [`Sat] of the reduced engine is re-derived by
+             the plain one: the decision map (hence the verdict record) is
+             the plain engine's, and every phase's search cost is reported.
+             The rerun starts from the same arc-consistent root and counts
+             that root again, as a fresh plain solve would. Refutations and
+             budget exhaustions, the cases pruning exists for, never rerun.
+             The plain rerun's verdict is taken verbatim: if it exhausts
+             the budget, the plain engine alone would have too. *)
+          match
+            phase "search" (fun () ->
+                run_search ~red ~counts ~record inst (Array.copy root) (budget - allowance))
+          with
+          | `Sat _ ->
+            counts.n_nodes <- counts.n_nodes + 1;
+            phase "rerun" (fun () -> run_search ~red:(plain ()) ~counts ~record inst root budget)
+          | o -> o)
       end
   in
   let elapsed = Wfc_obs.Metrics.now_s () -. t0 in
@@ -915,6 +953,11 @@ let solve_at ?opts:(o = defaults) task level =
       }
   | `Unsat -> Unsolvable_at { level; stats; trail = trail () }
   | `Budget -> Exhausted { level; stats }
+
+let solve_at ?opts:(o = defaults) task level = decide_level ~plain_first:true ~opts:o task level
+
+let solve_at_reduced ?opts:(o = defaults) task level =
+  decide_level ~plain_first:false ~opts:o task level
 
 (* [solve] reports {e cumulative} stats over every level it tried, and its
    [budget] is likewise cumulative: each level's [solve_at] gets only what

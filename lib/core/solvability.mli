@@ -181,24 +181,40 @@ val solve_at : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
     from the arc-consistent domains, with one of the two engines below.
 
     {b Two engines} (DESIGN §14). An untraced level whose root survives
-    runs the {e reduced engine}: it installs the instance-level
-    symmetries of [(I, O, Δ)] — task automorphisms, pairs of input/output
-    automorphisms over one process permutation with [Δ(σ_I s) = σ_O(Δ s)],
-    lifted through [SDS^b] and restricted to the model's admitted facet
-    set, which every installed symmetry must preserve — and prunes
-    candidates that are provably not lex-least in their orbit, while
-    variable selection follows a static free-face collapsing schedule of
-    the admitted subcomplex. A refutation under pruning is still an
-    exhaustive proof: the lex-least solution of any orbit survives every
-    constraint, so an empty pruned space implies an empty space. Every
-    [Solvable] it finds is re-derived by the {e plain canonical engine}
-    (dynamic most-constrained-first selection, no symmetries) from the
-    same arc-consistent root before being returned, so decide tables are
-    the plain engine's and [stats] include both phases' costs.
-    [opts.trace] runs the plain engine alone, so trails stay canonical.
-    Counted in [solvability.symmetry.orbits] / [.pruned] and
-    [solvability.collapse.schedule_len], for the untraced levels that
-    search only. *)
+    runs the {e plain canonical engine} first (dynamic
+    most-constrained-first selection, no symmetries), from the
+    arc-consistent root, within an allowance of 16 budget units per
+    instance variable (about 8 nodes each), charged to [opts.budget]. A
+    [Solvable] or [Unsolvable_at] it reaches inside the allowance is the
+    answer; when the allowance is the whole budget, running out of it is
+    [Exhausted]. Only a level it leaves open falls through to the
+    {!solve_at_reduced} engine, with the rest of the budget, and bumps
+    [solvability.reduced.levels]. Every level of the serving catalogue
+    settles inside the allowance. [opts.trace] runs the plain engine
+    alone, with the whole budget, so trails stay canonical. *)
+
+val solve_at_reduced : ?opts:options -> Wfc_tasks.Task.t -> int -> verdict
+(** [solve_at] without the plain engine's allowance: every untraced level
+    whose root survives runs the {e reduced engine}, the fallback
+    {!solve_at} takes for the levels the plain engine leaves open. Tests
+    and benchmarks call it to measure and pin the reducers; verdict bytes
+    equal {!solve_at}'s.
+
+    The reduced engine installs the instance-level symmetries of
+    [(I, O, Δ)] — task automorphisms, pairs of input/output automorphisms
+    over one process permutation with [Δ(σ_I s) = σ_O(Δ s)], lifted
+    through [SDS^b] and restricted to the model's admitted facet set,
+    which every installed symmetry must preserve — and prunes candidates
+    that are provably not lex-least in their orbit, while variable
+    selection follows a static free-face collapsing schedule of the
+    admitted subcomplex. A refutation under pruning is still an exhaustive
+    proof: the lex-least solution of any orbit survives every constraint,
+    so an empty pruned space implies an empty space. Every [Solvable] it
+    finds is re-derived by the plain canonical engine from the same
+    arc-consistent root before being returned, so decide tables are the
+    plain engine's and [stats] include every phase's costs. Counted in
+    [solvability.reduced.levels], [solvability.symmetry.orbits] /
+    [.pruned] and [solvability.collapse.schedule_len]. *)
 
 val solve : ?opts:options -> max_level:int -> Wfc_tasks.Task.t -> verdict
 (** Try levels [0 .. max_level] in order; returns the first [Solvable], the

@@ -61,7 +61,7 @@ type spec = {
 (** A named task question under a named model, as [wfc solve] would pose
     it. [model] is a canonical {!Wfc_tasks.Model} name ("wait-free" for the
     historical behaviour). [symmetry] and [collapse] are ignored: every
-    solve runs the one reduced engine ({!Wfc_core.Solvability.solve_at}),
+    solve picks its engine per level ({!Wfc_core.Solvability.solve_at}),
     {!request_to_json} does not write them, and {!request_of_json} skips
     them when an older client sends them and decodes both as [true]. They
     stay only while [perfbench/catalogue.ml] builds this record, and go

@@ -1,10 +1,12 @@
 (* Tier-1 tests for the Prop 3.1 search reducers: free-face collapse of the
    protocol complex, task automorphisms and their SDS lifts, the structural
    Sds.iterate memo key, an older client's reducer flags on the wire, the
-   pinned search tallies, the headline guarantee — the reduced engine
-   answers byte-identically to the plain canonical engine under every
-   builtin model — and the sequential engine's budget and cache
-   behaviour. *)
+   pinned search tallies of both engines, the headline guarantee — the
+   reduced engine answers byte-identically to the plain canonical engine
+   under every builtin model — and the sequential engine's budget, cache
+   and fallback behaviour. The reducer tests call
+   [Solvability.solve_at_reduced]: the default [solve_at] settles their
+   small instances with the plain engine alone. *)
 
 open Wfc_topology
 open Wfc_tasks
@@ -15,6 +17,10 @@ open Wfc_storage
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
+
+let tallies v =
+  let s = Solvability.stats_of_verdict v in
+  (s.Solvability.nodes, s.Solvability.backtracks, s.Solvability.prunes)
 
 (* ------------------------------------------------------------------ *)
 (* Collapse                                                             *)
@@ -55,19 +61,21 @@ let test_collapse_schedule_total () =
 (* A restricted model's collapse schedule runs over the admitted facets
    themselves, whose faces the level's instance build has already
    interned: once the wait-free solve has interned SDS^2, solving the
-   same level under t-resilient:1 (which builds a schedule) interns
-   nothing more, and its tallies are pinned. *)
+   same level under t-resilient:1 with the reduced engine (which builds a
+   schedule) interns nothing more, and its tallies are pinned. *)
 let test_restricted_schedule_interns_nothing () =
   Solvability.clear_cache ();
   let t = Instances.binary_consensus ~procs:3 in
   ignore (Solvability.solve_at t 2);
   let before = Simplex.arena_size () in
-  let v = Solvability.solve_at ~opts:(Solvability.options ~model:(Model.t_resilient ~t:1) ()) t 2 in
-  let s = Solvability.stats_of_verdict v in
+  let v =
+    Solvability.solve_at_reduced ~opts:(Solvability.options ~model:(Model.t_resilient ~t:1) ()) t 2
+  in
   checks "t-resilient:1 at level 2: verdict" "solvable" (Solvability.verdict_name v);
   checki "no simplex interned" 0 (Simplex.arena_size () - before);
-  checkb "tallies" true
-    ((s.Solvability.nodes, s.Solvability.backtracks, s.Solvability.prunes) = (530, 0, 276))
+  checkb "tallies" true (tallies v = (530, 0, 276));
+  let v = Solvability.solve_at ~opts:(Solvability.options ~model:(Model.t_resilient ~t:1) ()) t 2 in
+  checkb "default tallies" true (tallies v = (265, 0, 138))
 
 (* ------------------------------------------------------------------ *)
 (* Automorphisms                                                        *)
@@ -442,8 +450,9 @@ let test_restriction_matches_reference () =
        [ Instances.binary_consensus ~procs:3; Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 ])
 
 (* The task automorphisms depend on the task alone, so the three models
-   solved at one level share them: one lift-memo entry for the task, not
-   one per model or per level (the lifts themselves are recomputed). The
+   solved at one level by the reduced engine share them: one lift-memo
+   entry for the task, not one per model or per level (the lifts
+   themselves are recomputed). The
    setup memo holds one entry for the unrestricted model and, for each
    restricted model, one per level up to 2, since a level's admitted set
    is built from the level below's. *)
@@ -451,7 +460,8 @@ let test_lifts_shared_across_models () =
   Solvability.clear_cache ();
   let t = Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2 in
   List.iter
-    (fun model -> ignore (Solvability.solve_at ~opts:(Solvability.options ~model ()) t 2))
+    (fun model ->
+      ignore (Solvability.solve_at_reduced ~opts:(Solvability.options ~model ()) t 2))
     [ Model.wait_free; Model.t_resilient ~t:1; Model.k_set_affine ~k:2 ];
   let sizes = Solvability.memo_sizes () in
   checki "lift memo: one entry for the task" 1 (List.assoc "lift" sizes);
@@ -544,6 +554,17 @@ let verdict_bytes task model max_level v =
   in
   Wfc_obs.Json.to_string (Record.verdict_json r)
 
+(* [Solvability.solve]'s level sweep over the reduced engine: the first
+   level that is not refuted answers, else the last refutation. *)
+let rec reduced_sweep ~opts ~max_level task level =
+  match Solvability.solve_at_reduced ~opts task level with
+  | Solvability.Unsolvable_at _ when level < max_level ->
+    reduced_sweep ~opts ~max_level task (level + 1)
+  | v -> v
+
+(* The reduced engine against the default sweep, whose levels here all
+   settle in the plain engine: the verdict bytes must not tell them
+   apart. *)
 let qcheck_reducers_preserve_verdicts =
   QCheck.Test.make ~count:60
     ~name:"reducers preserve verdict bytes (all builtin models)"
@@ -555,10 +576,9 @@ let qcheck_reducers_preserve_verdicts =
       let _, mk = List.nth tasks_under_test ti in
       let model = List.nth models_under_test mi in
       let t_on = mk () and t_off = mk () in
-      let on = Solvability.solve ~opts:(Solvability.options ~model ()) ~max_level:1 t_on in
-      let off =
-        Solvability.solve ~opts:(Solvability.options ~model ~trace:true ()) ~max_level:1 t_off
-      in
+      let opts = Solvability.options ~model () in
+      let on = reduced_sweep ~opts ~max_level:1 t_on 0 in
+      let off = Solvability.solve ~opts ~max_level:1 t_off in
       verdict_bytes t_on model 1 on = verdict_bytes t_off model 1 off)
 
 (* A map found under reducers is re-derived canonically, and still verifies. *)
@@ -578,49 +598,71 @@ let test_sat_canonical_map () =
 (* Pinned sequential tallies: the search is deterministic, so nodes,
    backtracks and prunes are exact functions of (task, level, engine).
    Any drift here means the search itself changed, not just its speed.
-   The 4-process set-consensus refutations need both reducers at once:
-   at k = 3 neither one alone answers within minutes. *)
+   Each question is pinned under the reduced engine ([solve_at_reduced])
+   and under the default path, which settles all but set-consensus-4-3 in
+   the plain engine; that one exhausts the plain engine's allowance, so
+   its default tallies are the allowance's cost on top of the reduced
+   engine's. The 4-process set-consensus refutations need both reducers
+   at once: at k = 3 neither one alone answers within minutes. *)
 let test_pinned_tallies () =
-  let pin ?(opts = Solvability.defaults) label task level (nodes, backtracks, prunes) =
-    let v = Solvability.solve_at ~opts task level in
+  let pin ?(opts = Solvability.defaults) ~solve label task level (nodes, backtracks, prunes) =
+    let v = solve ~opts task level in
     let s = Solvability.stats_of_verdict v in
     checki (label ^ ": nodes") nodes s.Solvability.nodes;
     checki (label ^ ": backtracks") backtracks s.Solvability.backtracks;
     checki (label ^ ": prunes") prunes s.Solvability.prunes;
     v
   in
+  let reduced = pin ~solve:(fun ~opts -> Solvability.solve_at_reduced ~opts)
+  and default = pin ~solve:(fun ~opts -> Solvability.solve_at ~opts) in
   let unsolvable label v = checks (label ^ ": verdict") "unsolvable" (Solvability.verdict_name v) in
   let sc procs k = Instances.set_consensus ~procs ~k in
-  ignore (pin "set-consensus-3-2 L1, reduced" (sc 3 2) 1 (8, 7, 11));
+  let rn = Instances.adaptive_renaming ~procs:3 ~names:6 in
+  ignore (reduced "set-consensus-3-2 L1, reduced" (sc 3 2) 1 (8, 7, 11));
+  ignore (default "set-consensus-3-2 L1, default" (sc 3 2) 1 (54, 74, 103));
   ignore
-    (pin ~opts:(Solvability.options ~trace:true ()) "set-consensus-3-2 L1, plain" (sc 3 2) 1
+    (default ~opts:(Solvability.options ~trace:true ()) "set-consensus-3-2 L1, traced" (sc 3 2) 1
        (54, 74, 103));
-  ignore (pin "renaming-3-6 L3" (Instances.adaptive_renaming ~procs:3 ~names:6) 3 (2283, 2, 4346));
-  ignore (pin "consensus-2 L4" (Instances.binary_consensus ~procs:2) 4 (1, 0, 0));
-  unsolvable "set-consensus-4-2 L1" (pin "set-consensus-4-2 L1" (sc 4 2) 1 (7, 6, 30));
-  unsolvable "set-consensus-4-3 L1" (pin "set-consensus-4-3 L1" (sc 4 3) 1 (1092, 1807, 2260))
+  ignore (reduced "renaming-3-6 L3, reduced" rn 3 (2283, 2, 4346));
+  ignore (default "renaming-3-6 L3, default" rn 3 (1141, 0, 2171));
+  ignore (reduced "consensus-2 L4, reduced" (Instances.binary_consensus ~procs:2) 4 (1, 0, 0));
+  ignore (default "consensus-2 L4, default" (Instances.binary_consensus ~procs:2) 4 (1, 0, 0));
+  unsolvable "set-consensus-4-2 L1"
+    (reduced "set-consensus-4-2 L1, reduced" (sc 4 2) 1 (7, 6, 30));
+  unsolvable "set-consensus-4-2 L1"
+    (default "set-consensus-4-2 L1, default" (sc 4 2) 1 (52, 71, 316));
+  unsolvable "set-consensus-4-3 L1"
+    (reduced "set-consensus-4-3 L1, reduced" (sc 4 3) 1 (1092, 1807, 2260));
+  unsolvable "set-consensus-4-3 L1"
+    (default "set-consensus-4-3 L1, default" (sc 4 3) 1 (1298, 2085, 2839))
 
 (* The restricted models' searches, pinned the same way at levels whose
-   root survives, so each builds its symmetries and collapse schedule over
-   the admitted subcomplex. *)
+   root survives: the reduced engine builds its symmetries and collapse
+   schedule over the admitted subcomplex, and the default path settles
+   each level in the plain engine. *)
 let test_pinned_restricted_tallies () =
-  let pin label model task level (nodes, backtracks, prunes) =
-    let v = Solvability.solve_at ~opts:(Solvability.options ~model ()) task level in
+  let pin label model task level ~reduced:(nodes, backtracks, prunes) ~default =
+    let opts = Solvability.options ~model () in
+    let v = Solvability.solve_at_reduced ~opts task level in
     let s = Solvability.stats_of_verdict v in
     checks (label ^ ": verdict") "solvable" (Solvability.verdict_name v);
     checki (label ^ ": nodes") nodes s.Solvability.nodes;
     checki (label ^ ": backtracks") backtracks s.Solvability.backtracks;
-    checki (label ^ ": prunes") prunes s.Solvability.prunes
+    checki (label ^ ": prunes") prunes s.Solvability.prunes;
+    let v = Solvability.solve_at ~opts task level in
+    checks (label ^ ", default: verdict") "solvable" (Solvability.verdict_name v);
+    checkb (label ^ ", default: tallies") true (tallies v = default)
   in
   pin "renaming-3-4 L2 under k-set:2" (Model.k_set_affine ~k:2)
-    (Instances.adaptive_renaming ~procs:3 ~names:4) 2 (38, 0, 47);
+    (Instances.adaptive_renaming ~procs:3 ~names:4) 2 ~reduced:(38, 0, 47) ~default:(19, 0, 27);
   pin "set-consensus-3-2 L2 under k-set:2" (Model.k_set_affine ~k:2)
-    (Instances.set_consensus ~procs:3 ~k:2) 2 (38, 0, 4);
+    (Instances.set_consensus ~procs:3 ~k:2) 2 ~reduced:(38, 0, 4) ~default:(19, 0, 2);
   pin "loop-disk L2 under t-resilient:1" (Model.t_resilient ~t:1)
-    (Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2) 2 (74, 0, 403)
+    (Instances.by_name ~name:"loop-disk" ~procs:3 ~param:2) 2 ~reduced:(74, 0, 403)
+    ~default:(37, 0, 209)
 
-(* The refutation-heavy target actually gets pruned, and says so in the
-   wfc.obs.v1 counters. *)
+(* The refutation-heavy target actually gets pruned by the reduced
+   engine, and says so in the wfc.obs.v1 counters. *)
 let test_reducer_counters () =
   let open Wfc_obs.Metrics in
   let orbits = counter "solvability.symmetry.orbits" in
@@ -629,7 +671,7 @@ let test_reducer_counters () =
   let o0 = value orbits and p0 = value pruned and s0 = value sched in
   let t = Instances.set_consensus ~procs:3 ~k:2 in
   let off = Solvability.solve_at ~opts:(Solvability.options ~trace:true ()) t 1 in
-  let on = Solvability.solve_at t 1 in
+  let on = Solvability.solve_at_reduced t 1 in
   (match (off, on) with
   | Solvability.Unsolvable_at _, Solvability.Unsolvable_at _ -> ()
   | _ -> Alcotest.fail "set-consensus-3-2 must be unsolvable at level 1");
@@ -658,10 +700,6 @@ let decide_table verdict =
     let scx = Chromatic.complex (Sds.complex map.Solvability.sds) in
     Some (List.map (fun v -> (v, map.Solvability.decide v)) (Complex.vertices scx))
   | _ -> None
-
-let tallies v =
-  let s = Solvability.stats_of_verdict v in
-  (s.Solvability.nodes, s.Solvability.backtracks, s.Solvability.prunes)
 
 let test_cumulative_budget () =
   let task = Instances.set_consensus ~procs:3 ~k:2 in
@@ -693,8 +731,9 @@ let test_warm_matches_cold () =
       checkb (name ^ ": same tallies") true (tallies cold = tallies warm))
     solver_tasks
 
-(* set-consensus-3-2 needs 8 nodes to refute level 1 with both reducers;
-   a smaller budget stops the level early instead of answering. *)
+(* set-consensus-3-2 needs 54 plain nodes to refute level 1; a budget of
+   3 is the plain engine's whole allowance, so the level stops early
+   instead of answering, and builds no reducer. *)
 let test_budget_caps_level () =
   let budget = 3 in
   match
@@ -730,8 +769,10 @@ let test_trace_is_plain_engine () =
     (decide_table traced <> None && decide_table traced = decide_table default)
 
 (* Each phase of a level is its own span under solvability.level.<b>, so
-   `wfc stats` shows where a cold solve spends its time. A refutation never
-   reruns; a Sat found under the collapse order does. *)
+   `wfc stats` shows where a cold solve spends its time. A level the plain
+   engine settles builds no reducer and never reruns; on the reduced
+   engine a refutation never reruns and a Sat found under the collapse
+   order does. *)
 let test_phase_spans () =
   let open Wfc_obs.Metrics in
   let level_children name =
@@ -746,23 +787,36 @@ let test_phase_spans () =
     | None -> Alcotest.failf "no %s span" name
   in
   let has names phase = List.mem ("solvability." ^ phase) names in
+  let sc () = Instances.set_consensus ~procs:3 ~k:2 in
   reset ();
-  ignore (Solvability.solve ~max_level:1 (Instances.set_consensus ~procs:3 ~k:2));
+  ignore (Solvability.solve ~max_level:1 (sc ()));
+  checkb "a plain refutation builds, propagates and searches" true
+    (List.sort compare (level_children "solvability.level.1")
+    = [ "solvability.build"; "solvability.propagate"; "solvability.search" ]);
+  reset ();
+  ignore (Solvability.solve_at_reduced (sc ()) 1);
   let names = level_children "solvability.level.1" in
   List.iter
-    (fun phase -> checkb ("refutation has " ^ phase) true (has names phase))
+    (fun phase -> checkb ("reduced refutation has " ^ phase) true (has names phase))
     [ "build"; "propagate"; "autos"; "collapse"; "search" ];
-  checkb "refutation has no rerun" false (has names "rerun");
+  checkb "reduced refutation has no rerun" false (has names "rerun");
   reset ();
   ignore (Solvability.solve_at (Instances.binary_consensus ~procs:3) 1);
   checkb "a root refutation ends after propagate" true
     (List.sort compare (level_children "solvability.level.1")
     = [ "solvability.build"; "solvability.propagate" ]);
-  reset ();
-  (match Solvability.solve_at (Instances.adaptive_renaming ~procs:2 ~names:3) 1 with
-  | Solvability.Solvable _ -> ()
-  | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v));
-  checkb "reduced Sat has rerun" true (has (level_children "solvability.level.1") "rerun")
+  let rn () = Instances.adaptive_renaming ~procs:2 ~names:3 in
+  List.iter
+    (fun (label, solve_at, rerun) ->
+      reset ();
+      (match solve_at (rn ()) 1 with
+      | Solvability.Solvable _ -> ()
+      | v -> Alcotest.failf "expected solvable, got %s" (Solvability.verdict_name v));
+      checkb label rerun (has (level_children "solvability.level.1") "rerun"))
+    [
+      ("plain Sat has no rerun", (fun t l -> Solvability.solve_at t l), false);
+      ("reduced Sat has rerun", (fun t l -> Solvability.solve_at_reduced t l), true);
+    ]
 
 (* Binary consensus on three processes dies at the root of levels 0, 1
    and 2, so the sweep visits one node per level and builds no reducer:
@@ -781,6 +835,32 @@ let test_root_refutation_builds_no_reducers () =
   checki "no lift memoized" 0 (List.assoc "lift" (Solvability.memo_sizes ()));
   checki "no symmetry installed" o0 (value orbits);
   checki "no collapse schedule" s0 (value sched)
+
+(* A level the plain engine settles within its allowance builds no
+   reducer: set-consensus-3-2 is refuted at level 1 with no lift memoized,
+   no symmetry installed, no autos span and no level counted as reduced.
+   set-consensus-4-3 outgrows the allowance at level 1, so its default
+   solve falls through to the reducers, once. *)
+let test_settled_level_builds_no_reducers () =
+  let open Wfc_obs.Metrics in
+  let orbits = counter "solvability.symmetry.orbits" in
+  let reduced = counter "solvability.reduced.levels" in
+  Solvability.clear_cache ();
+  reset ();
+  (match Solvability.solve_at (Instances.set_consensus ~procs:3 ~k:2) 1 with
+  | Solvability.Unsolvable_at { level; _ } -> checki "refuted at level 1" 1 level
+  | v -> Alcotest.failf "expected Unsolvable_at, got %s" (Solvability.verdict_name v));
+  checki "no lift memoized" 0 (List.assoc "lift" (Solvability.memo_sizes ()));
+  checki "no symmetry installed" 0 (value orbits);
+  checki "no level reduced" 0 (value reduced);
+  let rec has_span name = List.exists (fun n -> n.span_name = name || has_span name n.children) in
+  checkb "no autos span" false (has_span "solvability.autos" (spans_now ()));
+  (match Solvability.solve_at (Instances.set_consensus ~procs:4 ~k:3) 1 with
+  | Solvability.Unsolvable_at _ -> ()
+  | v -> Alcotest.failf "expected Unsolvable_at, got %s" (Solvability.verdict_name v));
+  checki "set-consensus-4-3 L1 falls through to the reducers" 1 (value reduced);
+  checkb "its symmetries are installed" true (value orbits > 0);
+  checkb "an autos span" true (has_span "solvability.autos" (spans_now ()))
 
 let test_budget_zero_exhausts () =
   match
@@ -850,5 +930,7 @@ let () =
           Alcotest.test_case "solve phases are spans" `Quick test_phase_spans;
           Alcotest.test_case "a root refutation builds no reducers" `Quick
             test_root_refutation_builds_no_reducers;
+          Alcotest.test_case "a settled level builds no reducers" `Quick
+            test_settled_level_builds_no_reducers;
         ] );
     ]
